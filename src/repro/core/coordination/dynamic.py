@@ -120,10 +120,12 @@ class DynamicStrategy(CoordinationStrategy):
         # For an obituary the announced position is the *subject*'s, so
         # the scope is the dead robot's cell (plus the margin band) and
         # the subject is the robot to exclude from "closest other".
+        # On a fresh flood this reuses the table scan that
+        # on_flood_learned's myrobot refresh just made.
         excluded = (
             flood.subject if flood.subject is not None else flood.origin_id
         )
-        closest_other = sensor.closest_known_robot(exclude={excluded})
+        closest_other = sensor.closest_known_robot(exclude=excluded)
         if closest_other is None:
             return True
         distance_to_other = sensor.position.distance_to(closest_other[1])

@@ -103,8 +103,24 @@ class SensorNode(NetworkNode):
     def on_broadcast_received(
         self, packet: Packet, sender_id: NodeId, sender_position: Point
     ) -> None:
+        # Location-update floods dominate, and most copies are duplicates:
+        # test for them first, and drop a stale copy right after the
+        # neighbour refresh.
         payload = packet.payload
-        if isinstance(payload, NodeAnnouncement):
+        kind = type(payload)
+        if kind is FloodMessage:
+            origin_id = payload.origin_id
+            if packet.source == origin_id and payload.subject is None:
+                # Heard the robot itself: it is a one-hop neighbour right
+                # now.  (Subject-bearing floods announce someone *else's*
+                # state, so the position must not be attributed to the
+                # origin.)
+                self.neighbor_table.upsert(
+                    origin_id, payload.position, payload.kind, self.sim.now
+                )
+            if payload.seq > self._flood_seen.get(origin_id, -1):
+                self._accept_flood(packet, payload)
+        elif kind is NodeAnnouncement:
             self._last_beacon[payload.node_id] = self.sim.now
             if payload.node_id in self.guardees:
                 self.guardee_positions[payload.node_id] = payload.position
@@ -115,9 +131,7 @@ class SensorNode(NetworkNode):
                 # A sensor this guardian declared dead is beaconing
                 # again (e.g. its jamming region cleared): rehabilitate.
                 self.note_alive(payload.node_id, payload.position)
-        elif isinstance(payload, FloodMessage):
-            self._handle_flood(packet, payload)
-        elif isinstance(payload, SuspicionQuery):
+        elif kind is SuspicionQuery:
             self._handle_suspicion_query(payload)
 
     def on_packet_delivered(self, packet: Packet) -> None:
@@ -527,17 +541,9 @@ class SensorNode(NetworkNode):
     # ------------------------------------------------------------------
     # Location-update floods
     # ------------------------------------------------------------------
-    def _handle_flood(self, packet: Packet, flood: FloodMessage) -> None:
-        if packet.source == flood.origin_id and flood.subject is None:
-            # Heard the robot itself: it is a one-hop neighbour right now.
-            # (Subject-bearing floods announce someone *else's* state, so
-            # the position must not be attributed to the origin.)
-            self.neighbor_table.upsert(
-                flood.origin_id, flood.position, flood.kind, self.sim.now
-            )
-        last_seq = self._flood_seen.get(flood.origin_id, -1)
-        if flood.seq <= last_seq:
-            return  # Duplicate or superseded: nothing new to learn/relay.
+    def _accept_flood(self, packet: Packet, flood: FloodMessage) -> None:
+        """Learn from a flood newer than any seen from its origin, and
+        relay it if the strategy says so (called once per seq)."""
         self._flood_seen[flood.origin_id] = flood.seq
         self._learn_from_flood(flood)
         if self.runtime.coordination.should_relay_flood(self, flood):
@@ -580,9 +586,10 @@ class SensorNode(NetworkNode):
     # Robot knowledge queries (used by strategies)
     # ------------------------------------------------------------------
     def closest_known_robot(
-        self, exclude: typing.Container[NodeId] = ()
+        self, exclude: typing.Optional[NodeId] = None
     ) -> typing.Optional[typing.Tuple[NodeId, Point]]:
-        """The robot with the smallest known distance to this sensor.
+        """The robot with the smallest known distance to this sensor,
+        other than *exclude*.
 
         Delegates to the knowledge table's flat-array scan — the same
         squared-distance float ops and ``(d2, id)`` tie-break as the

@@ -5,9 +5,11 @@ guarantees (every failed sensor replaced exactly once, bit-identical
 replays) true through hot-path rewrites:
 
 * **R6** — epoch-cache integrity: mutations of ``SpatialGrid`` node
-  state bump the epoch, cache population consults it, nobody reaches
-  into another module's epoch-guarded private state, and nobody
-  mutates a shared cached receiver list in place.
+  state bump the epoch, mutations of the channel's static layer drop
+  the receiver sets they affect, cache population consults the epoch
+  where there is one, nobody reaches into another module's guarded
+  private state, and nobody mutates a shared cached receiver list in
+  place.
 * **R7** — trace-guard discipline: every ``tracer.emit`` call sits
   under a ``tracer.active`` guard (directly or via a hoisted flag).
 * **R8** — sim-race detector: event handlers reachable from the
@@ -51,12 +53,14 @@ __all__ = [
     "UnitSuffixConsistency",
 ]
 
-#: Method calls that mutate a list/dict/set receiver in place.
+#: Method calls that mutate a list/dict/set (or spatial index) receiver
+#: in place.
 _MUTATOR_METHODS = frozenset(
     {
         "append",
         "extend",
         "insert",
+        "move",
         "remove",
         "pop",
         "popitem",
@@ -132,12 +136,13 @@ class EpochCacheIntegrity(ProjectRule):
     rule_id = "R6"
     name = "epoch-cache-integrity"
     description = (
-        "Methods mutating epoch-guarded state (SpatialGrid cells/"
-        "positions) must bump the epoch counter (directly or via every "
-        "caller); cache population (receiver sets, query memos) must "
-        "consult the epoch in the same method; epoch-guarded private "
-        "fields are owned by their defining module; and shared cached "
-        "result lists (receivers_of) are read-only."
+        "Methods mutating guarded state (SpatialGrid cells/positions, "
+        "the Channel's static grid) must bump the epoch counter or call "
+        "an invalidator (directly or via every caller); where a class "
+        "has an epoch, cache population must consult it in the same "
+        "method; guarded private fields are owned by their defining "
+        "module; and shared cached result lists (receivers_of) are "
+        "read-only."
     )
 
     def check_project(
@@ -172,6 +177,7 @@ class EpochCacheIntegrity(ProjectRule):
         epoch_attrs = set(spec.get("epoch", ()))
         mutated_fields = set(spec.get("mutated", ()))
         cache_fields = set(spec.get("caches", ()))
+        invalidators = set(spec.get("invalidators", ()))
         methods = module.methods_of(class_node)
 
         mutators: typing.Dict[str, ast.FunctionDef] = {}
@@ -184,12 +190,24 @@ class EpochCacheIntegrity(ProjectRule):
                 method, mutated_fields | cache_fields
             )
             consults = self._consults_epoch(method, epoch_attrs)
-            if self._bumps_epoch(method, epoch_attrs):
+            calls = {
+                call.func.attr
+                for call in ast.walk(method)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == "self"
+            }
+            if self._bumps_epoch(method, epoch_attrs) or (
+                calls & invalidators
+            ):
                 bumpers.add(method_name)
             if self._mutates(method, mutated_fields, aliases):
                 mutators[method_name] = method
             populated = self._populates(method, cache_fields, aliases)
-            if populated and not consults:
+            # A class without an epoch drops its cache entries
+            # explicitly (its invalidators), so filling one is safe.
+            if populated and epoch_attrs and not consults:
                 yield self.violation_at(
                     module.path,
                     method,
@@ -199,18 +217,12 @@ class EpochCacheIntegrity(ProjectRule):
                     f"({', '.join(sorted(epoch_attrs))}); a stale "
                     "entry would survive grid mutations",
                 )
-            calls_out[method_name] = {
-                call.func.attr
-                for call in ast.walk(method)
-                if isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute)
-                and isinstance(call.func.value, ast.Name)
-                and call.func.value.id == "self"
-            }
+            calls_out[method_name] = calls
 
-        # A mutator is covered when it bumps the epoch itself, or when
-        # every intra-class call site sits inside a covered method (the
-        # `_discard` helper pattern: remove()/move() bump around it).
+        # A mutator is covered when it bumps the epoch or calls an
+        # invalidator itself, or when every intra-class call site sits
+        # inside a covered method (the `_discard` helper pattern:
+        # remove()/move() bump around it).
         covered = set(bumpers)
         changed = True
         while changed:
@@ -226,15 +238,18 @@ class EpochCacheIntegrity(ProjectRule):
                 if callers and callers <= covered:
                     covered.add(method_name)
                     changed = True
+        guards = " or ".join(
+            [f"bumping {name}" for name in sorted(epoch_attrs)]
+            + [f"calling {name}()" for name in sorted(invalidators)]
+        )
         for method_name in sorted(set(mutators) - covered):
             yield self.violation_at(
                 module.path,
                 mutators[method_name],
-                f"{class_name}.{method_name} mutates epoch-guarded "
-                f"state ({', '.join(sorted(mutated_fields))}) but "
-                f"neither bumps {', '.join(sorted(epoch_attrs))} nor "
-                "is called exclusively from methods that do; cached "
-                "consumers would never invalidate",
+                f"{class_name}.{method_name} mutates guarded state "
+                f"({', '.join(sorted(mutated_fields))}) without "
+                f"{guards}, and not every caller does; cached consumers "
+                "would never invalidate",
             )
 
     @staticmethod

@@ -6,6 +6,12 @@ the spatial index of node positions, decides who receives each frame
 optional Bernoulli loss model, and counts every transmission by message
 category.  Those counters are the paper's messaging-overhead metric.
 
+The position index has two layers, because in the paper's model only
+the robots move: a hash grid of the static nodes, whose receiver sets
+are cached per sender, and a short linear list of the nodes that have
+moved.  Both answer with the same float test and merge by id, so a
+query's result does not depend on which layer holds a node.
+
 Contention model: the paper runs in a "low traffic load" regime with
 100 % delivery, so the channel does not simulate CSMA collisions; each
 node's MAC serialises its own transmissions and applies a small random
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+import operator
 import typing
 
 from repro.geometry.point import Point
@@ -31,6 +38,12 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.node import NetworkNode
 
 __all__ = ["Channel", "ChannelStats", "DropCause"]
+
+#: Mobile-layer row: ``(id, x, y, node)``.
+_MobileRow = typing.Tuple[NodeId, float, float, "NetworkNode"]
+
+_row_id = operator.itemgetter(0)
+_node_id = operator.attrgetter("node_id")
 
 
 class DropCause:
@@ -172,19 +185,30 @@ class Channel:
         #: without the fault model.
         self.fault_field: typing.Optional["NetworkFaultField"] = None
         self._nodes: typing.Dict[NodeId, "NetworkNode"] = {}
-        # Cell size tuned to the *sensor* radio: sensor broadcasts are by
-        # far the most frequent range query, and a 250 m cell would scan
-        # ~6x more candidates than needed for a 63 m disk.
+        #: The static layer: every node that has never moved (sensors,
+        #: the manager, robots before their first step).  Cell size is
+        #: tuned to the *sensor* radio: sensor broadcasts are by far the
+        #: most frequent range query, and a 250 m cell would scan ~6x
+        #: more candidates than needed for a 63 m disk.
         self._grid = SpatialGrid(cell_size=80.0)
+        #: The mobile layer: id-sorted ``(id, x, y, node)`` rows of every
+        #: node that has moved at least once (at most the robots), scanned
+        #: linearly.
+        self._mobile: typing.List[_MobileRow] = []
         #: Live node ids, maintained in sorted order incrementally so
         #: :meth:`nodes` never re-sorts the full registry.
         self._sorted_ids: typing.List[NodeId] = []
-        #: sender id -> (grid epoch, receiver list).  Sensors are static,
-        #: so a sender's receiver set only changes when a node registers,
-        #: unregisters, or moves — all of which bump the grid epoch.
+        #: static sender id -> its id-sorted *static* receivers.  An entry
+        #: is dropped when a static node registers or unregisters inside
+        #: that sender's range (see :meth:`_drop_receivers_near`); robot
+        #: moves never touch it, because robots live in the mobile layer.
         self._receiver_cache: typing.Dict[
-            NodeId, typing.Tuple[int, typing.List["NetworkNode"]]
+            NodeId, typing.List["NetworkNode"]
         ] = {}
+        #: radio range -> number of cached senders with that range.  The
+        #: largest key bounds the query for the senders a static-layer
+        #: change can affect.
+        self._cached_ranges: typing.Counter[float] = collections.Counter()
         #: Hooks called as ``hook(frame, sender_node)`` on every transmit.
         self.transmit_hooks: typing.List[
             typing.Callable[[Frame, "NetworkNode"], None]
@@ -194,25 +218,87 @@ class Channel:
     # Node registry
     # ------------------------------------------------------------------
     def register(self, node: "NetworkNode") -> None:
-        """Attach *node* to the medium.  Ids must be unique."""
-        if node.node_id in self._nodes:
-            raise ValueError(f"duplicate node id: {node.node_id}")
-        self._nodes[node.node_id] = node
-        self._grid.insert(node.node_id, node.position)
-        bisect.insort(self._sorted_ids, node.node_id)
+        """Attach *node* to the medium.  Ids must be unique.
+
+        Every node starts in the static layer, moving to the mobile
+        layer on its first :meth:`node_moved`.
+        """
+        node_id = node.node_id
+        if node_id in self._nodes:
+            raise ValueError(f"duplicate node id: {node_id}")
+        self._nodes[node_id] = node
+        bisect.insort(self._sorted_ids, node_id)
+        self._grid.insert(node_id, node.position)
+        self._drop_receivers_near(node.position)
 
     def unregister(self, node_id: NodeId) -> None:
         """Detach a node (on death); it can no longer send or receive."""
-        if node_id in self._nodes:
-            del self._nodes[node_id]
-            self._grid.remove(node_id)
-            index = bisect.bisect_left(self._sorted_ids, node_id)
-            del self._sorted_ids[index]
-            self._receiver_cache.pop(node_id, None)
+        node = self._nodes.pop(node_id, None)
+        if node is None:
+            return
+        index = bisect.bisect_left(self._sorted_ids, node_id)
+        del self._sorted_ids[index]
+        if node_id in self._grid:
+            self._leave_static_layer(node)
+        else:
+            del self._mobile[self._mobile_index(node_id)]
 
     def node_moved(self, node: "NetworkNode") -> None:
         """Must be called whenever a registered node's position changes."""
-        self._grid.move(node.node_id, node.position)
+        node_id = node.node_id
+        position = node.position
+        row = (node_id, position.x, position.y, node)
+        if node_id in self._grid:
+            self._leave_static_layer(node)
+            bisect.insort(self._mobile, row, key=_row_id)
+        else:
+            self._mobile[self._mobile_index(node_id)] = row
+
+    def _leave_static_layer(self, node: "NetworkNode") -> None:
+        position = self._grid.position_of(node.node_id)
+        self._grid.remove(node.node_id)
+        self._forget_receivers(node)
+        self._drop_receivers_near(position)
+
+    def _forget_receivers(self, sender: "NetworkNode") -> None:
+        if self._receiver_cache.pop(sender.node_id, None) is not None:
+            ranges = self._cached_ranges
+            range_m = sender.radio.range_m
+            ranges[range_m] -= 1
+            if not ranges[range_m]:
+                del ranges[range_m]
+
+    def _drop_receivers_near(self, position: Point) -> None:
+        """Drop the cached receiver list of every static sender whose
+        range covers *position* (a static node joined or left there).
+
+        The coverage test is the grid's own float sequence with the
+        sender as the disk center, so an entry is dropped exactly when
+        the change could alter it.
+        """
+        if not self._cached_ranges:
+            return
+        cache = self._receiver_cache
+        nodes = self._nodes
+        x = position.x
+        y = position.y
+        for sender_id, sender_position in self._grid.within(
+            position, max(self._cached_ranges)
+        ):
+            if sender_id in cache:
+                sender = nodes[sender_id]
+                range_m = sender.radio.range_m
+                qx = x - sender_position.x
+                qy = y - sender_position.y
+                if qx * qx + qy * qy <= range_m * range_m:
+                    self._forget_receivers(sender)
+
+    def _mobile_index(self, node_id: NodeId) -> int:
+        mobile = self._mobile
+        index = bisect.bisect_left(mobile, node_id, key=_row_id)
+        if index == len(mobile) or mobile[index][0] != node_id:
+            raise KeyError(node_id)
+        return index
 
     def node(self, node_id: NodeId) -> "NetworkNode":
         """Look up a live node by id (KeyError if absent/dead)."""
@@ -234,6 +320,40 @@ class Channel:
         self, center: Point, radius: float, exclude: NodeId = ""
     ) -> typing.List["NetworkNode"]:
         """Live nodes within *radius* of *center*, id-sorted."""
+        return self._with_mobile(
+            self._static_within(center, radius, exclude),
+            center,
+            radius,
+            exclude,
+        )
+
+    def receivers_of(self, sender: "NetworkNode") -> typing.List["NetworkNode"]:
+        """Every node the *sender*'s radio currently reaches.
+
+        A static sender's static receivers are cached until a static
+        node joins or leaves its range; robots in range are merged in on
+        every call.  With no robot in range the cached list itself is
+        returned, so treat the result as read-only.
+        """
+        sender_id = sender.node_id
+        static = self._receiver_cache.get(sender_id)
+        if static is None:
+            if sender_id not in self._grid:
+                # A mobile sender's disk moves with it: nothing to cache.
+                return self.nodes_within(
+                    sender.position, sender.radio.range_m, sender_id
+                )
+            range_m = sender.radio.range_m
+            static = self._static_within(sender.position, range_m, sender_id)
+            self._receiver_cache[sender_id] = static
+            self._cached_ranges[range_m] += 1
+        return self._with_mobile(
+            static, sender.position, sender.radio.range_m, sender_id
+        )
+
+    def _static_within(
+        self, center: Point, radius: float, exclude: NodeId
+    ) -> typing.List["NetworkNode"]:
         nodes = self._nodes
         return [
             nodes[node_id]
@@ -241,23 +361,33 @@ class Channel:
             if node_id != exclude
         ]
 
-    def receivers_of(self, sender: "NetworkNode") -> typing.List["NetworkNode"]:
-        """Every node the *sender*'s radio currently reaches.
+    def _with_mobile(
+        self,
+        static: typing.List["NetworkNode"],
+        center: Point,
+        radius: float,
+        exclude: NodeId,
+    ) -> typing.List["NetworkNode"]:
+        """*static* merged by id with the mobile nodes inside the disk.
 
-        The result is cached per sender and keyed on the spatial grid's
-        mutation epoch: sensors are static, so between node registrations,
-        removals, and robot moves the receiver set cannot change.  Treat
-        the returned list as read-only — it is shared between calls.
+        The disk test is the grid's float sequence, so a node answers
+        the same whichever layer it is in.  *static* is returned
+        unchanged when no mobile node is inside.
         """
-        epoch = self._grid.epoch
-        cached = self._receiver_cache.get(sender.node_id)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        receivers = self.nodes_within(
-            sender.position, sender.radio.range_m, exclude=sender.node_id
-        )
-        self._receiver_cache[sender.node_id] = (epoch, receivers)
-        return receivers
+        if not self._mobile or radius < 0:
+            return static
+        merged = static
+        cx = center.x
+        cy = center.y
+        r2 = radius * radius
+        for node_id, x, y, node in self._mobile:
+            qx = x - cx
+            qy = y - cy
+            if qx * qx + qy * qy <= r2 and node_id != exclude:
+                if merged is static:
+                    merged = list(static)
+                bisect.insort(merged, node, key=_node_id)
+        return merged
 
     # ------------------------------------------------------------------
     # Transmission
@@ -325,25 +455,18 @@ class Channel:
         fault_field = self.fault_field
         faults_active = fault_field is not None and fault_field.active
         if loss_rate > 0.0 or faults_active:
-            if faults_active and len(receivers) > 1:
+            if faults_active:
                 # Batch the fault field's disk tests over the whole
                 # receiver set (one flat-array pass per region).  The
                 # jam draws stay in receiver order on their own stream
                 # and the loss draws below stay in receiver order on
                 # theirs, so interleaving the two loops differently
-                # from the scalar path changes no stream's sequence.
+                # from a per-receiver loop changes no stream's sequence.
                 causes = fault_field.drop_causes(
                     sender_position,
                     [receiver.position.x for receiver in receivers],
                     [receiver.position.y for receiver in receivers],
                 )
-            elif faults_active:
-                causes = [
-                    fault_field.drop_cause(
-                        sender_position, receiver.position
-                    )
-                    for receiver in receivers
-                ]
             else:
                 causes = None
             surviving = []

@@ -185,7 +185,6 @@ class Mac:
             return None
         if (
             self.node.radio.loss_rate > 0.0
-            and not frame.is_broadcast
             and frame.link_destination == self.node.node_id
         ):
             ack = Frame(

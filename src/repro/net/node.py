@@ -136,17 +136,20 @@ class NetworkNode:
         """Link-layer entry point, called by the channel on delivery."""
         if not self.alive:
             return
-        processed = self.mac.handle_incoming(frame, sender_id)
-        if processed is None:
+        # The MAC only consumes acks and acknowledges unicast frames, so
+        # a broadcast (never an ack) skips it.
+        if frame.link_destination != BROADCAST and self.mac.handle_incoming(
+            frame, sender_id
+        ) is None:
             return  # Consumed at the link layer (an ack).
-        packet = processed.packet
+        packet = frame.packet
         if packet is None:
             return
         if packet.is_broadcast:
             # Any directly heard announcement (beacon, init broadcast,
             # robot location update) refreshes the neighbour table.
             payload = packet.payload
-            if isinstance(payload, NodeAnnouncement):
+            if type(payload) is NodeAnnouncement:
                 self.neighbor_table.upsert(
                     payload.node_id,
                     payload.position,

@@ -22,19 +22,17 @@ Hot-path layout (see ``docs/PERFORMANCE.md``):
   (63 m sensors, 250 m robots/manager), so the tables are tiny.  Each
   candidate cell is then pruned by its exact minimum distance to the
   query center before its rows are collected.
-* Every mutation bumps :attr:`epoch`; the channel keys its cached
-  receiver sets on it, and the grid keys its own query memo on it, so
-  caches invalidate exactly when the node population or a position
-  changes.
-* Repeated identical queries (static network phases re-issue the same
-  disk query every beacon round) are answered from an epoch-keyed memo
-  in one dict lookup plus a small list copy.
+* Every mutation bumps :attr:`epoch`, so a consumer can tell whether
+  the indexed population or a position changed since it last looked.
+  The channel keeps only static nodes here (robots live in its mobile
+  layer), and caches its receiver sets outside the grid.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 import typing
 
 from math import floor as _floor
@@ -50,6 +48,11 @@ __all__ = ["SpatialGrid"]
 _Entry = typing.Tuple[str, float, float, typing.Tuple[str, Point]]
 
 
+#: Sort key of a query hit: ids are unique, so sorting by id alone gives
+#: the ``(id, position)`` tuple order without comparing tuples.
+_hit_id = operator.itemgetter(0)
+
+
 def _entry(item_id: str, position: Point) -> _Entry:
     return (item_id, position.x, position.y, (item_id, position))
 
@@ -63,8 +66,6 @@ class SpatialGrid:
         "_cells",
         "_positions",
         "_offsets",
-        "_memo",
-        "_memo_epoch",
     )
 
     def __init__(self, cell_size: float = 250.0) -> None:
@@ -72,8 +73,8 @@ class SpatialGrid:
             raise ValueError(f"non-positive cell size: {cell_size}")
         self.cell_size = cell_size
         #: Monotonic mutation counter: bumped by every insert / move /
-        #: remove.  Consumers (``Channel``) cache derived data keyed on
-        #: it; equal epochs guarantee an identical grid state.
+        #: remove.  Equal epochs guarantee an identical grid state, so
+        #: a consumer may key derived data on it.
         self.epoch = 0
         self._cells: typing.Dict[typing.Tuple[int, int], typing.List[_Entry]] = {}
         self._positions: typing.Dict[str, Point] = {}
@@ -83,15 +84,6 @@ class SpatialGrid:
         self._offsets: typing.Dict[
             float, typing.Tuple[typing.Tuple[int, int], ...]
         ] = {}
-        #: ``(x, y, radius) -> within() result``, valid only while
-        #: :attr:`epoch` equals ``_memo_epoch``.  Static phases (no node
-        #: joins, deaths, or moves) re-issue identical disk queries every
-        #: beacon/flood round; the memo answers those in one dict hit.
-        self._memo: typing.Dict[
-            typing.Tuple[float, float, float],
-            typing.List[typing.Tuple[str, Point]],
-        ] = {}
-        self._memo_epoch = 0
 
     def _cell_of(self, position: Point) -> typing.Tuple[int, int]:
         return (
@@ -198,15 +190,6 @@ class SpatialGrid:
         """
         if radius < 0:
             return []
-        memo = self._memo
-        if self._memo_epoch != self.epoch:
-            memo.clear()
-            self._memo_epoch = self.epoch
-        key = (center.x, center.y, radius)
-        cached = memo.get(key)
-        if cached is not None:
-            # Copy so callers may mutate their result freely.
-            return cached.copy()
         size = self.cell_size
         r2 = radius * radius
         x = center.x
@@ -241,74 +224,8 @@ class SpatialGrid:
                 extend(bucket)
         found: typing.List[typing.Tuple[str, Point]] = []
         collect_entries_within_radius(candidates, x, y, r2, found)
-        found.sort()
-        if len(memo) >= 4096:  # bound memory on pathological query mixes
-            memo.clear()
-        memo[key] = found
-        return found.copy()
-
-    def nearest(
-        self, center: Point, exclude: typing.Container[str] = ()
-    ) -> typing.Optional[typing.Tuple[str, Point]]:
-        """The nearest item to *center* not in *exclude* (None if empty).
-
-        Grid-accelerated: searches outward ring by ring.
-        """
-        if not self._positions:
-            return None
-        best: typing.Optional[typing.Tuple[str, Point]] = None
-        best_d2 = float("inf")
-        center_cell = self._cell_of(center)
-        max_rings = 2 + int(
-            max(
-                (abs(cx - center_cell[0]) + abs(cy - center_cell[1]))
-                for cx, cy in self._cells
-            )
-        )
-        for ring in range(max_rings + 1):
-            candidates = self._ring_members(center_cell, ring)
-            for item_id in candidates:
-                if item_id in exclude:
-                    continue
-                d2 = center.squared_distance_to(self._positions[item_id])
-                if d2 < best_d2 or (
-                    d2 == best_d2
-                    and best is not None
-                    and item_id < best[0]
-                ):
-                    best = (item_id, self._positions[item_id])
-                    best_d2 = d2
-            # Once a candidate is found, one further ring suffices: any
-            # item beyond ring+1 is farther than cell_size * ring >= the
-            # candidate distance bound.
-            if best is not None and ring * self.cell_size > math.sqrt(
-                best_d2
-            ):
-                break
-        return best
-
-    def _ring_members(
-        self, center_cell: typing.Tuple[int, int], ring: int
-    ) -> typing.List[str]:
-        cx0, cy0 = center_cell
-        members: typing.List[str] = []
-        if ring == 0:
-            cells = [(cx0, cy0)]
-        else:
-            cells = []
-            for dx in range(-ring, ring + 1):
-                cells.append((cx0 + dx, cy0 - ring))
-                cells.append((cx0 + dx, cy0 + ring))
-            for dy in range(-ring + 1, ring):
-                cells.append((cx0 - ring, cy0 + dy))
-                cells.append((cx0 + ring, cy0 + dy))
-        for cell in cells:
-            bucket = self._cells.get(cell)
-            if bucket:
-                for entry in bucket:
-                    members.append(entry[0])
-        members.sort()
-        return members
+        found.sort(key=_hit_id)
+        return found
 
     def items(self) -> typing.Iterator[typing.Tuple[str, Point]]:
         """All ``(id, position)`` pairs in sorted-id order."""

@@ -98,15 +98,8 @@ def spatial_throughput(
     sensors: int = 800,
     probes: int = 500,
     rounds: int = 20,
-    cached: bool = True,
 ) -> float:
-    """Disk queries per second against a paper-density grid.
-
-    With ``cached=True`` (the default) the same probes repeat every
-    round, so later rounds hit the grid's epoch-keyed query memo — the
-    steady state of a static network phase.  ``cached=False`` bumps the
-    epoch between rounds to force full scans every time.
-    """
+    """Disk queries per second against a paper-density grid."""
     rng = RandomStreams(1).stream("perf.spatial.layout")
     side = _SIDE_PER_SENSOR_M * (sensors**0.5)
     grid = SpatialGrid(cell_size=80.0)
@@ -121,8 +114,6 @@ def spatial_throughput(
     ]
     started = perf_clock()
     for _ in range(rounds):
-        if not cached:
-            grid.epoch += 1  # invalidate the query memo
         for point in points:
             grid.within(point, SENSOR_RANGE_M)
     return rounds * probes / (perf_clock() - started)
@@ -403,15 +394,11 @@ def run_benchmarks(
     }
 
     rounds = 20 // scale
-    for cached in (True, False):
-        name = "spatial_within" + ("_cached" if cached else "_cold")
-        results[name] = {
-            "sensors": 800,
-            "rounds": rounds,
-            "throughput_per_s": round(
-                spatial_throughput(rounds=rounds, cached=cached), 1
-            ),
-        }
+    results["spatial_within"] = {
+        "sensors": 800,
+        "rounds": rounds,
+        "throughput_per_s": round(spatial_throughput(rounds=rounds), 1),
+    }
 
     fan_rounds = 8 // scale
     for robots, sensors in sorted(PAPER_DENSITIES.items()):

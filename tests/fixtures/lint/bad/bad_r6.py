@@ -1,7 +1,8 @@
-"""R6 true positives: epoch-guarded state drifts out of sync.
+"""R6 true positives: guarded state drifts out of sync with its caches.
 
-``insert`` mutates ``_positions`` without bumping ``epoch``;
-``within`` populates the ``_memo`` cache without consulting the epoch.
+``SpatialGrid.insert`` mutates ``_positions`` without bumping ``epoch``;
+``Channel.unregister`` removes a node from the static grid without
+dropping the receiver sets it was part of.
 """
 
 
@@ -11,11 +12,26 @@ class SpatialGrid:
         self.epoch = 0
         self._cells = {}
         self._positions = {}
-        self._memo = {}
 
     def insert(self, item_id: int, position: tuple) -> None:
         self._positions[item_id] = position
 
-    def within(self, key: tuple, found: tuple) -> tuple:
-        self._memo[key] = found
-        return found
+
+class Channel:
+    def __init__(self, grid: SpatialGrid) -> None:
+        self._grid = grid
+        self._receiver_cache = {}
+
+    def register(self, node_id: int, position: tuple) -> None:
+        self._grid.insert(node_id, position)
+        self._drop_receivers_near(position)
+
+    def unregister(self, node_id: int) -> None:
+        self._grid.remove(node_id)
+
+    def _drop_receivers_near(self, position: tuple) -> None:
+        self._receiver_cache.clear()
+
+    def receivers_of(self, sender_id: int, receivers: list) -> list:
+        self._receiver_cache[sender_id] = receivers
+        return receivers

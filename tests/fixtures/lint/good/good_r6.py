@@ -1,7 +1,10 @@
-"""R6 true negative: mutations bump the epoch, caches consult it.
+"""R6 true negative: mutations bump the epoch or drop the caches.
 
 ``_discard`` never bumps the epoch itself, but both of its callers do
-— the fixpoint in R6 accepts that split, mirroring the real grid.
+— the fixpoint in R6 accepts that split, mirroring the real grid.  The
+channel keeps no epoch: every method that changes its static grid
+calls the invalidator, directly or through ``_leave``, so filling the
+receiver cache needs no epoch consult.
 """
 
 
@@ -11,8 +14,6 @@ class SpatialGrid:
         self.epoch = 0
         self._cells = {}
         self._positions = {}
-        self._memo = {}
-        self._memo_epoch = 0
 
     def insert(self, item_id: int, position: tuple) -> None:
         self._positions[item_id] = position
@@ -33,10 +34,26 @@ class SpatialGrid:
         if bucket:
             bucket.remove(item_id)
 
-    def within(self, key: tuple, found: tuple) -> tuple:
-        if self._memo_epoch != self.epoch:
-            self._memo.clear()
-            self._memo_epoch = self.epoch
-        memo = self._memo
-        memo[key] = found
-        return found
+
+class Channel:
+    def __init__(self, grid: SpatialGrid) -> None:
+        self._grid = grid
+        self._receiver_cache = {}
+
+    def register(self, node_id: int, position: tuple) -> None:
+        self._grid.insert(node_id, position)
+        self._drop_receivers_near(position)
+
+    def unregister(self, node_id: int, position: tuple) -> None:
+        self._leave(node_id, position)
+
+    def _leave(self, node_id: int, position: tuple) -> None:
+        self._grid.remove(node_id)
+        self._drop_receivers_near(position)
+
+    def _drop_receivers_near(self, position: tuple) -> None:
+        self._receiver_cache.clear()
+
+    def receivers_of(self, sender_id: int, receivers: list) -> list:
+        self._receiver_cache[sender_id] = receivers
+        return receivers

@@ -3,11 +3,17 @@
 import heapq
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point
-from repro.net import NeighborTable, SpatialGrid
+from repro.net import (
+    Channel,
+    NeighborTable,
+    NetworkNode,
+    RadioConfig,
+    SpatialGrid,
+)
 from repro.sim import RandomStreams, Simulator
 
 # Coordinates rounded to micrometres: the simulator works at physical
@@ -102,28 +108,6 @@ class TestSpatialGridProperties:
         )
         assert [i for i, _ in grid.within(center, radius)] == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(points, min_size=1, max_size=40, unique=True),
-        points,
-    )
-    def test_nearest_matches_brute_force(self, positions, center):
-        grid = SpatialGrid(cell_size=80.0)
-        table = {}
-        for index, position in enumerate(positions):
-            name = f"n{index:03d}"
-            table[name] = position
-            grid.insert(name, position)
-        expected = min(
-            table.items(),
-            key=lambda kv: (center.squared_distance_to(kv[1]), kv[0]),
-        )[0]
-        found = grid.nearest(center)
-        assert found is not None
-        assert center.squared_distance_to(
-            table[found[0]]
-        ) == center.squared_distance_to(table[expected])
-
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(points, points), min_size=1, max_size=30))
     def test_moves_preserve_membership(self, moves):
@@ -163,3 +147,140 @@ class TestNeighborTableProperties:
             name for name, time in latest.items() if time >= deadline
         )
         assert table.ids() == expected
+
+
+# A 7 m lattice puts some node pairs exactly on a radio range (63 m is
+# nine steps), so the boundary-inclusive test is exercised.
+lattice = st.integers(min_value=0, max_value=30).map(lambda k: 7.0 * k)
+lattice_points = st.builds(Point, lattice, lattice)
+SENSORS = 9
+ROBOTS = 3
+channel_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("move"), st.integers(0, ROBOTS - 1), lattice_points
+        ),
+        st.tuples(st.just("kill"), st.integers(0, SENSORS + ROBOTS - 1)),
+        st.tuples(st.just("replace"), st.integers(0, SENSORS - 1)),
+        st.tuples(st.just("recover"), st.integers(0, ROBOTS - 1)),
+        st.tuples(st.just("transmit"), st.integers(0, 63)),
+        st.tuples(
+            st.just("query"),
+            lattice_points,
+            st.sampled_from([0.0, 21.0, 63.0, 126.0]),
+        ),
+    ),
+    max_size=60,
+)
+
+
+class TestReceiverIndexProperties:
+    """The channel's static/mobile receiver index against a brute-force
+    id-sorted scan over every live node, with the grid's float test."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(lattice_points, min_size=SENSORS, max_size=SENSORS),
+        st.lists(lattice_points, min_size=ROBOTS, max_size=ROBOTS),
+        channel_operations,
+    )
+    @example(
+        [Point(7.0 * i, 0.0) for i in range(SENSORS - 1)]
+        + [Point(63.0, 0.0)],
+        [Point(0.0, 70.0), Point(140.0, 0.0), Point(210.0, 210.0)],
+        [
+            # Senders by index into the sorted live ids: robots first.
+            ("transmit", 3),  # sensor-00
+            ("transmit", 1),  # robot-1, cached while still static
+            ("kill", 8),  # sensor-08, exactly on sensor-00's range
+            ("transmit", 3),
+            ("kill", 2),  # sensor-02, exactly on robot-1's range
+            ("transmit", 1),
+            ("move", 1, Point(210.0, 0.0)),  # a robot's first move
+            ("transmit", 1),
+            ("move", 0, Point(63.0, 0.0)),  # onto sensor-00's range
+            ("transmit", 3),
+            ("move", 0, Point(21.0, 7.0)),
+            ("kill", SENSORS),  # robot-0 dies while mobile
+            ("transmit", 3),
+            ("replace", 2),  # a spare where sensor-02 stood
+            ("transmit", 3),
+            ("recover", 0),
+            ("query", Point(21.0, 0.0), 21.0),
+        ],
+    )
+    def test_receivers_match_brute_force(self, sensors, robots, operations):
+        sim = Simulator()
+        streams = RandomStreams(0)
+        channel = Channel(sim, streams)
+
+        def node(node_id, position, range_m):
+            return NetworkNode(
+                node_id,
+                position,
+                RadioConfig(range_m=range_m),
+                sim,
+                channel,
+                streams,
+            )
+
+        population = [
+            node(f"sensor-{index:02d}", position, 63.0)
+            for index, position in enumerate(sensors)
+        ] + [
+            node(f"robot-{index}", position, 126.0)
+            for index, position in enumerate(robots)
+        ]
+        live = {member.node_id: member for member in population}
+
+        def brute_force(center, radius, exclude=""):
+            r2 = radius * radius
+            found = []
+            for node_id in sorted(live):
+                member = live[node_id]
+                qx = member.position.x - center.x
+                qy = member.position.y - center.y
+                if node_id != exclude and qx * qx + qy * qy <= r2:
+                    found.append(member)
+            return found
+
+        def check_sender(sender):
+            assert channel.receivers_of(sender) == brute_force(
+                sender.position, sender.radio.range_m, sender.node_id
+            )
+
+        spares = 0
+        for operation in operations:
+            kind = operation[0]
+            if kind == "move":
+                robot = population[SENSORS + operation[1]]
+                robot.move_to(operation[2])
+            elif kind == "kill":
+                victim = population[operation[1]]
+                if victim.alive:
+                    victim.die()
+                    del live[victim.node_id]
+            elif kind == "replace":
+                dead = population[operation[1]]
+                if not dead.alive:
+                    spare = node(f"spare-{spares:02d}", dead.position, 63.0)
+                    spares += 1
+                    live[spare.node_id] = spare
+            elif kind == "recover":
+                robot = population[SENSORS + operation[1]]
+                if not robot.alive:
+                    robot.alive = True
+                    channel.register(robot)
+                    live[robot.node_id] = robot
+            elif kind == "transmit":
+                if live:
+                    senders = sorted(live)
+                    check_sender(live[senders[operation[1] % len(senders)]])
+            else:
+                _kind, center, radius = operation
+                assert channel.nodes_within(center, radius) == brute_force(
+                    center, radius
+                )
+        for node_id in sorted(live):
+            check_sender(live[node_id])
+        assert channel.nodes() == [live[node_id] for node_id in sorted(live)]

@@ -180,37 +180,105 @@ class TestFaultFieldBatch:
         )
 
 
+robot_ids = st.sampled_from([f"robot-{i}" for i in range(8)])
+# A handful of coordinates makes exact distance ties common.
+tie_coords = st.sampled_from([-3.0, 0.0, 3.0, 4.0, 1e6])
+
+
+def _scalar_closest(table, px, py, exclude):
+    """The original dict loop over items(), with the lexicographic
+    ``(d2, id)`` minimum selection."""
+    best = None
+    best_d2 = float("inf")
+    for robot_id in sorted(table):
+        if robot_id == exclude:
+            continue
+        x, y, _seq = table[robot_id]
+        dx = px - x
+        dy = py - y
+        d2 = dx * dx + dy * dy
+        if d2 < best_d2 or (
+            d2 == best_d2 and best is not None and robot_id < best[0]
+        ):
+            best = (robot_id, Point(x, y))
+            best_d2 = d2
+    return best
+
+
+def _knowledge(table):
+    knowledge = RobotKnowledge()
+    for robot_id, (x, y, seq) in table.items():
+        knowledge[robot_id] = (Point(x, y), seq)
+    return knowledge
+
+
 class TestRobotKnowledgeClosest:
     @given(
         st.dictionaries(
-            st.sampled_from([f"robot-{i}" for i in range(8)]),
-            st.tuples(coords, coords, st.integers(0, 99)),
+            robot_ids, st.tuples(coords, coords, st.integers(0, 99)),
             max_size=8,
         ),
         coords,
         coords,
-        st.sets(st.sampled_from([f"robot-{i}" for i in range(8)])),
+        st.one_of(st.none(), robot_ids),
     )
     def test_closest_matches_scalar_dict_loop(
         self, table, px, py, exclude
     ):
-        knowledge = RobotKnowledge()
-        for robot_id, (x, y, seq) in table.items():
-            knowledge[robot_id] = (Point(x, y), seq)
-        # Scalar reference: the original dict loop over items(), with
-        # the lexicographic (d2, id) minimum selection.
-        best = None
-        best_d2 = float("inf")
-        for robot_id in sorted(table):
-            if robot_id in exclude:
-                continue
-            x, y, _seq = table[robot_id]
-            dx = px - x
-            dy = py - y
-            d2 = dx * dx + dy * dy
-            if d2 < best_d2 or (
-                d2 == best_d2 and best is not None and robot_id < best[0]
-            ):
-                best = (robot_id, Point(x, y))
-                best_d2 = d2
-        assert knowledge.closest(px, py, exclude) == best
+        knowledge = _knowledge(table)
+        assert knowledge.closest(px, py, exclude) == _scalar_closest(
+            table, px, py, exclude
+        )
+
+    @given(
+        st.dictionaries(
+            robot_ids,
+            st.tuples(tie_coords, tie_coords, st.integers(0, 99)),
+            max_size=8,
+        ),
+        tie_coords,
+        tie_coords,
+    )
+    def test_nearest_two_matches_scalar_reference(self, table, px, py):
+        # The fused scan's runner-up is the scalar minimum once the
+        # nearest robot is excluded, ties included.
+        knowledge = _knowledge(table)
+        nearest = _scalar_closest(table, px, py, None)
+        runner_up = (
+            None
+            if nearest is None
+            else _scalar_closest(table, px, py, nearest[0])
+        )
+        assert knowledge.nearest_two(px, py) == (nearest, runner_up)
+
+    @given(
+        st.dictionaries(
+            robot_ids,
+            st.tuples(tie_coords, tie_coords, st.integers(0, 99)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.lists(
+            st.tuples(robot_ids, st.one_of(st.none(), st.tuples(
+                tie_coords, tie_coords
+            ))),
+            max_size=6,
+        ),
+        tie_coords,
+        tie_coords,
+    )
+    def test_answer_follows_table_changes(self, table, changes, px, py):
+        # Every set or pop invalidates the kept answer.
+        knowledge = _knowledge(table)
+        table = dict(table)
+        for robot_id, position in changes:
+            knowledge.nearest_two(px, py)
+            if position is None:
+                knowledge.pop(robot_id)
+                table.pop(robot_id, None)
+            else:
+                knowledge[robot_id] = (Point(*position), 0)
+                table[robot_id] = (*position, 0)
+            assert knowledge.closest(px, py) == _scalar_closest(
+                table, px, py, None
+            )

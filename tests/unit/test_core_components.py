@@ -116,29 +116,86 @@ class TestSensorBehaviour:
             runtime.routing_stats.originated[Category.FAILURE_REPORT] == 1
         )
 
+    @staticmethod
+    def _flood_frame(robot, seq, position=Point(1, 1), source=None):
+        from repro.net import BROADCAST, Frame, Packet
+
+        flood = FloodMessage(
+            origin_id=robot.node_id, position=position, kind="robot", seq=seq
+        )
+        packet = Packet(
+            source=source or robot.node_id,
+            destination=BROADCAST,
+            category=Category.LOCATION_UPDATE,
+            payload=flood,
+        )
+        return Frame(
+            sender=packet.source,
+            link_destination=BROADCAST,
+            packet=packet,
+            size_bits=packet.size_bits,
+        )
+
     def test_flood_dedup_by_sequence(self):
         runtime = tiny_runtime(algorithm=Algorithm.DYNAMIC)
         sensor = runtime.sensors_sorted()[0]
         robot = runtime.robots_sorted()[0]
-        flood = FloodMessage(
-            origin_id=robot.node_id,
-            position=Point(1, 1),
-            kind="robot",
-            seq=100,
-        )
-        from repro.net import Packet
-
-        packet = Packet(
-            source=robot.node_id,
-            destination="<broadcast>",
-            category=Category.LOCATION_UPDATE,
-            payload=flood,
-        )
+        frame = self._flood_frame(robot, seq=100)
         before = sensor.mac.queue_depth
-        sensor._handle_flood(packet, flood)
-        sensor._handle_flood(packet, flood)  # duplicate
+        sensor.handle_frame(frame, robot.node_id, robot.position)
+        sensor.handle_frame(frame, robot.node_id, robot.position)  # duplicate
         # Only one relay was queued for the duplicate pair.
         assert sensor.mac.queue_depth <= before + 1
+        assert sensor.known_robots[robot.node_id] == (Point(1, 1), 100)
+
+    def test_duplicate_from_the_robot_refreshes_its_neighbour_entry(self):
+        runtime = tiny_runtime(algorithm=Algorithm.DYNAMIC)
+        sensor = runtime.sensors_sorted()[0]
+        robot = runtime.robots_sorted()[0]
+        relay = runtime.sensors_sorted()[1]
+        # First copy relayed by a sensor, then the robot's own copy late.
+        relayed = self._flood_frame(robot, seq=100, source=relay.node_id)
+        sensor.handle_frame(relayed, relay.node_id, relay.position)
+        sensor.neighbor_table.remove(robot.node_id)
+        runtime.sim.run(until=3.0)
+        direct = self._flood_frame(robot, seq=100)
+        sensor.handle_frame(direct, robot.node_id, robot.position)
+        entry = sensor.neighbor_table.get(robot.node_id)
+        assert entry is not None
+        assert entry.position == Point(1, 1)
+        assert entry.last_heard == runtime.sim.now
+
+    def test_relay_predicate_runs_once_per_fresh_flood(self, monkeypatch):
+        from repro.core.knowledge import RobotKnowledge
+
+        runtime = tiny_runtime(algorithm=Algorithm.DYNAMIC)
+        sensor = runtime.sensors_sorted()[0]
+        robot = runtime.robots_sorted()[0]
+        strategy = runtime.coordination
+        calls = []
+        scans = []
+        inner_relay = strategy.should_relay_flood
+        inner_nearest_two = RobotKnowledge.nearest_two
+
+        def relay(node, flood):
+            calls.append(flood.seq)
+            return inner_relay(node, flood)
+
+        def nearest_two(knowledge, px, py):
+            kept = knowledge._nearest
+            if kept is None or kept[:2] != (px, py):
+                scans.append((px, py))
+            return inner_nearest_two(knowledge, px, py)
+
+        monkeypatch.setattr(strategy, "should_relay_flood", relay)
+        monkeypatch.setattr(RobotKnowledge, "nearest_two", nearest_two)
+        for seq in (100, 100, 101, 100, 101):
+            frame = self._flood_frame(robot, seq=seq)
+            sensor.handle_frame(frame, robot.node_id, robot.position)
+        assert calls == [100, 101]
+        # One knowledge-table scan per fresh flood serves both the
+        # myrobot refresh and the relay predicate.
+        assert len(scans) == 2
 
     def test_sensor_location_hint_serves_known_robots(self):
         runtime = tiny_runtime(algorithm=Algorithm.DYNAMIC)

@@ -215,7 +215,7 @@ class TestDynamicPolicy:
         assert strategy.should_relay_flood(sensor, near_flood)
         # A flood whose origin is much farther than the closest other
         # robot plus the margin is not relayed.
-        closest = sensor.closest_known_robot(exclude={"robot-77"})
+        closest = sensor.closest_known_robot(exclude="robot-77")
         assert closest is not None
         far_position = sensor.position + Point(
             sensor.position.distance_to(closest[1]) + margin + 50.0, 0.0

@@ -177,6 +177,50 @@ def test_r6_flags_helper_with_non_bumping_caller():
     assert all("_discard" in v.message for v in violations)
 
 
+CHANNEL_SOURCE = """
+    class Channel:
+        def __init__(self, grid):
+            self._grid = grid
+            self._receiver_cache = {}
+
+        def register(self, node_id, position):
+            self._grid.insert(node_id, position)
+            self._drop_receivers_near(position)
+
+        def node_moved(self, node_id, position):
+            self._leave(node_id)
+
+        def _leave(self, node_id):
+            self._grid.remove(node_id)
+            self._drop_receivers_near(None)
+
+        def _drop_receivers_near(self, position):
+            self._receiver_cache.pop(position, None)
+
+        def receivers_of(self, sender_id, receivers):
+            self._receiver_cache[sender_id] = receivers
+            return receivers
+"""
+
+
+def test_r6_accepts_channel_that_invalidates_explicitly():
+    # No epoch: filling the cache is fine because every grid mutation
+    # reaches the invalidator.
+    assert check(CHANNEL_SOURCE, path="src/repro/net/channel.py") == []
+
+
+def test_r6_flags_channel_grid_mutation_without_invalidation():
+    source = CHANNEL_SOURCE + """
+        def teleport(self, node_id, position):
+            self._grid.move(node_id, position)
+    """
+    violations = check(source, path="src/repro/net/channel.py")
+    assert ids(violations) == ["R6"]
+    assert len(violations) == 1
+    assert "Channel.teleport" in violations[0].message
+    assert "_drop_receivers_near()" in violations[0].message
+
+
 def test_r6_flags_cross_module_reach_into_guarded_state(tmp_path):
     root = write_tree(
         tmp_path,

@@ -165,6 +165,84 @@ class TestDelivery:
         assert len(nodes[1].broadcasts) == 1
 
 
+class TestReceiverIndex:
+    """The static receiver cache and the mobile layer."""
+
+    def test_robot_move_keeps_static_receiver_list(self):
+        sim, channel, nodes = build(
+            [Point(0, 0), Point(30, 0), Point(500, 500)]
+        )
+        sensor, neighbour, robot = nodes
+        cached = channel.receivers_of(sensor)
+        robot.move_to(Point(400, 500))  # first move: joins the mobile layer
+        robot.move_to(Point(300, 500))
+        assert channel.receivers_of(sensor) is cached
+        assert cached == [neighbour]
+
+    def test_robot_in_range_is_merged_without_touching_the_cache(self):
+        sim, channel, nodes = build(
+            [Point(0, 0), Point(30, 0), Point(500, 500)]
+        )
+        sensor, neighbour, robot = nodes
+        cached = channel.receivers_of(sensor)
+        robot.move_to(Point(10, 0))
+        assert channel.receivers_of(sensor) == [neighbour, robot]
+        robot.move_to(Point(500, 500))
+        assert channel.receivers_of(sensor) is cached
+        assert cached == [neighbour]
+
+    def test_death_outside_range_keeps_the_entry(self):
+        sim, channel, nodes = build(
+            [Point(0, 0), Point(30, 0), Point(300, 0)]
+        )
+        sensor, neighbour, far = nodes
+        cached = channel.receivers_of(sensor)
+        far.die()
+        assert channel.receivers_of(sensor) is cached
+
+    def test_death_inside_range_drops_the_entry(self):
+        sim, channel, nodes = build(
+            [Point(0, 0), Point(30, 0), Point(50, 0)]
+        )
+        sensor, neighbour, other = nodes
+        cached = channel.receivers_of(sensor)
+        assert cached == [neighbour, other]
+        neighbour.die()
+        assert channel.receivers_of(sensor) == [other]
+
+    def test_replacement_at_dead_position_is_heard(self):
+        sim, channel, nodes = build([Point(0, 0), Point(30, 0)])
+        sensor, victim = nodes
+        assert channel.receivers_of(sensor) == [victim]
+        victim.die()
+        assert channel.receivers_of(sensor) == []
+        replacement = Recorder(
+            "n99", Point(30, 0), sensor_radio(), sim, channel,
+            RandomStreams(1), routing_stats=RoutingStats(),
+        )
+        assert channel.receivers_of(sensor) == [replacement]
+
+    def test_mobile_node_dies_and_recovers(self):
+        sim, channel, nodes = build([Point(0, 0), Point(500, 0)])
+        sensor, robot = nodes
+        robot.move_to(Point(20, 0))
+        assert channel.receivers_of(sensor) == [robot]
+        robot.die()
+        assert channel.receivers_of(sensor) == []
+        robot.alive = True
+        channel.register(robot)  # back in the static layer, where it stopped
+        assert channel.receivers_of(sensor) == [robot]
+        assert channel.nodes_within(Point(0, 0), 25.0) == [sensor, robot]
+
+    def test_unregistered_node_cannot_move(self):
+        sim, channel, nodes = build([Point(0, 0), Point(500, 0)])
+        robot = nodes[1]
+        robot.move_to(Point(10, 0))
+        channel.unregister(robot.node_id)
+        with pytest.raises(KeyError):
+            channel.node_moved(robot)
+
+
 class TestLossAndArq:
     def test_lossless_by_default_no_acks(self):
         sim, channel, nodes = build([Point(0, 0), Point(10, 0)])

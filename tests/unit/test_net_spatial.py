@@ -42,6 +42,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             SpatialGrid(cell_size=0.0)
 
+    def test_items_sorted(self):
+        grid = SpatialGrid()
+        grid.insert("b", Point(1, 1))
+        grid.insert("a", Point(2, 2))
+        assert [i for i, _ in grid.items()] == ["a", "b"]
+
 
 class TestWithin:
     def test_boundary_inclusive(self):
@@ -89,46 +95,3 @@ class TestWithin:
         grid = SpatialGrid(cell_size=50.0)
         grid.insert("neg", Point(-120, -80))
         assert [i for i, _ in grid.within(Point(-120, -80), 5.0)] == ["neg"]
-
-
-class TestNearest:
-    def test_empty_returns_none(self):
-        assert SpatialGrid().nearest(Point(0, 0)) is None
-
-    def test_finds_nearest(self):
-        grid = SpatialGrid(cell_size=50.0)
-        grid.insert("far", Point(400, 400))
-        grid.insert("near", Point(30, 40))
-        found = grid.nearest(Point(0, 0))
-        assert found is not None
-        assert found[0] == "near"
-
-    def test_exclude(self):
-        grid = SpatialGrid(cell_size=50.0)
-        grid.insert("a", Point(1, 0))
-        grid.insert("b", Point(5, 0))
-        found = grid.nearest(Point(0, 0), exclude={"a"})
-        assert found is not None and found[0] == "b"
-
-    def test_matches_brute_force(self):
-        rng = random.Random(4)
-        grid = SpatialGrid(cell_size=40.0)
-        points = {}
-        for index in range(100):
-            point = Point(rng.uniform(0, 300), rng.uniform(0, 300))
-            points[f"n{index:03d}"] = point
-            grid.insert(f"n{index:03d}", point)
-        for _ in range(30):
-            center = Point(rng.uniform(0, 300), rng.uniform(0, 300))
-            expected = min(
-                points.items(),
-                key=lambda kv: (center.squared_distance_to(kv[1]), kv[0]),
-            )[0]
-            found = grid.nearest(center)
-            assert found is not None and found[0] == expected
-
-    def test_items_sorted(self):
-        grid = SpatialGrid()
-        grid.insert("b", Point(1, 1))
-        grid.insert("a", Point(2, 2))
-        assert [i for i, _ in grid.items()] == ["a", "b"]
