@@ -355,23 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    bench = commands.add_parser(
-        "bench",
-        help="run the hot-path microbenchmarks and record throughput",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="~4x smaller workloads (CI smoke scale)",
-    )
-    bench.add_argument(
-        "--output",
-        metavar="FILE",
-        default="BENCH_results.json",
-        help="JSON file to merge results into (default: "
-        "BENCH_results.json; '-' prints to stdout only)",
-    )
-
     commands.add_parser(
         "params", help="print the paper's default parameters"
     )
@@ -1103,58 +1086,6 @@ def _command_lint(args: argparse.Namespace) -> int:
     return lint_main(argv)
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    """Run the microbenchmark battery; merge into BENCH_results.json."""
-    import json
-
-    from repro.perf import run_benchmarks
-
-    results = run_benchmarks(quick=args.quick)
-    rows = [
-        [name, f"{entry['throughput_per_s']:,.0f}"]
-        for name, entry in sorted(results.items())
-    ]
-    print(
-        render_table(
-            ["bench", "throughput / s"],
-            rows,
-            title="hot-path microbenchmarks"
-            + (" (quick scale)" if args.quick else ""),
-        )
-    )
-    if args.output != "-":
-        merged: typing.Dict[str, typing.Any] = {}
-        if os.path.exists(args.output):
-            try:
-                with open(args.output, "r", encoding="utf-8") as handle:
-                    merged = json.load(handle)
-            except (OSError, ValueError):
-                print(
-                    f"bench: could not parse {args.output}; rewriting",
-                    file=sys.stderr,
-                )
-                merged = {}
-        merged["microbenchmarks"] = results
-        # Mirror the kernel-vs-scalar and sweep entries into dedicated
-        # sections so before/after comparisons don't have to fish them
-        # out of the flat microbenchmark map.
-        merged["geometry_kernels"] = {
-            name: entry
-            for name, entry in results.items()
-            if name.startswith(("voronoi_membership", "distance_filter"))
-        }
-        merged["sweep_throughput"] = {
-            name: entry
-            for name, entry in results.items()
-            if name.startswith("sweep_")
-        }
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(merged, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    return 0
-
-
 def _command_params(_args: argparse.Namespace) -> int:
     config = paper_scenario(Algorithm.CENTRALIZED, 16)
     rows = [
@@ -1190,7 +1121,6 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
         "store": _command_store,
         "serve": _command_serve,
         "export": _command_export,
-        "bench": _command_bench,
         "params": _command_params,
         "lint": _command_lint,
     }

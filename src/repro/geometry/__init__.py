@@ -1,8 +1,10 @@
-"""Planar geometry: points, convex polygons, Voronoi diagrams, partitions.
+"""Planar geometry: points, convex polygons, Voronoi cells, partitions.
 
 Everything the coordination algorithms need to reason about the 2-D
 deployment field, implemented from scratch (no scipy dependency in the
-library itself; scipy is only used by tests as an oracle).
+library itself; scipy is only used by tests as an oracle).  The
+flat-array hot-loop kernels live in :mod:`repro.geometry.kernels` and
+are imported from there.
 """
 
 from repro.geometry.detour import (
@@ -12,16 +14,6 @@ from repro.geometry.detour import (
     segment_crosses_disk,
     segment_distance_to_point,
 )
-from repro.geometry.kernels import (
-    collect_entries_within_radius,
-    compile_nearest_site_kernel,
-    distances_to_point,
-    filter_within_radius,
-    in_disk_mask,
-    nearest_site_index,
-    nearest_site_indices,
-    segment_distances_to_points,
-)
 from repro.geometry.partition import (
     Partition,
     SquarePartition,
@@ -30,8 +22,6 @@ from repro.geometry.partition import (
 from repro.geometry.point import Point, centroid_of, midpoint
 from repro.geometry.polygon import ConvexPolygon, HalfPlane, Rect
 from repro.geometry.voronoi import (
-    VoronoiDiagram,
-    closest_site,
     closest_site_index,
     closest_site_indices,
     voronoi_cell,
@@ -46,25 +36,15 @@ __all__ = [
     "Rect",
     "SquarePartition",
     "StaggeredPartition",
-    "VoronoiDiagram",
     "centroid_of",
-    "closest_site",
     "closest_site_index",
     "closest_site_indices",
-    "collect_entries_within_radius",
-    "compile_nearest_site_kernel",
     "detour_around",
-    "distances_to_point",
-    "filter_within_radius",
-    "in_disk_mask",
     "midpoint",
-    "nearest_site_index",
-    "nearest_site_indices",
     "plan_route",
     "polyline_length",
     "segment_crosses_disk",
     "segment_distance_to_point",
-    "segment_distances_to_points",
     "voronoi_cell",
     "voronoi_cells",
 ]

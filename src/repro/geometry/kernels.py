@@ -33,11 +33,8 @@ import typing
 from math import hypot as _hypot
 
 __all__ = [
-    "nearest_site_index",
     "nearest_site_indices",
-    "compile_nearest_site_kernel",
     "in_disk_mask",
-    "filter_within_radius",
     "collect_entries_within_radius",
     "distances_to_point",
     "segment_distances_to_points",
@@ -46,36 +43,6 @@ __all__ = [
 #: Parallel coordinate arrays — plain lists of floats.  Tuples also
 #: work; anything indexable and zippable does.
 Floats = typing.Sequence[float]
-
-
-def nearest_site_index(
-    px: float, py: float, site_xs: Floats, site_ys: Floats
-) -> int:
-    """Index of the site nearest to ``(px, py)`` — first wins ties.
-
-    Scalar reference: :func:`repro.geometry.voronoi.closest_site_index`
-    (init from site 0, strict ``<`` update, squared distances computed
-    as ``dx*dx + dy*dy`` with ``dx = px - sx``).
-
-    Raises
-    ------
-    ValueError
-        If the site arrays are empty.
-    """
-    if not site_xs:
-        raise ValueError("nearest site of an empty site set")
-    dx = px - site_xs[0]
-    dy = py - site_ys[0]
-    best_index = 0
-    best_distance = dx * dx + dy * dy
-    for i in range(1, len(site_xs)):
-        dx = px - site_xs[i]
-        dy = py - site_ys[i]
-        distance = dx * dx + dy * dy
-        if distance < best_distance:
-            best_distance = distance
-            best_index = i
-    return best_index
 
 
 def nearest_site_indices(
@@ -117,71 +84,6 @@ def nearest_site_indices(
     return result
 
 
-def compile_nearest_site_kernel(
-    site_xs: Floats, site_ys: Floats
-) -> typing.Callable[[Floats, Floats], typing.List[int]]:
-    """Build a batch classifier specialized to one frozen site set.
-
-    Returns ``classify(xs, ys) -> indices`` computing exactly what
-    :func:`nearest_site_indices` computes for these sites — the same
-    subtractions, squares, and strict-``<`` first-wins comparisons, so
-    results are bit-identical — but with the site loop *unrolled* at
-    build time: every site coordinate becomes a bound parameter default
-    (a fast local load) and the per-site iteration/unpacking overhead
-    disappears.  Roughly twice as fast per point as the generic kernel
-    at the paper's site counts.
-
-    Building costs around a millisecond (source generation plus
-    ``compile``), so this pays off only when one site set is classified
-    against many times — e.g. :class:`~repro.geometry.voronoi.VoronoiDiagram`
-    resolving owners against its cached site list.  One-shot callers
-    should use :func:`nearest_site_indices`.
-
-    Raises
-    ------
-    ValueError
-        If the site arrays are empty.
-    """
-    if not site_xs:
-        raise ValueError("nearest site of an empty site set")
-    site_count = len(site_xs)
-    params = ", ".join(
-        f"_sx{i}=0.0, _sy{i}=0.0" for i in range(site_count)
-    )
-    lines = [
-        f"def _classify(xs, ys, {params}, _zip=zip):",
-        "    result = []",
-        "    append = result.append",
-        "    for px, py in _zip(xs, ys):",
-        "        dx = px - _sx0",
-        "        dy = py - _sy0",
-        "        best_index = 0",
-        "        best_distance = dx * dx + dy * dy",
-    ]
-    for i in range(1, site_count):
-        lines += [
-            f"        dx = px - _sx{i}",
-            f"        dy = py - _sy{i}",
-            "        distance = dx * dx + dy * dy",
-            "        if distance < best_distance:",
-            "            best_distance = distance",
-            f"            best_index = {i}",
-        ]
-    lines += ["        append(best_index)", "    return result"]
-    namespace: typing.Dict[str, typing.Any] = {}
-    exec("\n".join(lines), {"zip": zip}, namespace)
-    classify = namespace["_classify"]
-    defaults: typing.List[typing.Any] = []
-    for sx, sy in zip(site_xs, site_ys):
-        defaults.append(sx)
-        defaults.append(sy)
-    defaults.append(zip)
-    classify.__defaults__ = tuple(defaults)
-    return typing.cast(
-        typing.Callable[[Floats, Floats], typing.List[int]], classify
-    )
-
-
 def in_disk_mask(
     xs: Floats, ys: Floats, cx: float, cy: float, radius: float
 ) -> typing.List[bool]:
@@ -197,30 +99,6 @@ def in_disk_mask(
         ((dx := x - cx) * dx + (dy := y - cy) * dy) <= rr
         for x, y in zip(xs, ys)
     ]
-
-
-def filter_within_radius(
-    xs: Floats, ys: Floats, cx: float, cy: float, radius: float
-) -> typing.List[int]:
-    """Indices of the points within *radius* of ``(cx, cy)``.
-
-    Boundary inclusive; result indices are ascending.  Scalar
-    reference: the distance test of
-    :meth:`repro.net.spatial.SpatialGrid.within` —
-    ``r2 = radius * radius``, ``qx = x - cx``,
-    ``qx*qx + qy*qy <= r2``.
-    """
-    r2 = radius * radius
-    result: typing.List[int] = []
-    append = result.append
-    index = 0
-    for x, y in zip(xs, ys):
-        qx = x - cx
-        qy = y - cy
-        if qx * qx + qy * qy <= r2:
-            append(index)
-        index += 1
-    return result
 
 
 def collect_entries_within_radius(

@@ -6,7 +6,7 @@ only through :class:`repro.sim.rng.RandomStreams`, nothing reads the
 wall clock, and iteration order never leaks into the event schedule.
 This package enforces that contract statically in two tiers: the
 file-scoped rules R1–R5 (plus R7 trace guards and R10 unit suffixes)
-walk one AST at a time, while the project-scoped rules R6 (epoch-cache
+walk one AST at a time, while the project-scoped rules R6 (cache
 integrity), R8 (sim-race detector), and R9 (serialization drift) run
 over a whole-tree :class:`~repro.lint.project.ProjectContext` with
 import and symbol tables.  See ``docs/LINTING.md`` for the catalogue

@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
             "the wall clock (R2), unordered collections stay out of "
             "scheduling paths (R3), simulation times are never compared "
             "exactly (R4), mutable defaults / bare except are absent "
-            "(R5) — plus whole-program passes for epoch-cache integrity "
+            "(R5) — plus whole-program passes for cache integrity "
             "(R6), trace guards (R7), sim-races on shared state (R8), "
             "serialization drift (R9), and unit-suffix consistency "
             "(R10)."

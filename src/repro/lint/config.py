@@ -75,33 +75,25 @@ DEFAULT_WALL_CLOCK_CALLS = frozenset(
 DEFAULT_TIME_EXACT_NAMES = frozenset({"now", "deadline", "timestamp"})
 DEFAULT_TIME_SUFFIXES = ("_time", "_time_s", "_at")
 
-#: Cache-guarded classes for R6.  For each class name: the epoch
-#: attribute (empty when the class invalidates explicitly), the fields
-#: whose mutation must bump it or call one of the ``invalidators``
-#: methods, and the cache fields whose *population* must consult the
-#: epoch when there is one (deleting/clearing a cache entry is always
-#: safe).  The fields listed here are also ownership-checked
-#: project-wide: no module other than the class's defining module may
-#: reach into them through a non-``self`` receiver.
+#: Cache-guarded classes for R6.  For each class name: the fields whose
+#: mutation must call one of the ``invalidators`` methods (directly or
+#: via every intra-class caller), and the cache fields those methods
+#: drop entries from.  The fields listed here are also
+#: ownership-checked project-wide: no module other than the class's
+#: defining module may reach into them through a non-``self`` receiver.
 DEFAULT_EPOCH_SPECS: typing.Mapping[
     str, typing.Mapping[str, typing.Tuple[str, ...]]
 ] = {
-    "SpatialGrid": {
-        "epoch": ("epoch",),
-        "mutated": ("_cells", "_positions"),
-        "caches": (),
-    },
     # The static layer's receiver sets are dropped per change, by
-    # position, instead of being keyed on a global epoch.
+    # position.
     "Channel": {
-        "epoch": (),
         "mutated": ("_grid",),
         "caches": ("_receiver_cache",),
         "invalidators": ("_drop_receivers_near",),
     },
 }
 
-#: Calls whose results are shared, epoch-keyed cache entries (R6): the
+#: Calls whose results are shared cache entries (R6): the
 #: returned list must be treated as read-only, so mutating it in place
 #: (``.append``/``.sort``/...) corrupts every later cache hit.
 DEFAULT_SHARED_RESULT_CALLS = frozenset({"receivers_of"})

@@ -4,12 +4,10 @@ These protect the *cross-module* contracts that keep the reproduction's
 guarantees (every failed sensor replaced exactly once, bit-identical
 replays) true through hot-path rewrites:
 
-* **R6** — epoch-cache integrity: mutations of ``SpatialGrid`` node
-  state bump the epoch, mutations of the channel's static layer drop
-  the receiver sets they affect, cache population consults the epoch
-  where there is one, nobody reaches into another module's guarded
-  private state, and nobody mutates a shared cached receiver list in
-  place.
+* **R6** — cache integrity: mutations of the channel's static layer
+  drop the receiver sets they affect, nobody reaches into another
+  module's guarded private state, and nobody mutates a shared cached
+  receiver list in place.
 * **R7** — trace-guard discipline: every ``tracer.emit`` call sits
   under a ``tracer.active`` guard (directly or via a hoisted flag).
 * **R8** — sim-race detector: event handlers reachable from the
@@ -74,10 +72,6 @@ _MUTATOR_METHODS = frozenset(
     }
 )
 
-#: ... of which these only *remove* entries; deleting from a cache can
-#: never serve stale data, so R6 exempts them from the epoch consult.
-_DELETION_METHODS = frozenset({"pop", "popitem", "clear", "discard"})
-
 #: Free functions that mutate their first argument in place.
 _MUTATING_FUNCTIONS = frozenset(
     {"insort", "insort_left", "insort_right", "heappush", "heappop"}
@@ -131,18 +125,15 @@ def _local_aliases(
 
 @register
 class EpochCacheIntegrity(ProjectRule):
-    """R6: epoch counters and the caches keyed on them stay in sync."""
+    """R6: guarded caches are invalidated whenever their source changes."""
 
     rule_id = "R6"
     name = "epoch-cache-integrity"
     description = (
-        "Methods mutating guarded state (SpatialGrid cells/positions, "
-        "the Channel's static grid) must bump the epoch counter or call "
-        "an invalidator (directly or via every caller); where a class "
-        "has an epoch, cache population must consult it in the same "
-        "method; guarded private fields are owned by their defining "
-        "module; and shared cached result lists (receivers_of) are "
-        "read-only."
+        "Methods mutating guarded state (the Channel's static grid) "
+        "must call an invalidator (directly or via every caller); "
+        "guarded private fields are owned by their defining module; "
+        "and shared cached result lists (receivers_of) are read-only."
     )
 
     def check_project(
@@ -165,7 +156,7 @@ class EpochCacheIntegrity(ProjectRule):
         yield from self._check_shared_results(project)
 
     # ------------------------------------------------------------------
-    # Intra-class: mutation must bump, population must consult
+    # Intra-class: mutation must invalidate
     # ------------------------------------------------------------------
     def _check_class(
         self,
@@ -174,22 +165,17 @@ class EpochCacheIntegrity(ProjectRule):
         spec: typing.Mapping[str, typing.Tuple[str, ...]],
         class_name: str,
     ) -> typing.Iterator[Violation]:
-        epoch_attrs = set(spec.get("epoch", ()))
         mutated_fields = set(spec.get("mutated", ()))
-        cache_fields = set(spec.get("caches", ()))
         invalidators = set(spec.get("invalidators", ()))
         methods = module.methods_of(class_node)
 
         mutators: typing.Dict[str, ast.FunctionDef] = {}
-        bumpers: typing.Set[str] = set()
+        invalidating: typing.Set[str] = set()
         calls_out: typing.Dict[str, typing.Set[str]] = {}
         for method_name, method in methods.items():
             if method_name == "__init__":
                 continue
-            aliases = _local_aliases(
-                method, mutated_fields | cache_fields
-            )
-            consults = self._consults_epoch(method, epoch_attrs)
+            aliases = _local_aliases(method, mutated_fields)
             calls = {
                 call.func.attr
                 for call in ast.walk(method)
@@ -198,32 +184,16 @@ class EpochCacheIntegrity(ProjectRule):
                 and isinstance(call.func.value, ast.Name)
                 and call.func.value.id == "self"
             }
-            if self._bumps_epoch(method, epoch_attrs) or (
-                calls & invalidators
-            ):
-                bumpers.add(method_name)
+            if calls & invalidators:
+                invalidating.add(method_name)
             if self._mutates(method, mutated_fields, aliases):
                 mutators[method_name] = method
-            populated = self._populates(method, cache_fields, aliases)
-            # A class without an epoch drops its cache entries
-            # explicitly (its invalidators), so filling one is safe.
-            if populated and epoch_attrs and not consults:
-                yield self.violation_at(
-                    module.path,
-                    method,
-                    f"{class_name}.{method_name} populates cache "
-                    f"field(s) {', '.join(sorted(populated))} without "
-                    f"consulting the epoch counter "
-                    f"({', '.join(sorted(epoch_attrs))}); a stale "
-                    "entry would survive grid mutations",
-                )
             calls_out[method_name] = calls
 
-        # A mutator is covered when it bumps the epoch or calls an
-        # invalidator itself, or when every intra-class call site sits
-        # inside a covered method (the `_discard` helper pattern:
-        # remove()/move() bump around it).
-        covered = set(bumpers)
+        # A mutator is covered when it calls an invalidator itself, or
+        # when every intra-class call site sits inside a covered method
+        # (a grid-update helper whose callers all invalidate).
+        covered = set(invalidating)
         changed = True
         while changed:
             changed = False
@@ -239,8 +209,7 @@ class EpochCacheIntegrity(ProjectRule):
                     covered.add(method_name)
                     changed = True
         guards = " or ".join(
-            [f"bumping {name}" for name in sorted(epoch_attrs)]
-            + [f"calling {name}()" for name in sorted(invalidators)]
+            f"calling {name}()" for name in sorted(invalidators)
         )
         for method_name in sorted(set(mutators) - covered):
             yield self.violation_at(
@@ -253,67 +222,12 @@ class EpochCacheIntegrity(ProjectRule):
             )
 
     @staticmethod
-    def _bumps_epoch(
-        method: ast.FunctionDef, epoch_attrs: typing.Set[str]
-    ) -> bool:
-        for node in ast.walk(method):
-            target = None
-            if isinstance(node, ast.AugAssign):
-                target = node.target
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-            if (
-                isinstance(target, ast.Attribute)
-                and target.attr in epoch_attrs
-            ):
-                return True
-        return False
-
-    @staticmethod
-    def _consults_epoch(
-        method: ast.FunctionDef, epoch_attrs: typing.Set[str]
-    ) -> bool:
-        for node in ast.walk(method):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in epoch_attrs
-                and isinstance(node.ctx, ast.Load)
-            ):
-                return True
-        return False
-
     def _mutates(
-        self,
         method: ast.FunctionDef,
         fields: typing.Set[str],
         aliases: typing.Mapping[str, str],
     ) -> bool:
-        return bool(
-            self._container_writes(method, fields, aliases, deletes=True)
-        )
-
-    def _populates(
-        self,
-        method: ast.FunctionDef,
-        fields: typing.Set[str],
-        aliases: typing.Mapping[str, str],
-    ) -> typing.Set[str]:
-        return self._container_writes(
-            method, fields, aliases, deletes=False
-        )
-
-    @staticmethod
-    def _container_writes(
-        method: ast.FunctionDef,
-        fields: typing.Set[str],
-        aliases: typing.Mapping[str, str],
-        deletes: bool,
-    ) -> typing.Set[str]:
-        """Guarded fields written in *method*.
-
-        With ``deletes=False``, entry-removing operations (``pop``,
-        ``del``, ``clear``) are ignored — they can only invalidate.
-        """
+        """True if *method* writes any of the guarded *fields*."""
         written: typing.Set[str] = set()
 
         def note(node: ast.AST) -> None:
@@ -340,7 +254,7 @@ class EpochCacheIntegrity(ProjectRule):
                         field = _receiver_field(target, aliases)
                         if field in fields:
                             written.add(typing.cast(str, field))
-            elif isinstance(node, ast.Delete) and deletes:
+            elif isinstance(node, ast.Delete):
                 for target in node.targets:
                     if isinstance(target, ast.Subscript):
                         note(target.value)
@@ -349,11 +263,6 @@ class EpochCacheIntegrity(ProjectRule):
                 if isinstance(func, ast.Attribute):
                     method_name = func.attr
                     if method_name in _MUTATOR_METHODS:
-                        if (
-                            not deletes
-                            and method_name in _DELETION_METHODS
-                        ):
-                            continue
                         note(func.value)
                 elif (
                     isinstance(func, ast.Name)
@@ -365,7 +274,7 @@ class EpochCacheIntegrity(ProjectRule):
                     and node.args
                 ):
                     note(node.args[0])
-        return written
+        return bool(written)
 
     # ------------------------------------------------------------------
     # Cross-module: ownership and shared result lists
@@ -394,10 +303,10 @@ class EpochCacheIntegrity(ProjectRule):
                 yield self.violation_at(
                     module.path,
                     node,
-                    f"reaches into epoch-guarded private state "
+                    f"reaches into cache-guarded private state "
                     f"`{node.attr}` from outside its owning module; "
-                    "go through the owning class's API so epoch "
-                    "bookkeeping stays correct",
+                    "go through the owning class's API so cache "
+                    "invalidation stays correct",
                 )
 
     def _check_shared_results(

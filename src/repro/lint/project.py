@@ -1,8 +1,8 @@
 """Project scope for the linter: whole-program context over a tree.
 
 The file-scoped rules (R1–R5) see one AST at a time.  The invariants
-added in R6–R10 span modules — epoch-cache ownership lives in
-``repro.net.spatial`` but is consumed in ``repro.net.channel``; the
+added in R6–R10 span modules — the channel's cache-guarded state is
+owned by ``repro.net.channel`` and must not be reached into elsewhere; the
 sim-race detector must know which functions the event queue can reach
 anywhere in ``src/``.  :class:`ProjectContext` gives those rules the
 whole linted tree at once:

@@ -22,10 +22,9 @@ Hot-path layout (see ``docs/PERFORMANCE.md``):
   (63 m sensors, 250 m robots/manager), so the tables are tiny.  Each
   candidate cell is then pruned by its exact minimum distance to the
   query center before its rows are collected.
-* Every mutation bumps :attr:`epoch`, so a consumer can tell whether
-  the indexed population or a position changed since it last looked.
-  The channel keeps only static nodes here (robots live in its mobile
-  layer), and caches its receiver sets outside the grid.
+* The grid holds no derived state.  The channel keeps only static
+  nodes here (robots live in its mobile layer), and caches its
+  receiver sets outside the grid.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ class SpatialGrid:
 
     __slots__ = (
         "cell_size",
-        "epoch",
         "_cells",
         "_positions",
         "_offsets",
@@ -72,10 +70,6 @@ class SpatialGrid:
         if cell_size <= 0:
             raise ValueError(f"non-positive cell size: {cell_size}")
         self.cell_size = cell_size
-        #: Monotonic mutation counter: bumped by every insert / move /
-        #: remove.  Equal epochs guarantee an identical grid state, so
-        #: a consumer may key derived data on it.
-        self.epoch = 0
         self._cells: typing.Dict[typing.Tuple[int, int], typing.List[_Entry]] = {}
         self._positions: typing.Dict[str, Point] = {}
         #: radius -> candidate cell offsets ``(dx, dy)`` relative to the
@@ -102,7 +96,6 @@ class SpatialGrid:
         self._positions[item_id] = position
         bucket = self._cells.setdefault(self._cell_of(position), [])
         bisect.insort(bucket, _entry(item_id, position))
-        self.epoch += 1
 
     def move(self, item_id: str, position: Point) -> None:
         """Update the position of *item_id* (KeyError if absent)."""
@@ -110,7 +103,6 @@ class SpatialGrid:
         old_cell = self._cell_of(old)
         new_cell = self._cell_of(position)
         self._positions[item_id] = position
-        self.epoch += 1
         if old_cell == new_cell:
             bucket = self._cells[old_cell]
             for index, entry in enumerate(bucket):
@@ -126,7 +118,6 @@ class SpatialGrid:
         """Remove *item_id* (KeyError if absent)."""
         position = self._positions.pop(item_id)
         self._discard(self._cell_of(position), item_id)
-        self.epoch += 1
 
     def _discard(
         self, cell: typing.Tuple[int, int], item_id: str

@@ -1,33 +1,13 @@
-"""Performance harness: hot-path microbenchmarks and profiling helpers.
+"""Profiling helpers.
 
-``repro.perf.bench`` measures throughput of the three substrate hot
-paths (event kernel, spatial grid, channel broadcast fan-out) plus the
-service plane's cache-hit submission path, with plain self-timed
-loops — no pytest required — so the numbers can be recorded by
-``repro-sim bench`` and compared across commits.
 ``repro.perf.profiling`` wraps :mod:`cProfile` for the ``--profile``
-flag on the sweep-backed CLI commands.
+flag on the sweep-backed CLI commands.  Throughput is measured by the
+end-to-end benchmark ``python3 bench/run.py`` (see ``bench/README.md``).
 
 See ``docs/PERFORMANCE.md`` for the hot-path inventory and the caching
 invariants the optimized paths rely on.
 """
 
-from repro.perf.bench import (
-    PAPER_DENSITIES,
-    channel_fanout_throughput,
-    kernel_throughput,
-    run_benchmarks,
-    service_submit_throughput,
-    spatial_throughput,
-)
 from repro.perf.profiling import profile_call
 
-__all__ = [
-    "PAPER_DENSITIES",
-    "channel_fanout_throughput",
-    "kernel_throughput",
-    "profile_call",
-    "run_benchmarks",
-    "service_submit_throughput",
-    "spatial_throughput",
-]
+__all__ = ["profile_call"]

@@ -14,9 +14,10 @@ Example::
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import typing
 
-__all__ = ["TraceRecord", "Tracer", "RecordingSink"]
+__all__ = ["TraceRecord", "Tracer", "RecordingSink", "trace_digest"]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -105,3 +106,21 @@ class RecordingSink:
     def clear(self) -> None:
         """Discard all recorded records."""
         self.records.clear()
+
+
+def trace_digest(records: typing.Iterable[TraceRecord]) -> str:
+    """sha256 hex digest of a record stream, in emit order.
+
+    Each record hashes as the line
+    ``f"{category}|{time!r}|{sorted(fields.items())!r}\\n"``, so any
+    change in order, timing, or payload changes the digest.  This is
+    the format of the pinned baselines in ``tests/baselines/``.
+    """
+    digest = hashlib.sha256()
+    for record in records:
+        line = (
+            f"{record.category}|{record.time!r}|"
+            f"{sorted(record.fields.items())!r}\n"
+        )
+        digest.update(line.encode("utf-8"))
+    return digest.hexdigest()

@@ -1,24 +1,12 @@
-"""R6 true positives: guarded state drifts out of sync with its caches.
+"""R6 true positive: guarded state drifts out of sync with its caches.
 
-``SpatialGrid.insert`` mutates ``_positions`` without bumping ``epoch``;
 ``Channel.unregister`` removes a node from the static grid without
 dropping the receiver sets it was part of.
 """
 
 
-class SpatialGrid:
-    def __init__(self, cell: float) -> None:
-        self.cell = cell
-        self.epoch = 0
-        self._cells = {}
-        self._positions = {}
-
-    def insert(self, item_id: int, position: tuple) -> None:
-        self._positions[item_id] = position
-
-
 class Channel:
-    def __init__(self, grid: SpatialGrid) -> None:
+    def __init__(self, grid: object) -> None:
         self._grid = grid
         self._receiver_cache = {}
 

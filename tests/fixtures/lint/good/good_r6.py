@@ -1,42 +1,14 @@
-"""R6 true negative: mutations bump the epoch or drop the caches.
+"""R6 true negative: every static-grid mutation drops the caches.
 
-``_discard`` never bumps the epoch itself, but both of its callers do
-— the fixpoint in R6 accepts that split, mirroring the real grid.  The
-channel keeps no epoch: every method that changes its static grid
-calls the invalidator, directly or through ``_leave``, so filling the
-receiver cache needs no epoch consult.
+``_leave`` never calls the invalidator itself, but both of its callers
+do — the fixpoint in R6 accepts that split.  Filling the receiver cache
+needs no check, because every change to the grid reaches the
+invalidator.
 """
 
 
-class SpatialGrid:
-    def __init__(self, cell: float) -> None:
-        self.cell = cell
-        self.epoch = 0
-        self._cells = {}
-        self._positions = {}
-
-    def insert(self, item_id: int, position: tuple) -> None:
-        self._positions[item_id] = position
-        self.epoch += 1
-
-    def move(self, item_id: int, position: tuple) -> None:
-        self._discard(item_id)
-        self._positions[item_id] = position
-        self.epoch += 1
-
-    def remove(self, item_id: int) -> None:
-        self._discard(item_id)
-        self._positions.pop(item_id, None)
-        self.epoch += 1
-
-    def _discard(self, item_id: int) -> None:
-        bucket = self._cells.get(item_id)
-        if bucket:
-            bucket.remove(item_id)
-
-
 class Channel:
-    def __init__(self, grid: SpatialGrid) -> None:
+    def __init__(self, grid: object) -> None:
         self._grid = grid
         self._receiver_cache = {}
 
@@ -45,11 +17,15 @@ class Channel:
         self._drop_receivers_near(position)
 
     def unregister(self, node_id: int, position: tuple) -> None:
-        self._leave(node_id, position)
-
-    def _leave(self, node_id: int, position: tuple) -> None:
-        self._grid.remove(node_id)
+        self._leave(node_id)
         self._drop_receivers_near(position)
+
+    def node_moved(self, node_id: int, position: tuple) -> None:
+        self._leave(node_id)
+        self._drop_receivers_near(position)
+
+    def _leave(self, node_id: int) -> None:
+        self._grid.remove(node_id)
 
     def _drop_receivers_near(self, position: tuple) -> None:
         self._receiver_cache.clear()

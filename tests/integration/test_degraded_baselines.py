@@ -14,7 +14,6 @@ To bless an intentional change::
         tests/integration/test_degraded_baselines.py
 """
 
-import hashlib
 import json
 import os
 import pathlib
@@ -24,7 +23,7 @@ import pytest
 from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, DetectionMode, paper_scenario
 from repro.experiments.degraded import default_degraded_campaign
-from repro.sim.trace import RecordingSink, Tracer
+from repro.sim.trace import RecordingSink, Tracer, trace_digest
 
 BASELINE_PATH = (
     pathlib.Path(__file__).resolve().parents[1]
@@ -60,14 +59,7 @@ def run_and_digest(algorithm):
     recorder = RecordingSink()
     tracer.subscribe("*", recorder)
     ScenarioRuntime(degraded_scenario(algorithm), tracer=tracer).run()
-    digest = hashlib.sha256()
-    for record in recorder.records:
-        line = (
-            f"{record.category}|{record.time!r}|"
-            f"{sorted(record.fields.items())!r}\n"
-        )
-        digest.update(line.encode("utf-8"))
-    return digest.hexdigest(), len(recorder.records)
+    return trace_digest(recorder.records), len(recorder.records)
 
 
 def _load_baselines() -> dict:

@@ -8,7 +8,6 @@ adaptive controller's only randomness must come from its dedicated
 ``adaptive.observe`` stream (simlint R1).
 """
 
-import hashlib
 import pathlib
 
 import pytest
@@ -25,7 +24,7 @@ from repro.geometry.detour import (
 )
 from repro.geometry.point import Point
 from repro.lint import lint_file
-from repro.sim.trace import RecordingSink, Tracer
+from repro.sim.trace import RecordingSink, Tracer, trace_digest
 
 ADAPTIVE_MODULE = (
     pathlib.Path(__file__).resolve().parents[2]
@@ -208,14 +207,7 @@ def run_digest(config):
     recorder = RecordingSink()
     tracer.subscribe("*", recorder)
     ScenarioRuntime(config, tracer=tracer).run()
-    digest = hashlib.sha256()
-    for record in recorder.records:
-        line = (
-            f"{record.category}|{record.time!r}|"
-            f"{sorted(record.fields.items())!r}\n"
-        )
-        digest.update(line.encode("utf-8"))
-    return digest.hexdigest(), len(recorder.records)
+    return trace_digest(recorder.records), len(recorder.records)
 
 
 class TestDegradedDeterminism:

@@ -9,13 +9,12 @@ folded into one SHA-256 digest, so any divergence in event order,
 timing, or payload flips the hash.
 """
 
-import hashlib
 
 import pytest
 
 from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, paper_scenario
-from repro.sim.trace import RecordingSink, Tracer
+from repro.sim.trace import RecordingSink, Tracer, trace_digest
 
 FAST = dict(sim_time_s=4_000.0, sensors_per_robot=25, placement="grid")
 
@@ -28,14 +27,7 @@ def run_and_digest(algorithm, seed):
     tracer.subscribe("*", recorder)
     runtime = ScenarioRuntime(config, tracer=tracer)
     report = runtime.run()
-    digest = hashlib.sha256()
-    for record in recorder.records:
-        line = (
-            f"{record.category}|{record.time!r}|"
-            f"{sorted(record.fields.items())!r}\n"
-        )
-        digest.update(line.encode("utf-8"))
-    return digest.hexdigest(), len(recorder.records), report
+    return trace_digest(recorder.records), len(recorder.records), report
 
 
 @pytest.mark.parametrize(

@@ -11,14 +11,13 @@ the whole subsystem is inert (no service, no fault field, identical
 traces are asserted by the repro-lint/CI determinism harness).
 """
 
-import hashlib
 
 import pytest
 
 from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, DetectionMode, paper_scenario
 from repro.faults import FaultEvent, FaultKind
-from repro.sim.trace import RecordingSink, Tracer
+from repro.sim.trace import RecordingSink, Tracer, trace_digest
 
 ALGORITHMS = [Algorithm.CENTRALIZED, Algorithm.FIXED, Algorithm.DYNAMIC]
 
@@ -73,17 +72,6 @@ def traced_run(config):
     runtime = ScenarioRuntime(config, tracer=tracer)
     report = runtime.run()
     return report, recorder
-
-
-def trace_digest(records):
-    digest = hashlib.sha256()
-    for record in records:
-        line = (
-            f"{record.category}|{record.time!r}|"
-            f"{sorted(record.fields.items())!r}\n"
-        )
-        digest.update(line.encode("utf-8"))
-    return digest.hexdigest(), len(records)
 
 
 class TestFalseDispatchBaseline:
@@ -189,10 +177,12 @@ class TestDeterminism:
         )
         _r1, rec1 = traced_run(config)
         _r2, rec2 = traced_run(config)
-        d1, n1 = trace_digest(rec1.records)
-        d2, n2 = trace_digest(rec2.records)
+        n1 = len(rec1.records)
         assert n1 > 0
-        assert (d1, n1) == (d2, n2)
+        assert (trace_digest(rec1.records), n1) == (
+            trace_digest(rec2.records),
+            len(rec2.records),
+        )
 
     def test_stochastic_jams_deterministic_and_seed_sensitive(self):
         def digest(seed):

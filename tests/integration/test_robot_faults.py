@@ -10,7 +10,6 @@ property — no failure silently dropped under loss + robot faults — is
 property-tested in ``tests/property/test_fault_liveness.py``.)
 """
 
-import hashlib
 
 import pytest
 
@@ -18,7 +17,7 @@ from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, paper_scenario
 from repro.faults import FaultKind
 from repro.net import Category
-from repro.sim.trace import RecordingSink, Tracer
+from repro.sim.trace import RecordingSink, Tracer, trace_digest
 
 ALGORITHMS = [Algorithm.CENTRALIZED, Algorithm.FIXED, Algorithm.DYNAMIC]
 
@@ -197,14 +196,7 @@ class TestChaosDeterminism:
             paper_scenario(algorithm, 4, seed=seed, **self.CHAOS)
         )
         runtime.run()
-        digest = hashlib.sha256()
-        for record in recorder.records:
-            line = (
-                f"{record.category}|{record.time!r}|"
-                f"{sorted(record.fields.items())!r}\n"
-            )
-            digest.update(line.encode("utf-8"))
-        return digest.hexdigest(), len(recorder.records)
+        return trace_digest(recorder.records), len(recorder.records)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_scripted_chaos_replays_identically(self, algorithm):

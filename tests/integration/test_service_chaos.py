@@ -19,7 +19,6 @@ These runs are slow (seconds each, real simulations); the matching
 fast-path logic is unit-tested in ``tests/unit/test_service_resilience``.
 """
 
-import hashlib
 import json
 import pathlib
 import threading
@@ -37,7 +36,7 @@ from repro.service import (
     chaos_runner,
     serve,
 )
-from repro.sim.trace import RecordingSink, Tracer
+from repro.sim.trace import RecordingSink, Tracer, trace_digest
 from repro.store import JobStatus, RunStore, reports_equivalent
 
 BASELINE_PATH = (
@@ -72,14 +71,7 @@ def run_locally_with_trace(config):
     recorder = RecordingSink()
     tracer.subscribe("*", recorder)
     report = ScenarioRuntime(config, tracer=tracer).run()
-    digest = hashlib.sha256()
-    for record in recorder.records:
-        line = (
-            f"{record.category}|{record.time!r}|"
-            f"{sorted(record.fields.items())!r}\n"
-        )
-        digest.update(line.encode("utf-8"))
-    return digest.hexdigest(), report
+    return trace_digest(recorder.records), report
 
 
 def chaos_service(tmp_path, plan, policy=FAST_POLICY, workers=2):

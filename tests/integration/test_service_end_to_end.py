@@ -12,7 +12,6 @@ process pool, exactly like ``repro-sim serve``.
 """
 
 import concurrent.futures
-import hashlib
 import json
 import pathlib
 import threading
@@ -22,7 +21,7 @@ import pytest
 from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, paper_scenario
 from repro.service import ServiceClient, serve
-from repro.sim.trace import RecordingSink, Tracer
+from repro.sim.trace import RecordingSink, Tracer, trace_digest
 from repro.store import RunStore, reports_equivalent
 
 BASELINE_PATH = (
@@ -48,14 +47,7 @@ def run_locally_with_trace(config):
     recorder = RecordingSink()
     tracer.subscribe("*", recorder)
     report = ScenarioRuntime(config, tracer=tracer).run()
-    digest = hashlib.sha256()
-    for record in recorder.records:
-        line = (
-            f"{record.category}|{record.time!r}|"
-            f"{sorted(record.fields.items())!r}\n"
-        )
-        digest.update(line.encode("utf-8"))
-    return digest.hexdigest(), report
+    return trace_digest(recorder.records), report
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,6 @@ which rewrites the baseline file in place; commit it with the change
 that explains why every digest moved.
 """
 
-import hashlib
 import json
 import os
 import pathlib
@@ -29,7 +28,7 @@ import pytest
 
 from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, paper_scenario
-from repro.sim.trace import RecordingSink, Tracer
+from repro.sim.trace import RecordingSink, Tracer, trace_digest
 
 BASELINE_PATH = (
     pathlib.Path(__file__).resolve().parents[1]
@@ -72,14 +71,7 @@ def run_and_digest(algorithm: str, faults: bool):
     recorder = RecordingSink()
     tracer.subscribe("*", recorder)
     ScenarioRuntime(config, tracer=tracer).run()
-    digest = hashlib.sha256()
-    for record in recorder.records:
-        line = (
-            f"{record.category}|{record.time!r}|"
-            f"{sorted(record.fields.items())!r}\n"
-        )
-        digest.update(line.encode("utf-8"))
-    return digest.hexdigest(), len(recorder.records)
+    return trace_digest(recorder.records), len(recorder.records)
 
 
 def _load_baselines() -> dict:

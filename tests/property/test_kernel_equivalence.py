@@ -20,13 +20,13 @@ from repro.geometry import (
     Point,
     closest_site_index,
     closest_site_indices,
+    segment_distance_to_point,
+)
+from repro.geometry.kernels import (
     collect_entries_within_radius,
-    compile_nearest_site_kernel,
     distances_to_point,
-    filter_within_radius,
     in_disk_mask,
     nearest_site_indices,
-    segment_distance_to_point,
     segment_distances_to_points,
 )
 from repro.sim.rng import RandomStreams
@@ -59,15 +59,6 @@ class TestNearestSiteKernels:
         assert nearest_site_indices(xs, ys, site_xs, site_ys) == expected
         assert closest_site_indices(points, sites) == expected
 
-    @given(point_lists, site_lists)
-    def test_compiled_kernel_matches_generic(self, pairs, site_pairs):
-        xs, ys = _split(pairs)
-        site_xs, site_ys = _split(site_pairs)
-        classify = compile_nearest_site_kernel(site_xs, site_ys)
-        assert classify(xs, ys) == nearest_site_indices(
-            xs, ys, site_xs, site_ys
-        )
-
 
 class TestDistanceFilterKernels:
     @given(point_lists, coords, coords, radii)
@@ -83,19 +74,6 @@ class TestDistanceFilterKernels:
         assert in_disk_mask(xs, ys, cx, cy, radius) == [
             region.covers(Point(x, y)) for x, y in pairs
         ]
-
-    @given(point_lists, coords, coords, radii)
-    def test_filter_within_radius_matches_scalar(self, pairs, cx, cy, radius):
-        # Scalar reference: SpatialGrid.within's membership test.
-        r2 = radius * radius
-        expected = []
-        for index, (x, y) in enumerate(pairs):
-            qx = x - cx
-            qy = y - cy
-            if qx * qx + qy * qy <= r2:
-                expected.append(index)
-        xs, ys = _split(pairs)
-        assert filter_within_radius(xs, ys, cx, cy, radius) == expected
 
     @given(point_lists, coords, coords, radii)
     def test_collect_entries_matches_scalar(self, pairs, cx, cy, radius):

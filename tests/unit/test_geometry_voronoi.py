@@ -1,4 +1,4 @@
-"""Unit tests for bounded Voronoi diagrams, cross-checked against scipy."""
+"""Unit tests for bounded Voronoi cells, cross-checked against scipy."""
 
 import random
 
@@ -7,8 +7,6 @@ import pytest
 from repro.geometry import (
     Point,
     Rect,
-    VoronoiDiagram,
-    closest_site,
     closest_site_index,
     voronoi_cell,
     voronoi_cells,
@@ -22,7 +20,6 @@ class TestClosestSite:
         sites = [Point(0, 0), Point(10, 0)]
         assert closest_site_index(Point(2, 0), sites) == 0
         assert closest_site_index(Point(8, 0), sites) == 1
-        assert closest_site(Point(8, 0), sites) == Point(10, 0)
 
     def test_tie_breaks_to_first(self):
         sites = [Point(0, 0), Point(10, 0)]
@@ -105,54 +102,3 @@ class TestVoronoiCells:
             assert area_fraction == pytest.approx(
                 sampled_fraction, abs=0.03
             )
-
-
-class TestVoronoiDiagram:
-    def test_owner_lookup(self):
-        diagram = VoronoiDiagram(BOUNDS)
-        diagram.set_site("a", Point(100, 100))
-        diagram.set_site("b", Point(300, 300))
-        assert diagram.owner_of(Point(50, 50)) == "a"
-        assert diagram.owner_of(Point(350, 350)) == "b"
-
-    def test_moving_a_site_shifts_ownership(self):
-        diagram = VoronoiDiagram(BOUNDS)
-        diagram.set_site("a", Point(100, 200))
-        diagram.set_site("b", Point(300, 200))
-        probe = Point(180, 200)
-        assert diagram.owner_of(probe) == "a"
-        diagram.set_site("a", Point(10, 200))  # a walks away
-        assert diagram.owner_of(probe) == "b"
-
-    def test_remove_site(self):
-        diagram = VoronoiDiagram(BOUNDS)
-        diagram.set_site("a", Point(100, 100))
-        diagram.set_site("b", Point(300, 300))
-        diagram.remove_site("a")
-        assert len(diagram) == 1
-        assert diagram.owner_of(Point(0, 0)) == "b"
-
-    def test_neighbours_in_grid_layout(self):
-        diagram = VoronoiDiagram(BOUNDS)
-        # 2x2 grid: diagonal cells touch only at a corner, which the
-        # area-difference test treats as adjacency too (removing the
-        # diagonal site changes the cell).  Assert the horizontal and
-        # vertical neighbours are found.
-        diagram.set_site("sw", Point(100, 100))
-        diagram.set_site("se", Point(300, 100))
-        diagram.set_site("nw", Point(100, 300))
-        diagram.set_site("ne", Point(300, 300))
-        neighbours = diagram.neighbours_of("sw")
-        assert "se" in neighbours
-        assert "nw" in neighbours
-
-    def test_empty_diagram_rejects_owner_query(self):
-        with pytest.raises(ValueError):
-            VoronoiDiagram(BOUNDS).owner_of(Point(0, 0))
-
-    def test_cells_cache_invalidation(self):
-        diagram = VoronoiDiagram(BOUNDS)
-        diagram.set_site("a", Point(100, 100))
-        full = diagram.cell_of("a").area
-        diagram.set_site("b", Point(300, 300))
-        assert diagram.cell_of("a").area < full

@@ -124,57 +124,57 @@ def test_import_graph_links_linted_modules(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# R6 — epoch-cache integrity
+# R6 — cache integrity
 # ----------------------------------------------------------------------
 def test_r6_accepts_helper_covered_by_bumping_callers():
     source = """
-        class SpatialGrid:
-            def __init__(self):
-                self.epoch = 0
-                self._cells = {}
-                self._positions = {}
+        class Channel:
+            def __init__(self, grid):
+                self._grid = grid
+                self._receiver_cache = {}
 
-            def remove(self, item_id):
-                self._discard(item_id)
-                self._positions.pop(item_id, None)
-                self.epoch += 1
+            def unregister(self, node_id, position):
+                self._leave(node_id)
+                self._drop_receivers_near(position)
 
-            def move(self, item_id, position):
-                self._discard(item_id)
-                self._positions[item_id] = position
-                self.epoch += 1
+            def node_moved(self, node_id, position):
+                self._leave(node_id)
+                self._drop_receivers_near(position)
 
-            def _discard(self, item_id):
-                bucket = self._cells.get(item_id)
-                if bucket:
-                    bucket.remove(item_id)
+            def _leave(self, node_id):
+                self._grid.remove(node_id)
+
+            def _drop_receivers_near(self, position):
+                self._receiver_cache.pop(position, None)
     """
-    assert check(source, path="src/repro/net/spatial.py") == []
+    assert check(source, path="src/repro/net/channel.py") == []
 
 
 def test_r6_flags_helper_with_non_bumping_caller():
     source = """
-        class SpatialGrid:
-            def __init__(self):
-                self.epoch = 0
-                self._cells = {}
-                self._positions = {}
+        class Channel:
+            def __init__(self, grid):
+                self._grid = grid
+                self._receiver_cache = {}
 
-            def remove(self, item_id):
-                self._discard(item_id)
-                self.epoch += 1
+            def unregister(self, node_id, position):
+                self._leave(node_id)
+                self._drop_receivers_near(position)
 
             def reset(self):
-                self._discard(0)
+                self._leave(0)
 
-            def _discard(self, item_id):
-                self._cells.pop(item_id, None)
+            def _leave(self, node_id):
+                self._grid.remove(node_id)
+
+            def _drop_receivers_near(self, position):
+                self._receiver_cache.pop(position, None)
     """
-    violations = check(source, path="src/repro/net/spatial.py")
+    violations = check(source, path="src/repro/net/channel.py")
     assert ids(violations) == ["R6"]
-    assert any("_discard" in v.message for v in violations)
-    # `reset` also mutates (via nothing) — only _discard is flagged.
-    assert all("_discard" in v.message for v in violations)
+    # `reset` mutates only through the helper — only _leave is flagged.
+    assert len(violations) == 1
+    assert "Channel._leave" in violations[0].message
 
 
 CHANNEL_SOURCE = """
@@ -204,8 +204,8 @@ CHANNEL_SOURCE = """
 
 
 def test_r6_accepts_channel_that_invalidates_explicitly():
-    # No epoch: filling the cache is fine because every grid mutation
-    # reaches the invalidator.
+    # Filling the cache is fine because every grid mutation reaches the
+    # invalidator.
     assert check(CHANNEL_SOURCE, path="src/repro/net/channel.py") == []
 
 
@@ -225,20 +225,18 @@ def test_r6_flags_cross_module_reach_into_guarded_state(tmp_path):
     root = write_tree(
         tmp_path,
         {
-            "src/repro/net/spatial.py": """
-                class SpatialGrid:
-                    def __init__(self):
-                        self.epoch = 0
-                        self._cells = {}
-                        self._positions = {}
+            "src/repro/net/channel.py": """
+                class Channel:
+                    def __init__(self, grid):
+                        self._grid = grid
+                        self._receiver_cache = {}
 
-                    def insert(self, item_id, position):
-                        self._positions[item_id] = position
-                        self.epoch += 1
+                    def _drop_receivers_near(self, position):
+                        self._receiver_cache.pop(position, None)
             """,
             "src/repro/net/cheat.py": """
-                def teleport(grid, item_id, position):
-                    grid._positions[item_id] = position
+                def prime(channel, sender_id, receivers):
+                    channel._receiver_cache[sender_id] = receivers
             """,
         },
     )
@@ -246,7 +244,7 @@ def test_r6_flags_cross_module_reach_into_guarded_state(tmp_path):
     r6 = [v for v in violations if v.rule_id == "R6"]
     assert len(r6) == 1
     assert r6[0].path.endswith("cheat.py")
-    assert "_positions" in r6[0].message
+    assert "_receiver_cache" in r6[0].message
 
 
 def test_r6_flags_mutation_of_shared_receiver_list():
