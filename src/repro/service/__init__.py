@@ -9,80 +9,31 @@ config digest), and a static JSON exporter
 (:mod:`repro.service.export`) rendering finished runs into
 dashboard-friendly documents.
 
-The execution plane is supervised (:mod:`repro.service.resilience`):
-dead workers rebuild the pool, failed-retryable jobs re-execute with
+The execution plane is supervised (:mod:`repro.service.queue`): dead
+workers rebuild the pool, failed-retryable jobs re-execute with
 deterministic backoff, hung jobs are cancelled and requeued, and
 overload degrades to ``503 + Retry-After`` instead of falling over.
 :mod:`repro.service.chaos` is the matching fault-injection harness.
 
 Start it with ``repro-sim serve``; talk to it with
 :class:`repro.service.client.ServiceClient` or plain curl.  The full
-API reference lives in ``docs/SERVICE.md``.
+API reference lives in ``docs/SERVICE.md``.  The package re-exports
+only what callers outside it use; everything else is importable from
+its submodule.
 """
 
-from repro.service.api import ServiceHandler, ServiceServer, serve
-from repro.service.chaos import (
-    ChaosPlan,
-    FlakyStore,
-    WorkerCrash,
-    chaos_runner,
-    kill_one_worker,
-)
+from repro.service.api import serve
+from repro.service.chaos import ChaosPlan, chaos_runner
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.export import (
-    EXPORT_SCHEMA_VERSION,
-    export_entry,
-    export_runs,
-)
-from repro.service.queue import (
-    JobQueue,
-    QueueDepthExceeded,
-    ServiceCounters,
-    ServiceUnavailable,
-    SubmitOutcome,
-    WorkerPool,
-    execute_job,
-    worker_identity,
-)
-from repro.service.resilience import (
-    JobTimeoutError,
-    PoolUnavailable,
-    RetryPolicy,
-    SupervisedPool,
-    SupervisedQueue,
-    is_retryable,
-    reconcile_queue,
-    reconcile_stale_records,
-)
+from repro.service.queue import JobQueue, RetryPolicy, WorkerPool
 
 __all__ = [
     "ChaosPlan",
-    "EXPORT_SCHEMA_VERSION",
-    "FlakyStore",
     "JobQueue",
-    "JobTimeoutError",
-    "PoolUnavailable",
-    "QueueDepthExceeded",
     "RetryPolicy",
     "ServiceClient",
-    "ServiceCounters",
     "ServiceError",
-    "ServiceHandler",
-    "ServiceServer",
-    "ServiceUnavailable",
-    "SubmitOutcome",
-    "SupervisedPool",
-    "SupervisedQueue",
-    "WorkerCrash",
     "WorkerPool",
     "chaos_runner",
-    "execute_job",
-    "export_entry",
-    "export_runs",
-    "is_retryable",
-    "kill_one_worker",
-    "reconcile_queue",
-    "reconcile_stale_records",
     "serve",
-    "worker_identity",
 ]

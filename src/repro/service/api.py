@@ -27,9 +27,8 @@ Python-style ``NaN`` literals (lossless for the bundled client); the
 Graceful degradation (``docs/SERVICE.md`` "Failure semantics"): a
 submission the queue cannot take — depth cap reached, worker pool
 broken beyond rebuilding, shutdown in progress — is answered with
-``503`` plus a ``Retry-After`` header, never a ``500``.  By default
-``serve`` builds a :class:`~repro.service.resilience.SupervisedQueue`
-and reconciles stale job records before accepting traffic.
+``503`` plus a ``Retry-After`` header, never a ``500``.  ``serve``
+reconciles stale job records before accepting traffic.
 """
 
 from __future__ import annotations
@@ -43,10 +42,10 @@ import urllib.parse
 
 from repro.deploy.scenario import ScenarioConfig
 from repro.service.export import export_entry
-from repro.service.queue import JobQueue, ServiceUnavailable
-from repro.service.resilience import (
+from repro.service.queue import (
+    JobQueue,
     RetryPolicy,
-    SupervisedQueue,
+    ServiceUnavailable,
     reconcile_queue,
 )
 from repro.store import JobStatus, RunStore
@@ -170,7 +169,7 @@ class ServiceHandler(http.server.BaseHTTPRequestHandler):
     # Endpoints
     # ------------------------------------------------------------------
     def _get_health(self) -> None:
-        broken = bool(getattr(self.queue.pool, "broken", False))
+        broken = self.queue.pool.broken
         self._send_json(
             200,
             {
@@ -360,7 +359,6 @@ def serve(
     quiet: bool = False,
     queue: typing.Optional[JobQueue] = None,
     policy: typing.Optional[RetryPolicy] = None,
-    reconcile: bool = True,
 ) -> ServiceServer:
     """Build a ready-to-run server (not yet serving).
 
@@ -369,22 +367,19 @@ def serve(
     ``serve_forever()`` (blocking) or run it in a thread, and pair
     ``server.shutdown()`` with ``server.queue.shutdown()`` on exit.
 
-    Without an explicit *queue*, a
-    :class:`~repro.service.resilience.SupervisedQueue` is built with
-    *policy* (default :class:`RetryPolicy`), so retries, timeouts, and
-    pool supervision are on out of the box.  Unless *reconcile* is
-    False, stale non-terminal job records from a previous server life
-    are settled to ``failed`` ("server restart") before the socket
-    binds — i.e. before the API accepts any traffic.
+    Without an explicit *queue*, a :class:`JobQueue` is built with
+    *policy* (default :class:`RetryPolicy`).  Stale non-terminal job
+    records from a previous server life are settled to ``failed``
+    ("server restart") before the socket binds — i.e. before the API
+    accepts any traffic.
     """
     if queue is None:
-        queue = SupervisedQueue(
+        queue = JobQueue(
             store if store is not None else RunStore(),
             policy=policy,
             workers=workers,
         )
-    if reconcile:
-        reconcile_queue(queue)
+    reconcile_queue(queue)
     try:
         return ServiceServer((host, port), queue, quiet=quiet)
     except socket.error:

@@ -1,4 +1,4 @@
-"""Job queue + worker pool: single-flight execution over the store.
+"""Job queue + worker pool: supervised single-flight execution.
 
 The service's core invariant is **single-flight dedup**: at any moment,
 at most one execution per content digest.  A submission of a config
@@ -19,11 +19,29 @@ renews a lease timestamp while it runs; the parent finishes the record
 (``done``/``failed``) and persists the result, so a crashed worker
 leaves a truthful trail on disk.
 
-Failure handling is layered: this module settles every execution into
-a terminal record exactly once (including injected store IO errors on
-the result ``put``), and exposes the ``_retry_after_failure`` hook that
-:class:`repro.service.resilience.SupervisedQueue` overrides to retry
-failed-retryable jobs with deterministic backoff instead of settling.
+Execution is supervised, so the service degrades instead of dying —
+the same detect → verify → recover ladder the simulated robots apply
+to failed sensors, applied to the service's own workers:
+
+* :class:`WorkerPool` detects a broken executor (``BrokenProcessPool``
+  after a SIGKILLed worker, submits after teardown) and rebuilds it,
+  keeping a generation counter so N broken futures trigger one rebuild;
+* :class:`JobQueue` settles every execution into a terminal record
+  exactly once.  It retries failed-retryable executions with bounded
+  attempts and **deterministic** exponential backoff (jitter drawn from
+  a seeded :class:`~repro.sim.rng.RandomStreams` stream — no
+  wall-clock randomness, simlint R1 applies to service code too),
+  cancels and requeues runs that exceed their per-job timeout or whose
+  worker lease went stale, and rejects work beyond a queue-depth cap
+  with :class:`QueueDepthExceeded` (HTTP 503);
+* :func:`reconcile_queue` settles stale non-terminal records from a
+  previous server life into ``failed`` (cause ``"server restart"``) —
+  failed records are retryable, so the next submission re-runs them.
+
+Because simulations are pure functions of their config, re-executing a
+failed attempt is always semantically safe: a retried result is
+byte-equivalent to a first-try result (the chaos tests pin this
+against the trace-hash baselines).
 """
 
 from __future__ import annotations
@@ -39,18 +57,26 @@ import typing
 from repro.deploy.scenario import ScenarioConfig
 from repro.experiments.runner import run_config_timed
 from repro.metrics.collector import RunReport
+from repro.sim.rng import RandomStreams
 from repro.store import JobRecord, JobStatus, JobStore, RunStore, StoreEntry
 from repro.store.keys import config_digest
 from repro.store.provenance import perf_clock, wall_clock
 
 __all__ = [
     "JobQueue",
+    "JobTimeoutError",
+    "PoolUnavailable",
     "QueueDepthExceeded",
+    "RETRYABLE_ERRORS",
+    "RetryPolicy",
     "ServiceCounters",
     "ServiceUnavailable",
     "SubmitOutcome",
     "WorkerPool",
     "execute_job",
+    "is_retryable",
+    "reconcile_queue",
+    "reconcile_stale_records",
     "worker_identity",
 ]
 
@@ -77,6 +103,115 @@ class ServiceUnavailable(Exception):
 
 class QueueDepthExceeded(ServiceUnavailable):
     """Submission rejected: the in-flight queue is at its depth cap."""
+
+
+class PoolUnavailable(ServiceUnavailable):
+    """The worker pool is broken and could not be rebuilt."""
+
+
+class JobTimeoutError(TimeoutError):
+    """An execution exceeded its time budget and was requeued."""
+
+
+#: Failure types worth re-executing: infrastructure died, not the
+#: simulation.  ``OSError`` covers injected store IO faults and
+#: :class:`JobTimeoutError` (a ``TimeoutError``); ``BrokenExecutor``
+#: covers SIGKILLed/OOM-killed workers; ``CancelledError`` covers
+#: futures cancelled by a pool teardown; :class:`ServiceUnavailable`
+#: covers a dispatch that hit a momentarily-broken pool.  Everything
+#: else (a ``ValueError`` from a bad config, a simulator bug) is
+#: deterministic and would fail every retry identically.
+RETRYABLE_ERRORS: typing.Tuple[typing.Type[BaseException], ...] = (
+    concurrent.futures.BrokenExecutor,
+    concurrent.futures.CancelledError,
+    OSError,
+    ServiceUnavailable,
+)
+
+
+def is_retryable(error: BaseException) -> bool:
+    """True when re-executing after *error* could plausibly succeed."""
+    return isinstance(error, RETRYABLE_ERRORS)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class RetryPolicy:
+    """How the queue reacts to failures.  Immutable.
+
+    Backoff for retry attempt ``n`` (the second execution is attempt 2)
+    is ``base * factor**(n-2)`` capped at ``backoff_max_s``, stretched
+    by a deterministic jitter in ``[0, jitter)`` drawn from a stream
+    seeded by ``(seed, digest, n)`` — two servers with the same policy
+    retry the same job on the same schedule, and nothing reads the wall
+    clock to decide it.
+    """
+
+    #: Automatic re-executions after the first attempt (0 disables).
+    max_retries: int = 2
+    #: Delay before the first retry.
+    backoff_base_s: float = 0.5
+    #: Growth factor per further retry.
+    backoff_factor: float = 2.0
+    #: Upper bound on any single backoff delay.
+    backoff_max_s: float = 30.0
+    #: Jitter fraction in ``[0, 1]``: each delay is stretched by
+    #: ``1 + jitter * u`` with ``u`` from the seeded stream.
+    jitter: float = 0.1
+    #: Seed for the backoff jitter streams.
+    seed: int = 0
+    #: Cancel-and-requeue budget per execution attempt; ``None``
+    #: disables the watchdog.
+    job_timeout_s: typing.Optional[float] = None
+    #: Requeue a running job whose worker stopped renewing its lease
+    #: for this long (the worker is alive-but-wedged or silently dead).
+    lease_grace_s: float = 15.0
+    #: Maximum simultaneously in-flight digests; ``None`` uncapped.
+    queue_depth: typing.Optional[int] = None
+
+    def __post_init__(self) -> None:
+        # Every float check is written so that NaN fails it: NaN
+        # compares False both ways, and a NaN timeout or backoff bound
+        # would silently disable the watchdog or poison every delay.
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0: {self.max_retries}")
+        if not (self.backoff_base_s > 0.0 and self.backoff_max_s > 0.0):
+            raise ValueError("backoff bounds must be positive")
+        if not self.backoff_factor >= 1.0:
+            raise ValueError(
+                f"backoff_factor must be >= 1: {self.backoff_factor}"
+            )
+        if not 0.0 <= self.jitter <= 1.0:
+            raise ValueError(f"jitter must be in [0, 1]: {self.jitter}")
+        if self.job_timeout_s is not None and not self.job_timeout_s > 0.0:
+            raise ValueError(
+                f"job_timeout_s must be positive: {self.job_timeout_s}"
+            )
+        if not self.lease_grace_s > 0.0:
+            raise ValueError(
+                f"lease_grace_s must be positive: {self.lease_grace_s}"
+            )
+        if self.queue_depth is not None and self.queue_depth < 1:
+            raise ValueError(
+                f"queue_depth must be >= 1: {self.queue_depth}"
+            )
+
+    def backoff_s(self, digest: str, attempt: int) -> float:
+        """Deterministic delay before dispatching *attempt* of *digest*."""
+        exponent = max(0, attempt - 2)
+        delay_s = min(
+            self.backoff_max_s,
+            self.backoff_base_s * self.backoff_factor**exponent,
+        )
+        if self.jitter > 0.0:
+            stream = RandomStreams(self.seed).stream(
+                f"backoff:{digest}:{attempt}"
+            )
+            delay_s *= 1.0 + self.jitter * stream.random()
+        return delay_s
+
+    def to_json_dict(self) -> typing.Dict[str, typing.Any]:
+        """Policy knobs as a JSON-native dict (``/v1/service/stats``)."""
+        return dataclasses.asdict(self)
 
 
 def worker_identity() -> str:
@@ -159,44 +294,172 @@ def execute_job(
     return report, duration, worker_identity()
 
 
+
+
+def _kill_workers(executor: concurrent.futures.Executor) -> None:
+    """SIGKILL a ``ProcessPoolExecutor``'s workers; no-op otherwise.
+
+    ``shutdown(wait=False, cancel_futures=True)`` only cancels *queued*
+    work — a worker wedged inside a task would run to completion (and
+    the interpreter's exit hook would join it).  A rebuild exists
+    precisely to free such workers, so reach into the private process
+    table the same way the chaos harness does and kill them.
+    """
+    processes = getattr(executor, "_processes", None)
+    if not processes:
+        return
+    for process in list(processes.values()):
+        try:
+            if process.is_alive():
+                process.kill()
+        except OSError:
+            pass
+
+
 class WorkerPool:
     """A fixed-width pool of scenario-executing worker processes.
 
-    Thin wrapper over :class:`concurrent.futures.ProcessPoolExecutor`
-    (``spawn`` context) that pins the runner function and exposes only
-    what the queue needs.  Tests inject a thread-based *executor* and a
-    synchronous *runner* to make coalescing windows deterministic.
+    Wraps a ``spawn``-context :class:`concurrent.futures.ProcessPoolExecutor`
+    (built lazily), pins the runner function, and survives the death of
+    its executor.  A SIGKILLed (or OOM-killed) worker process breaks the
+    whole executor: every pending future raises ``BrokenProcessPool``
+    and all further submits fail.  This pool detects that, tears the
+    executor down, and lazily builds a fresh one — at most one rebuild
+    per breakage, tracked by ``generation``.  Tests inject a synchronous
+    *runner* and a thread-pool *executor_factory* to make failure and
+    coalescing windows deterministic.
     """
 
     def __init__(
         self,
         workers: int = 2,
         runner: Runner = execute_job,
-        executor: typing.Optional[concurrent.futures.Executor] = None,
+        executor_factory: typing.Optional[
+            typing.Callable[[], concurrent.futures.Executor]
+        ] = None,
     ) -> None:
         self.workers = max(1, int(workers))
         self.runner = runner
-        self._executor = executor
+        self._factory = executor_factory
+        self._executor: typing.Optional[concurrent.futures.Executor] = None
+        #: Called once per rebuild (the owning queue counts them).
+        self.on_rebuild: typing.Optional[typing.Callable[[], None]] = None
+        #: Bumped on every rebuild; lets N broken futures share one.
+        self.generation = 0
+        self.rebuilds = 0
+        #: True while the pool cannot produce a working executor.
+        self.broken = False
+        self._supervision = threading.Lock()
+        self._closed = False
 
-    def _pool(self) -> concurrent.futures.Executor:
-        if self._executor is None:
-            self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-        return self._executor
+    def _acquire(
+        self,
+    ) -> typing.Tuple[concurrent.futures.Executor, int]:
+        """The working executor plus the generation it belongs to.
+
+        The generation is captured under the same lock that produced
+        the executor, so a submitter that later finds the executor
+        broken can ask for a rebuild *of that generation* — and no-op
+        when a sibling already replaced it.
+        """
+        with self._supervision:
+            if self._closed:
+                raise PoolUnavailable("worker pool is shut down")
+            if self._executor is None:
+                try:
+                    self._executor = self._build()
+                except Exception as error:
+                    self.broken = True
+                    raise PoolUnavailable(
+                        f"cannot build worker pool: {error}"
+                    ) from error
+            self.broken = False
+            return self._executor, self.generation
+
+    def _build(self) -> concurrent.futures.Executor:
+        if self._factory is not None:
+            return self._factory()
+        return concurrent.futures.ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+
+    def heal(self) -> bool:
+        """Try to produce a working executor; True on success."""
+        try:
+            self._acquire()
+        except ServiceUnavailable:
+            return False
+        return True
 
     def submit(
         self, config: ScenarioConfig, store_root: str
     ) -> "concurrent.futures.Future[typing.Tuple[RunReport, float, str]]":
-        """Schedule *config* for execution; returns its future."""
-        return self._pool().submit(self.runner, config, store_root)
+        """Schedule *config*, rebuilding the pool once if it is broken."""
+        for already_rebuilt in (False, True):
+            executor, generation = self._acquire()
+            try:
+                return executor.submit(self.runner, config, store_root)
+            except (
+                concurrent.futures.BrokenExecutor,
+                RuntimeError,
+            ) as error:
+                if already_rebuilt or self._closed:
+                    self.broken = True
+                    raise PoolUnavailable(
+                        f"worker pool broken: {error}"
+                    ) from error
+                self.rebuild_if(generation)
+        raise AssertionError("unreachable")
+
+    def rebuild(self) -> None:
+        """Tear the current executor down; the next use builds fresh."""
+        self.rebuild_if(self.generation)
+
+    def rebuild_if(self, generation: int) -> bool:
+        """Rebuild only while *generation* is still the current one.
+
+        This is how N broken futures share one rebuild: every submitter
+        that found generation G broken asks to replace exactly G; the
+        first request wins, the rest no-op instead of SIGKILLing the
+        fresh executor a sibling just built (and submitted to).
+
+        Running worker processes of the replaced executor are killed
+        (their futures settle with ``BrokenProcessPool`` /
+        ``CancelledError``, which the queue treats as retryable).
+        Thread-based executors cannot be killed — their threads are
+        abandoned and ignored via the stale-future guard.  Returns True
+        when this call actually rebuilt.
+        """
+        with self._supervision:
+            if self._closed or self.generation != generation:
+                return False
+            stale = self._executor
+            self._executor = None
+            self.generation += 1
+            self.rebuilds += 1
+            hook = self.on_rebuild
+        if stale is not None:
+            _kill_workers(stale)
+            stale.shutdown(wait=False, cancel_futures=True)
+        if hook is not None:
+            hook()
+        return True
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the pool (idempotent; lazily-created pools may not exist)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=wait, cancel_futures=not wait)
+        """Stop the pool for good; further submits raise.
+
+        ``wait=False`` means "now": queued work is cancelled and wedged
+        workers are killed rather than joined at interpreter exit.
+        """
+        with self._supervision:
+            self._closed = True
+            executor = self._executor
             self._executor = None
+        if executor is not None:
+            if not wait:
+                _kill_workers(executor)
+            executor.shutdown(wait=wait, cancel_futures=not wait)
 
 
 @dataclasses.dataclass(slots=True)
@@ -276,27 +539,44 @@ class JobQueue:
     many handler threads).  ``submit`` never blocks on simulation work;
     ``wait`` blocks until a digest's in-flight execution settles.
 
-    *max_inflight* caps the number of simultaneously in-flight digests:
-    a submission that would start a fresh execution beyond the cap
-    raises :class:`QueueDepthExceeded` (cache hits and coalescing
-    submissions are always accepted — they add no load).
+    Every accepted submission reaches a terminal state: retryable
+    failures (dead workers, store IO faults, timeouts) are re-executed
+    up to ``policy.max_retries`` times with deterministic backoff;
+    anything beyond that settles as ``failed``.  ``policy.queue_depth``
+    caps the simultaneously in-flight digests (cache hits and
+    coalescing submissions are always accepted — they add no load).  A
+    daemon monitor thread enforces per-job timeouts and worker-lease
+    staleness every *monitor_interval_s* (pass ``None`` for manual
+    :meth:`check_timeouts` calls in tests).
     """
 
     def __init__(
         self,
         store: RunStore,
+        policy: typing.Optional[RetryPolicy] = None,
         workers: int = 2,
         pool: typing.Optional[WorkerPool] = None,
-        max_inflight: typing.Optional[int] = None,
+        monitor_interval_s: typing.Optional[float] = 0.25,
     ) -> None:
         self.store = store
         self.jobs = JobStore(store.root)
+        self.policy = policy if policy is not None else RetryPolicy()
         self.pool = pool if pool is not None else WorkerPool(workers)
+        self.pool.on_rebuild = self._count_rebuild
         self.counters = ServiceCounters()
-        self.max_inflight = max_inflight
         self._lock = threading.Lock()
         self._inflight: typing.Dict[str, _InflightJob] = {}
         self._closing = False
+        self._monitor_interval_s = monitor_interval_s
+        self._monitor_stop = threading.Event()
+        self._monitor: typing.Optional[threading.Thread] = None
+        if monitor_interval_s is not None and monitor_interval_s > 0:
+            self._monitor = threading.Thread(
+                target=self._monitor_loop,
+                name="service-monitor",
+                daemon=True,
+            )
+            self._monitor.start()
 
     # ------------------------------------------------------------------
     # Submission (single-flight)
@@ -313,10 +593,21 @@ class JobQueue:
         Raises
         ------
         ServiceUnavailable
-            When the queue is shutting down, or a fresh execution would
-            exceed *max_inflight* (:class:`QueueDepthExceeded`).
+            When the queue is shutting down, the worker pool is broken
+            and cannot be rebuilt (:class:`PoolUnavailable`), or a fresh
+            execution would exceed ``policy.queue_depth``
+            (:class:`QueueDepthExceeded`).
         """
+        if self.pool.broken and not self.pool.heal():
+            # Reject instead of accept-and-lose.
+            with self._lock:
+                self.counters.rejected += 1
+            raise PoolUnavailable(
+                "worker pool unavailable and could not be rebuilt",
+                retry_after_s=5.0,
+            )
         digest = config_digest(config)
+        depth = self.policy.queue_depth
         with self._lock:
             if self._closing:
                 raise ServiceUnavailable("queue is shutting down")
@@ -337,14 +628,11 @@ class JobQueue:
                 return SubmitOutcome(
                     digest=digest, record=record, cached=True
                 )
-            if (
-                self.max_inflight is not None
-                and len(self._inflight) >= self.max_inflight
-            ):
+            if depth is not None and len(self._inflight) >= depth:
                 self.counters.rejected += 1
                 raise QueueDepthExceeded(
                     f"queue depth cap reached "
-                    f"({len(self._inflight)}/{self.max_inflight} in flight)"
+                    f"({len(self._inflight)}/{depth} in flight)"
                 )
             self.counters.misses += 1
             record = JobRecord(
@@ -369,10 +657,14 @@ class JobQueue:
         Runs OUTSIDE the queue lock: ``add_done_callback`` runs
         ``_finish`` inline when the future already settled, and
         ``_finish`` takes the lock — holding it here would deadlock on
-        fast executors.  Subclasses override to add pool supervision
-        and timeout stamping.
+        fast executors.  A synchronous pool failure takes the same
+        retry ladder an asynchronous one does.
         """
-        future = self.pool.submit(job.config, self.store.root)
+        try:
+            future = self.pool.submit(job.config, self.store.root)
+        except Exception as error:
+            self._retry_or_fail(digest, job, error)
+            return
         with self._lock:
             job.future = future
             job.dispatched_s = perf_clock()
@@ -406,9 +698,7 @@ class JobQueue:
         except (concurrent.futures.CancelledError, Exception) as error:
             # CancelledError is a BaseException since 3.8: a future
             # cancelled by a pool teardown must still settle the job.
-            if self._retry_after_failure(digest, job, error):
-                return
-            self._settle_failed(digest, job, error)
+            self._retry_or_fail(digest, job, error)
             return
         try:
             self.store.put(job.config, report, duration_s=duration)
@@ -416,23 +706,63 @@ class JobQueue:
             # The simulation succeeded but the result could not be
             # persisted (store IO fault).  The run is deterministic, so
             # re-executing is a correct — if expensive — way back.
-            if self._retry_after_failure(digest, job, error):
-                return
-            self._settle_failed(digest, job, error)
+            self._retry_or_fail(digest, job, error)
             return
         self._settle_done(digest, job, duration, worker)
 
-    def _retry_after_failure(
+    # ------------------------------------------------------------------
+    # Retry ladder
+    # ------------------------------------------------------------------
+    def _retry_or_fail(
         self, digest: str, job: _InflightJob, error: BaseException
-    ) -> bool:
-        """Hook: arrange a retry for a failed execution.
+    ) -> None:
+        """Schedule a bounded, backed-off re-execution, else settle failed.
 
-        The base queue never retries; the supervised queue
-        (:mod:`repro.service.resilience`) schedules bounded retries
-        with deterministic backoff and returns True, which keeps the
-        job in flight (``settled`` stays unset, coalescing continues).
+        A scheduled retry keeps the job in flight (``settled`` stays
+        unset, coalescing continues) until the backoff timer
+        re-dispatches it.
         """
-        return False
+        timer: typing.Optional[threading.Timer] = None
+        with self._lock:
+            record = job.record
+            if (
+                not self._closing
+                and self._inflight.get(digest) is job
+                and record.attempts <= self.policy.max_retries
+                and is_retryable(error)
+            ):
+                record.attempts += 1
+                record.status = JobStatus.QUEUED
+                record.worker = None
+                record.started_unix = None
+                record.lease_unix = None
+                record.error = f"retrying after: {error}"
+                self.counters.retries += 1
+                delay_s = self.policy.backoff_s(digest, record.attempts)
+                self.jobs.save(record)
+                if job.timer is not None:
+                    # Defensive: never leave two live timers racing to
+                    # redispatch the same job.
+                    job.timer.cancel()
+                timer = threading.Timer(
+                    delay_s, self._redispatch, args=(digest, job)
+                )
+                timer.daemon = True
+                job.timer = timer
+                job.future = None
+                job.dispatched_s = None
+        if timer is None:
+            self._settle_failed(digest, job, error)
+        else:
+            timer.start()
+
+    def _redispatch(self, digest: str, job: _InflightJob) -> None:
+        """Backoff elapsed: hand the job back to the pool."""
+        with self._lock:
+            job.timer = None
+            if self._closing or self._inflight.get(digest) is not job:
+                return
+        self._dispatch(digest, job)
 
     def _settle_failed(
         self, digest: str, job: _InflightJob, error: BaseException
@@ -534,6 +864,101 @@ class JobQueue:
         return synthesized
 
     # ------------------------------------------------------------------
+    # Timeouts and leases
+    # ------------------------------------------------------------------
+    def check_timeouts(self) -> typing.List[str]:
+        """Expire overdue attempts; returns the digests requeued.
+
+        Two triggers: the dispatch is older than ``policy.job_timeout_s``
+        (hung or just too slow), or the worker's persisted lease has
+        not been renewed within ``policy.lease_grace_s`` (the worker is
+        silently dead — only meaningful once a worker wrote a lease).
+        Called by the monitor thread; tests call it directly.
+        """
+        policy = self.policy
+        now_s = perf_clock()
+        candidates: typing.List[
+            typing.Tuple[str, _InflightJob, typing.Optional[float]]
+        ] = []
+        with self._lock:
+            for digest, job in self._inflight.items():
+                if job.future is None or job.timer is not None:
+                    continue
+                if job.future.done():
+                    continue
+                candidates.append((digest, job, job.dispatched_s))
+        expired: typing.List[str] = []
+        for digest, job, dispatched_s in candidates:
+            reason: typing.Optional[str] = None
+            if (
+                policy.job_timeout_s is not None
+                and dispatched_s is not None
+                and now_s - dispatched_s > policy.job_timeout_s
+            ):
+                reason = (
+                    f"execution exceeded its "
+                    f"{policy.job_timeout_s:g}s budget"
+                )
+            else:
+                persisted = self.jobs.load(digest)
+                wall_now = wall_clock()
+                if (
+                    persisted is not None
+                    and not persisted.terminal
+                    and persisted.lease_unix is not None
+                    and wall_now - persisted.lease_unix
+                    > policy.lease_grace_s
+                ):
+                    reason = (
+                        f"worker lease stale beyond "
+                        f"{policy.lease_grace_s:g}s"
+                    )
+            if reason is not None:
+                self._expire(digest, job, reason)
+                expired.append(digest)
+        return expired
+
+    def _expire(
+        self, digest: str, job: _InflightJob, reason: str
+    ) -> None:
+        """Cancel an overdue attempt and route it into the retry ladder."""
+        with self._lock:
+            if self._inflight.get(digest) is not job:
+                return
+            future = job.future
+            if future is None or job.timer is not None:
+                return
+            if future.done():
+                # Completed between the timeout scan and now: its
+                # ``_finish`` callback owns settlement.  Expiring it
+                # anyway would discard a finished result, and — since
+                # ``cancel()`` returns False on done futures — tear
+                # down a pool full of healthy workers.
+                return
+            # Everything the old attempt does from here on is stale:
+            # its eventual completion hits the guard in ``_finish``.
+            job.future = None
+            job.dispatched_s = None
+            self.counters.timeouts += 1
+        if not future.cancel():
+            # Already running on a worker we cannot reach into — tear
+            # the pool down to free the slot.  Process workers die
+            # (other in-flight futures break and retry); thread
+            # workers are merely abandoned.
+            self.pool.rebuild()
+        self._retry_or_fail(digest, job, JobTimeoutError(reason))
+
+    def _monitor_loop(self) -> None:
+        interval = self._monitor_interval_s
+        assert interval is not None
+        while not self._monitor_stop.wait(interval):
+            self.check_timeouts()
+
+    def _count_rebuild(self) -> None:
+        with self._lock:
+            self.counters.pool_rebuilds += 1
+
+    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def status(self, digest: str) -> typing.Optional[JobRecord]:
@@ -633,30 +1058,41 @@ class JobQueue:
         }
 
     def service_stats(self) -> typing.Dict[str, typing.Any]:
-        """The ``/v1/service/stats`` payload: execution health only.
-
-        The supervised queue extends this with its retry policy and
-        pool supervision state.
-        """
+        """The ``/v1/service/stats`` payload: execution health, the
+        retry policy, and pool supervision state."""
+        pool = self.pool
         return {
             "counters": self.counters.to_json_dict(),
             "inflight": self.inflight_count(),
-            "workers": self.pool.workers,
-            "max_inflight": self.max_inflight,
-            "supervised": False,
+            "workers": pool.workers,
+            "max_inflight": self.policy.queue_depth,
+            "supervised": True,
+            "policy": self.policy.to_json_dict(),
+            "pool": {
+                "broken": pool.broken,
+                "generation": pool.generation,
+                "rebuilds": pool.rebuilds,
+            },
         }
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the worker pool and release every blocked waiter.
+        """Stop monitoring and the worker pool; release every waiter.
 
-        In-flight jobs are abandoned (their records are reconciled to
-        ``failed`` at the next startup); their ``settled`` events fire
-        so ``wait``/long-poll callers return instead of hanging on a
-        queue that will never settle them.
+        Pending backoff timers are cancelled.  In-flight jobs are
+        abandoned (their records are reconciled to ``failed`` at the
+        next startup); their ``settled`` events fire so
+        ``wait``/long-poll callers return instead of hanging on a queue
+        that will never settle them.
         """
+        self._monitor_stop.set()
         with self._lock:
             self._closing = True
             abandoned = list(self._inflight.values())
+        for job in abandoned:
+            if job.timer is not None:
+                job.timer.cancel()
+        if self._monitor is not None:
+            self._monitor.join(timeout=10.0)
         for job in abandoned:
             job.settled.set()
         self.pool.shutdown(wait=wait)
@@ -665,3 +1101,55 @@ class JobQueue:
 def _copy_record(record: JobRecord) -> JobRecord:
     """A detached snapshot safe to hand outside the queue lock."""
     return dataclasses.replace(record)
+
+
+# ----------------------------------------------------------------------
+# Startup reconciliation
+# ----------------------------------------------------------------------
+def reconcile_stale_records(
+    store: RunStore,
+    jobs: JobStore,
+    cause: str = "server restart",
+    skip: typing.Collection[str] = (),
+) -> typing.List[JobRecord]:
+    """Settle non-terminal records left behind by a dead server.
+
+    A ``queued``/``running`` record with a store entry really finished
+    (the result landed but the record save was lost) — it becomes
+    ``done``.  One without an entry becomes ``failed`` with *cause*;
+    failed records are retryable, so the next submission re-runs them.
+    Returns the records that changed.
+    """
+    changed: typing.List[JobRecord] = []
+    for record in jobs.records():
+        if record.terminal or record.digest in skip:
+            continue
+        stamp = wall_clock()
+        if store.load(record.digest) is not None:
+            record.status = JobStatus.DONE
+            record.error = None
+        else:
+            record.status = JobStatus.FAILED
+            record.error = cause
+        record.finished_unix = stamp
+        jobs.save(record)
+        changed.append(record)
+    return changed
+
+
+def reconcile_queue(
+    queue: JobQueue, cause: str = "server restart"
+) -> typing.List[JobRecord]:
+    """Run :func:`reconcile_stale_records` for *queue*'s stores.
+
+    Digests currently in flight are skipped (they are being handled);
+    call this before the queue accepts traffic — ``serve`` does.
+    """
+    changed = reconcile_stale_records(
+        queue.store,
+        queue.jobs,
+        cause=cause,
+        skip=frozenset(queue.inflight_digests()),
+    )
+    queue.counters.reconciled += len(changed)
+    return changed

@@ -145,7 +145,7 @@ def decode_entry(
 #: preimage.  A record written under a different version is treated as
 #: absent (the job is re-derived from the store entry, or re-run).
 #: v2 added retry bookkeeping (``attempts``) and the worker lease
-#: (``lease_unix``) for the supervised queue (repro.service.resilience).
+#: (``lease_unix``) for the service queue (repro.service.queue).
 JOB_SCHEMA_VERSION = 2
 
 

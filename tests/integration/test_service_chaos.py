@@ -29,10 +29,10 @@ from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, paper_scenario
 from repro.service import (
     ChaosPlan,
+    JobQueue,
     RetryPolicy,
     ServiceClient,
-    SupervisedPool,
-    SupervisedQueue,
+    WorkerPool,
     chaos_runner,
     serve,
 )
@@ -80,8 +80,8 @@ def chaos_service(tmp_path, plan, policy=FAST_POLICY, workers=2):
     Returns (client, server, queue, store); the caller owns teardown.
     """
     store = RunStore(tmp_path)
-    pool = SupervisedPool(workers=workers, runner=chaos_runner(plan))
-    queue = SupervisedQueue(store, policy=policy, pool=pool)
+    pool = WorkerPool(workers=workers, runner=chaos_runner(plan))
+    queue = JobQueue(store, policy=policy, pool=pool)
     server = serve(queue=queue, quiet=True)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     return ServiceClient(port=server.port), server, queue, store

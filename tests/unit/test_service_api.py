@@ -11,41 +11,10 @@ import threading
 import pytest
 
 from repro.cli import build_parser
-from repro.deploy.scenario import Algorithm, paper_scenario
-from repro.metrics import RunReport
-from repro.service import (
-    JobQueue,
-    RetryPolicy,
-    ServiceClient,
-    SupervisedPool,
-    SupervisedQueue,
-    WorkerPool,
-    serve,
-)
-from repro.service.client import ServiceError
+from repro.deploy.scenario import Algorithm
+from repro.service import RetryPolicy, ServiceClient, ServiceError, serve
 from repro.store import RunStore, config_digest
-
-
-def make_report(description="fixed | test"):
-    return RunReport(
-        description=description,
-        failures=5,
-        detected=5,
-        reported=4,
-        repaired=3,
-        mean_travel_distance=82.5,
-        mean_repair_latency=130.25,
-        mean_report_hops=2.4,
-        mean_request_hops=float("nan"),
-        update_transmissions_per_failure=101.5,
-        report_delivery_ratio=1.0,
-        total_robot_distance=412.0,
-        transmissions_by_category={"beacon": 100},
-        routing_snapshot={},
-    )
-
-
-CONFIG = paper_scenario(Algorithm.FIXED, 4, seed=3, sim_time_s=2_000.0)
+from tests.unit.service_support import CONFIG, make_report, thread_queue
 
 
 def instant_runner(config, store_root):
@@ -56,12 +25,7 @@ def instant_runner(config, store_root):
 def service(tmp_path):
     """(client, queue, store) against a live ephemeral-port server."""
     store = RunStore(tmp_path)
-    pool = WorkerPool(
-        workers=2,
-        runner=instant_runner,
-        executor=concurrent.futures.ThreadPoolExecutor(2),
-    )
-    queue = JobQueue(store, pool=pool)
+    queue = thread_queue(tmp_path, instant_runner, store=store)
     server = serve(queue=queue, quiet=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -90,7 +54,7 @@ class TestHealthAndStats:
 
 @pytest.fixture
 def gated_service(tmp_path):
-    """A supervised, depth-capped server with a gated runner.
+    """A depth-capped server with a gated runner.
 
     Yields (client, queue, gate); the first submitted job blocks on the
     gate, holding the single queue slot open so overload paths are
@@ -103,16 +67,10 @@ def gated_service(tmp_path):
         assert gate.wait(30)
         return make_report(config.describe()), 0.25, "pid-test"
 
-    pool = SupervisedPool(
-        workers=2,
-        runner=gated_runner,
-        executor_factory=lambda: concurrent.futures.ThreadPoolExecutor(2),
-    )
-    queue = SupervisedQueue(
-        RunStore(tmp_path),
+    queue = thread_queue(
+        tmp_path,
+        gated_runner,
         policy=RetryPolicy(max_retries=0, queue_depth=1),
-        pool=pool,
-        monitor_interval_s=None,
     )
     server = serve(queue=queue, quiet=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -128,15 +86,16 @@ class TestServiceStats:
     def test_plain_queue_stats_shape(self, service):
         client, _queue, _store = service
         stats = client.service_stats()
-        assert stats["supervised"] is False
+        assert set(stats) == {
+            "counters", "inflight", "max_inflight", "policy", "pool",
+            "supervised", "workers",
+        }
+        assert stats["supervised"] is True
         assert stats["workers"] == 2
         assert stats["inflight"] == 0
-        counters = stats["counters"]
-        for key in (
-            "retries", "timeouts", "pool_rebuilds", "rejected",
-            "reconciled", "executed", "failed",
-        ):
-            assert counters[key] == 0
+        assert set(stats["counters"].values()) == {0}
+        assert stats["max_inflight"] is None
+        assert stats["policy"] == RetryPolicy().to_json_dict()
 
     def test_supervised_queue_stats_shape(self, gated_service):
         client, _queue, _gate = gated_service
@@ -353,12 +312,7 @@ class TestExportEndpoint:
             assert gate.wait(10)
             return make_report(), 0.1, "pid-test"
 
-        pool = WorkerPool(
-            workers=1,
-            runner=blocked_runner,
-            executor=concurrent.futures.ThreadPoolExecutor(1),
-        )
-        queue = JobQueue(RunStore(tmp_path), pool=pool)
+        queue = thread_queue(tmp_path, blocked_runner, workers=1)
         server = serve(queue=queue, quiet=True)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         client = ServiceClient(port=server.port)

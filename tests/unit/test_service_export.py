@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.deploy.scenario import Algorithm, paper_scenario
-from repro.metrics import RunReport
 from repro.cli import main
 from repro.service.export import (
     EXPORT_SCHEMA_VERSION,
@@ -14,30 +13,7 @@ from repro.service.export import (
     export_runs,
 )
 from repro.store import RunStore
-
-
-def make_report(description="fixed | test", **changes):
-    fields = dict(
-        description=description,
-        failures=5,
-        detected=5,
-        reported=4,
-        repaired=3,
-        mean_travel_distance=82.5,
-        mean_repair_latency=130.25,
-        mean_report_hops=2.4,
-        mean_request_hops=float("nan"),
-        update_transmissions_per_failure=101.5,
-        report_delivery_ratio=1.0,
-        total_robot_distance=412.0,
-        transmissions_by_category={"beacon": 100},
-        routing_snapshot={},
-    )
-    fields.update(changes)
-    return RunReport(**fields)
-
-
-CONFIG = paper_scenario(Algorithm.FIXED, 4, seed=3, sim_time_s=2_000.0)
+from tests.unit.service_support import CONFIG, make_report
 
 
 @pytest.fixture

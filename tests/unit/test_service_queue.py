@@ -5,37 +5,12 @@ runner, so coalescing windows are held open deterministically instead
 of racing real processes.
 """
 
-import concurrent.futures
 import threading
 
 import pytest
 
-from repro.deploy.scenario import Algorithm, paper_scenario
-from repro.metrics import RunReport
-from repro.service.queue import JobQueue, WorkerPool
-from repro.store import JobStatus, RunStore, config_digest
-
-
-def make_report(description="fixed | test"):
-    return RunReport(
-        description=description,
-        failures=5,
-        detected=5,
-        reported=4,
-        repaired=3,
-        mean_travel_distance=82.5,
-        mean_repair_latency=130.25,
-        mean_report_hops=2.4,
-        mean_request_hops=float("nan"),
-        update_transmissions_per_failure=101.5,
-        report_delivery_ratio=1.0,
-        total_robot_distance=412.0,
-        transmissions_by_category={"beacon": 100},
-        routing_snapshot={},
-    )
-
-
-CONFIG = paper_scenario(Algorithm.FIXED, 4, seed=3, sim_time_s=2_000.0)
+from repro.store import JobStatus, config_digest
+from tests.unit.service_support import CONFIG, make_report, thread_queue
 
 
 class GatedRunner:
@@ -62,12 +37,7 @@ class GatedRunner:
 def gated(tmp_path):
     """(queue, runner) wired to a thread executor and a tmp store."""
     runner = GatedRunner()
-    pool = WorkerPool(
-        workers=2,
-        runner=runner,
-        executor=concurrent.futures.ThreadPoolExecutor(2),
-    )
-    queue = JobQueue(RunStore(tmp_path), pool=pool)
+    queue = thread_queue(tmp_path, runner)
     yield queue, runner
     runner.release.set()
     queue.shutdown(wait=True)
@@ -142,12 +112,7 @@ class TestFailures:
     def test_failed_execution_records_error(self, tmp_path):
         runner = GatedRunner(fail=True)
         runner.release.set()
-        pool = WorkerPool(
-            workers=1,
-            runner=runner,
-            executor=concurrent.futures.ThreadPoolExecutor(1),
-        )
-        queue = JobQueue(RunStore(tmp_path), pool=pool)
+        queue = thread_queue(tmp_path, runner, workers=1)
         outcome = queue.submit(CONFIG)
         assert queue.wait(outcome.digest, 10)
         record = queue.status(outcome.digest)

@@ -1,28 +1,29 @@
-"""Unit tests for the supervised queue (repro.service.resilience).
+"""Unit tests for the queue's supervision (repro.service.queue).
 
-Everything runs on thread executors with scripted runners, so failure
-windows are held open deterministically: crash-the-first-N runners for
-the retry ladder, gated runners + manual ``check_timeouts()`` for the
-watchdog (the background monitor is disabled via
-``monitor_interval_s=None``).
+Covers retries, timeouts, worker leases, pool rebuilds, the depth cap
+and startup reconciliation.  Everything runs on thread executors with
+scripted runners, so failure windows are held open deterministically:
+crash-the-first-N runners for the retry ladder, gated runners + manual
+``check_timeouts()`` for the watchdog (the background monitor is
+disabled via ``monitor_interval_s=None``).
 """
 
 import concurrent.futures
+import functools
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.deploy.scenario import Algorithm, paper_scenario
-from repro.metrics import RunReport
 from repro.service.chaos import FlakyStore, WorkerCrash
-from repro.service.queue import QueueDepthExceeded
-from repro.service.resilience import (
+from repro.service.queue import (
+    JobQueue,
     JobTimeoutError,
     PoolUnavailable,
+    QueueDepthExceeded,
     RetryPolicy,
-    SupervisedPool,
-    SupervisedQueue,
+    ServiceUnavailable,
+    WorkerPool,
     is_retryable,
     reconcile_queue,
     reconcile_stale_records,
@@ -34,32 +35,15 @@ from repro.store import (
     RunStore,
     config_digest,
 )
-
-CONFIG = paper_scenario(Algorithm.FIXED, 4, seed=3, sim_time_s=2_000.0)
+from tests.unit.service_support import CONFIG, make_report, thread_queue
 
 #: Fast backoff so retry tests finish in milliseconds.
 FAST = RetryPolicy(
     max_retries=2, backoff_base_s=0.01, backoff_max_s=0.05, jitter=0.0
 )
 
-
-def make_report(description="fixed | test"):
-    return RunReport(
-        description=description,
-        failures=5,
-        detected=5,
-        reported=4,
-        repaired=3,
-        mean_travel_distance=82.5,
-        mean_repair_latency=130.25,
-        mean_report_hops=2.4,
-        mean_request_hops=float("nan"),
-        update_transmissions_per_failure=101.5,
-        report_delivery_ratio=1.0,
-        total_robot_distance=412.0,
-        transmissions_by_category={"beacon": 100},
-        routing_snapshot={},
-    )
+#: A thread-executor queue with the fast retry policy.
+supervised = functools.partial(thread_queue, policy=FAST)
 
 
 class CrashFirstRunner:
@@ -78,23 +62,6 @@ class CrashFirstRunner:
         if call <= self.crashes:
             raise self.error_type(f"injected failure #{call}")
         return make_report(config.describe()), 0.5, "pid-test"
-
-
-def supervised(tmp_path, runner, policy=FAST, store=None, workers=2):
-    """A SupervisedQueue over a thread executor; monitor disabled."""
-    pool = SupervisedPool(
-        workers=workers,
-        runner=runner,
-        executor_factory=lambda: concurrent.futures.ThreadPoolExecutor(
-            workers
-        ),
-    )
-    return SupervisedQueue(
-        store if store is not None else RunStore(tmp_path),
-        policy=policy,
-        pool=pool,
-        monitor_interval_s=None,
-    )
 
 
 class TestRetryPolicy:
@@ -126,16 +93,22 @@ class TestRetryPolicy:
         assert jittered != other_seed
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(job_timeout_s=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(queue_depth=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
+        nan = float("nan")
+        for bad in (
+            {"max_retries": -1},
+            {"jitter": 1.5},
+            {"job_timeout_s": 0.0},
+            {"queue_depth": 0},
+            {"backoff_factor": 0.5},
+            # NaN compares False both ways; each must still be rejected
+            {"backoff_base_s": nan},
+            {"backoff_max_s": nan},
+            {"backoff_factor": nan},
+            {"job_timeout_s": nan},
+            {"lease_grace_s": nan},
+        ):
+            with pytest.raises(ValueError):
+                RetryPolicy(**bad)
 
     def test_json_dict_round_trips_knobs(self):
         knobs = RetryPolicy(max_retries=5, seed=3).to_json_dict()
@@ -500,10 +473,10 @@ class TestPoolSupervision:
             return concurrent.futures.ThreadPoolExecutor(2)
 
         runner = CrashFirstRunner(crashes=0)
-        pool = SupervisedPool(
+        pool = WorkerPool(
             workers=2, runner=runner, executor_factory=factory
         )
-        queue = SupervisedQueue(
+        queue = JobQueue(
             RunStore(tmp_path),
             policy=FAST,
             pool=pool,
@@ -524,7 +497,7 @@ class TestPoolSupervision:
         exactly one teardown: the losers must not SIGKILL the fresh
         executor the winner just built (and dispatched to)."""
         runner = CrashFirstRunner(crashes=0)
-        pool = SupervisedPool(
+        pool = WorkerPool(
             workers=1,
             runner=runner,
             executor_factory=lambda: (
@@ -551,10 +524,10 @@ class TestPoolSupervision:
             raise RuntimeError("no processes for you")
 
         runner = CrashFirstRunner(crashes=0)
-        pool = SupervisedPool(
+        pool = WorkerPool(
             workers=1, runner=runner, executor_factory=dead_factory
         )
-        queue = SupervisedQueue(
+        queue = JobQueue(
             RunStore(tmp_path),
             policy=FAST,
             pool=pool,
@@ -581,10 +554,10 @@ class TestPoolSupervision:
             return concurrent.futures.ThreadPoolExecutor(1)
 
         runner = CrashFirstRunner(crashes=0)
-        pool = SupervisedPool(
+        pool = WorkerPool(
             workers=1, runner=runner, executor_factory=flaky_factory
         )
-        queue = SupervisedQueue(
+        queue = JobQueue(
             RunStore(tmp_path),
             policy=RetryPolicy(max_retries=0),
             pool=pool,
@@ -780,8 +753,6 @@ class TestShutdown:
         runner = CrashFirstRunner(crashes=0)
         queue = supervised(tmp_path, runner)
         queue.shutdown()
-        from repro.service.queue import ServiceUnavailable
-
         with pytest.raises(ServiceUnavailable):
             queue.submit(CONFIG)
 
