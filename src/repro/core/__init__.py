@@ -3,40 +3,19 @@
 Sensors guard each other and report failures; a small set of mobile
 robots replaces failed nodes, coordinated by one of three algorithms
 (centralized, fixed distributed, dynamic distributed — paper §3).
+Strategies, messages and repair tasks are imported from their
+submodules.
 """
 
-from repro.core.coordination import (
-    CentralizedStrategy,
-    CoordinationStrategy,
-    DynamicStrategy,
-    FixedStrategy,
-    strategy_for,
-)
 from repro.core.manager import CentralManagerNode
-from repro.core.messages import (
-    FailureNotice,
-    FloodMessage,
-    GuardianConfirm,
-    ReplacementRequest,
-)
-from repro.core.robot import RepairTask, RobotNode
+from repro.core.robot import RobotNode
 from repro.core.runtime import ScenarioRuntime, run_scenario
 from repro.core.sensor import SensorNode
 
 __all__ = [
     "CentralManagerNode",
-    "CentralizedStrategy",
-    "CoordinationStrategy",
-    "DynamicStrategy",
-    "FailureNotice",
-    "FixedStrategy",
-    "FloodMessage",
-    "GuardianConfirm",
-    "RepairTask",
-    "ReplacementRequest",
     "RobotNode",
     "ScenarioRuntime",
     "SensorNode",
     "run_scenario",
-    "strategy_for",
 ]

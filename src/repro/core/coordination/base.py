@@ -68,7 +68,9 @@ class CoordinationStrategy(abc.ABC):
         neighbour (the paper's new-node bootstrap: neighbours respond
         with beacons carrying their state); subclasses refine.
         """
-        donor = self._nearest_sensor_neighbor(sensor)
+        donor = self.runtime.nearest_live_sensor(
+            sensor.position, exclude=sensor.node_id
+        )
         if donor is not None:
             sensor.known_robots.update(donor.known_robots)
             sensor.manager_id = donor.manager_id
@@ -130,27 +132,3 @@ class CoordinationStrategy(abc.ABC):
 
     def on_robot_recovered(self, robot: "RobotNode") -> None:
         """A previously failed robot is back in service."""
-
-    # ------------------------------------------------------------------
-    # Shared helpers
-    # ------------------------------------------------------------------
-    def _nearest_sensor_neighbor(
-        self, sensor: "SensorNode"
-    ) -> typing.Optional["SensorNode"]:
-        """The nearest live sensor in radio contact with *sensor*."""
-        from repro.core.sensor import SensorNode as _SensorNode
-
-        best: typing.Optional[_SensorNode] = None
-        best_d2 = float("inf")
-        for node in self.runtime.channel.nodes_within(
-            sensor.position,
-            sensor.radio.range_m,
-            exclude=sensor.node_id,
-        ):
-            if not isinstance(node, _SensorNode):
-                continue
-            d2 = sensor.position.squared_distance_to(node.position)
-            if d2 < best_d2:
-                best = node
-                best_d2 = d2
-        return best

@@ -68,7 +68,7 @@ class CentralizedStrategy(CoordinationStrategy):
         for robot in self.runtime.robots_sorted():
             robot.manager_id = manager.node_id
             robot.manager_position = manager.position
-            manager.register_robot(robot.node_id, robot.position)
+            manager.desk.register_robot(robot.node_id, robot.position)
             robot.send_routed(
                 manager.node_id,
                 manager.position,

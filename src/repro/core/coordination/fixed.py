@@ -19,7 +19,7 @@ from repro.geometry.partition import (
     SquarePartition,
     StaggeredPartition,
 )
-from repro.geometry.point import Point
+from repro.geometry.point import Point, nearest
 from repro.net.frames import Category, NodeId
 from repro.net.neighbors import NeighborEntry
 from repro.deploy.scenario import PartitionStyle
@@ -91,7 +91,9 @@ class FixedStrategy(CoordinationStrategy):
         """A replacement sensor inherits the subarea assignment and the
         donor's view of the subarea robot's position."""
         self._assign_sensor(sensor)
-        donor = self._nearest_sensor_neighbor(sensor)
+        donor = self.runtime.nearest_live_sensor(
+            sensor.position, exclude=sensor.node_id
+        )
         if donor is not None and sensor.myrobot_id is not None:
             known = donor.known_robots.get(sensor.myrobot_id)
             if known is not None:
@@ -196,30 +198,18 @@ class FixedStrategy(CoordinationStrategy):
             for index, owner in self.robot_of_subarea.items()
             if owner == robot_id
         )
+        last = service.last_position if service is not None else {}
         live = [
-            robot
+            (robot.node_id, last.get(robot.node_id, robot.position))
             for robot in self.runtime.robots_sorted()
             if robot.alive and robot.node_id != robot_id
         ]
         if not live or not dead_subareas:
             return
-
-        def last_position(robot: "RobotNode") -> Point:
-            if service is not None:
-                known = service.last_position.get(robot.node_id)
-                if known is not None:
-                    return known
-            return robot.position
-
         for index in dead_subareas:
-            center = self.partition.center_of(index)
-            new_owner = min(
-                live,
-                key=lambda robot: (
-                    center.squared_distance_to(last_position(robot)),
-                    robot.node_id,
-                ),
-            )
+            choice = nearest(self.partition.center_of(index), live)
+            assert choice is not None
+            new_owner = self.runtime.robots[choice[0]]
             self.robot_of_subarea[index] = new_owner.node_id
             for sensor in self.runtime.sensors_sorted():
                 if sensor.subarea == index:

@@ -29,7 +29,7 @@ from repro.core.messages import (
     ReplacementRequest,
 )
 from repro.deploy.scenario import DispatchPolicy
-from repro.geometry.point import Point
+from repro.geometry.point import Point, nearest
 from repro.net.frames import Category, NodeId
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -78,65 +78,35 @@ class DispatchDesk:
         self.robot_registry[robot_id] = position
         self._dead.discard(robot_id)
 
-    def closest_robot_to(
-        self,
-        position: Point,
-        exclude: typing.Container[NodeId] = (),
-    ) -> typing.Optional[typing.Tuple[NodeId, Point]]:
-        """The registered robot nearest to *position* (ties by id)."""
-        best: typing.Optional[typing.Tuple[NodeId, Point]] = None
-        best_d2 = float("inf")
-        for robot_id in sorted(self.robot_registry):
-            if robot_id in exclude or robot_id in self._dead:
-                continue
-            robot_position = self.robot_registry[robot_id]
-            d2 = position.squared_distance_to(robot_position)
-            if d2 < best_d2:
-                best = (robot_id, robot_position)
-                best_d2 = d2
-        return best
-
     def select_robot_for(
         self,
         position: Point,
         exclude: typing.Container[NodeId] = (),
     ) -> typing.Optional[typing.Tuple[NodeId, Point]]:
-        """Pick the maintainer per the configured dispatch policy."""
-        policy = self.runtime.config.dispatch_policy
-        candidates = {
-            robot_id: robot_position
+        """Pick the maintainer per the configured dispatch policy.
+
+        Every policy narrows one candidate list (the registered robots
+        neither excluded nor dead) and takes the :func:`nearest` of what
+        is left: ``CLOSEST_IDLE`` keeps the idle robots if there are
+        any, ``LEAST_LOADED`` the robots with the fewest outstanding
+        jobs.
+        """
+        candidates = [
+            (robot_id, robot_position)
             for robot_id, robot_position in self.robot_registry.items()
             if robot_id not in exclude and robot_id not in self._dead
-        }
-        if policy == DispatchPolicy.CLOSEST or not candidates:
-            return self.closest_robot_to(position, exclude=exclude)
-
-        def load_of(robot_id: NodeId) -> int:
-            return self.outstanding.get(robot_id, 0)
-
+        ]
+        policy = self.runtime.config.dispatch_policy
+        load = self.outstanding
         if policy == DispatchPolicy.CLOSEST_IDLE:
-            idle = {
-                robot_id: robot_position
-                for robot_id, robot_position in candidates.items()
-                if load_of(robot_id) == 0
-            }
-            if idle:
-                best = min(
-                    sorted(idle),
-                    key=lambda rid: position.squared_distance_to(idle[rid]),
-                )
-                return (best, idle[best])
-            return self.closest_robot_to(position, exclude=exclude)
-
-        # LEAST_LOADED: minimise queue depth, break ties by distance.
-        best_id = min(
-            sorted(candidates),
-            key=lambda rid: (
-                load_of(rid),
-                position.squared_distance_to(candidates[rid]),
-            ),
-        )
-        return (best_id, candidates[best_id])
+            idle = [pair for pair in candidates if load.get(pair[0], 0) == 0]
+            candidates = idle or candidates
+        elif policy == DispatchPolicy.LEAST_LOADED and candidates:
+            least = min(load.get(robot_id, 0) for robot_id, _ in candidates)
+            candidates = [
+                pair for pair in candidates if load.get(pair[0], 0) == least
+            ]
+        return nearest(position, candidates)
 
     # ------------------------------------------------------------------
     # Report intake & dispatch

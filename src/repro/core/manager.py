@@ -5,7 +5,7 @@ not move and is located at the center of the area to balance failure
 reports from all directions").  The actual dispatch bookkeeping lives in
 :class:`repro.core.dispatch.DispatchDesk` so that a maintenance robot
 promoted to acting manager (resilience extension) runs the identical
-logic; this node delegates to its desk.
+logic; this node only hosts a desk and routes packets to it.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from repro.core.messages import (
     HeartbeatAck,
     ProbeReply,
 )
-from repro.geometry.point import Point
-from repro.net.frames import Category, NodeAnnouncement, NodeId, Packet
+from repro.net.frames import Category, NodeAnnouncement, Packet
 from repro.net.node import NetworkNode
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -45,35 +44,6 @@ class CentralManagerNode(NetworkNode):
         #: Announcement sequence; 0 is the setup flood, restarts advance.
         self._flood_seq = 0
 
-    # ------------------------------------------------------------------
-    # Registry (delegated to the desk; tests and strategies use these)
-    # ------------------------------------------------------------------
-    @property
-    def robot_registry(self) -> typing.Dict[NodeId, Point]:
-        """Last known location of every maintenance robot."""
-        return self.desk.robot_registry
-
-    @property
-    def outstanding(self) -> typing.Dict[NodeId, int]:
-        """Jobs dispatched but not yet reported complete, per robot."""
-        return self.desk.outstanding
-
-    def register_robot(self, robot_id: NodeId, position: Point) -> None:
-        """Record (or refresh) a robot's location."""
-        self.desk.register_robot(robot_id, position)
-
-    def closest_robot_to(
-        self, position: Point
-    ) -> typing.Optional[typing.Tuple[NodeId, Point]]:
-        """The registered robot nearest to *position* (ties by id)."""
-        return self.desk.closest_robot_to(position)
-
-    def select_robot_for(
-        self, position: Point
-    ) -> typing.Optional[typing.Tuple[NodeId, Point]]:
-        """Pick the maintainer per the configured dispatch policy."""
-        return self.desk.select_robot_for(position)
-
     def next_flood_seq(self) -> int:
         """Advance and return the announcement sequence number."""
         self._flood_seq += 1
@@ -93,7 +63,7 @@ class CentralManagerNode(NetworkNode):
         elif isinstance(payload, NodeAnnouncement):
             # A robot's routed location update (or initial registration).
             if payload.kind == "robot":
-                self.register_robot(payload.node_id, payload.position)
+                self.desk.register_robot(payload.node_id, payload.position)
         elif isinstance(payload, Heartbeat):
             self._handle_heartbeat(payload)
         elif isinstance(payload, BacklogOffer):
@@ -110,7 +80,7 @@ class CentralManagerNode(NetworkNode):
         service = self.runtime.resilience
         if service is None:
             return
-        self.register_robot(heartbeat.robot_id, heartbeat.position)
+        self.desk.register_robot(heartbeat.robot_id, heartbeat.position)
         service.note_heartbeat(self, heartbeat)
         self.send_routed(
             heartbeat.robot_id,

@@ -45,7 +45,7 @@ from repro.faults.network import NetworkFaultService
 from repro.faults.recovery import ResilienceService
 from repro.faults.script import FaultKind
 from repro.geometry.kernels import distances_to_point
-from repro.geometry.point import Point
+from repro.geometry.point import Point, nearest
 from repro.metrics.collector import MetricsCollector, RunReport
 from repro.net.beacon import BeaconService
 from repro.net.channel import Channel
@@ -363,7 +363,7 @@ class ScenarioRuntime:
             # The guardian died too (the paper assumes this is rare but
             # we still handle it): the nearest live sensor notices after
             # one more beacon period.
-            fallback = self._nearest_live_sensor(position, exclude=failed_id)
+            fallback = self.nearest_live_sensor(position, exclude=failed_id)
             if fallback is not None:
                 self.sim.call_in(
                     self.config.beacon_period_s,
@@ -380,21 +380,22 @@ class ScenarioRuntime:
                 guardee.neighbor_table.remove(failed_id)
                 guardee.select_guardian(exclude=(failed_id,))
 
-    def _nearest_live_sensor(
-        self, position: Point, exclude: NodeId
+    def nearest_live_sensor(
+        self, position: Point, exclude: NodeId = ""
     ) -> typing.Optional[SensorNode]:
-        best: typing.Optional[SensorNode] = None
-        best_d2 = float("inf")
-        for node in self.channel.nodes_within(
-            position, sensor_radio().range_m, exclude=exclude
-        ):
-            if not isinstance(node, SensorNode):
-                continue
-            d2 = position.squared_distance_to(node.position)
-            if d2 < best_d2:
-                best = node
-                best_d2 = d2
-        return best
+        """The live sensor nearest to *position* within sensor radio
+        range of it, other than *exclude* (ties to the smaller id)."""
+        choice = nearest(
+            position,
+            [
+                (node.node_id, node.position)
+                for node in self.channel.nodes_within(
+                    position, sensor_radio().range_m, exclude=exclude
+                )
+                if isinstance(node, SensorNode)
+            ],
+        )
+        return None if choice is None else self.sensors[choice[0]]
 
     def note_guardian(
         self, guardee_id: NodeId, guardian_id: typing.Optional[NodeId]
@@ -703,12 +704,6 @@ class ScenarioRuntime:
             self.tracer.emit(
                 "orphaned", time=now, failed=failed_id, reason=reason
             )
-
-    def nearest_live_sensor(
-        self, position: Point, exclude: NodeId = ""
-    ) -> typing.Optional[SensorNode]:
-        """Public accessor for the nearest live sensor to *position*."""
-        return self._nearest_live_sensor(position, exclude=exclude)
 
     # ------------------------------------------------------------------
     # Efficient broadcast (extension; paper future work)

@@ -28,7 +28,7 @@ from repro.core.messages import (
     SuspicionQuery,
     SuspicionVote,
 )
-from repro.geometry.point import Point
+from repro.geometry.point import Point, nearest
 from repro.net.frames import Category, NodeAnnouncement, NodeId, Packet
 from repro.net.node import NetworkNode
 
@@ -186,30 +186,27 @@ class SensorNode(NetworkNode):
         guardian id, or None when no neighbour qualifies (the runtime's
         detection fallback still covers such orphans).
         """
-        candidates = [
-            entry
-            for entry in self.neighbor_table.of_kind("sensor")
-            if entry.node_id not in exclude
-            and self.runtime.coordination.guardian_allowed(self, entry)
-        ]
-        best = None
-        best_d2 = float("inf")
-        for entry in candidates:
-            d2 = self.position.squared_distance_to(entry.position)
-            if d2 < best_d2:
-                best = entry
-                best_d2 = d2
-        if best is None:
+        choice = nearest(
+            self.position,
+            [
+                (entry.node_id, entry.position)
+                for entry in self.neighbor_table.of_kind("sensor")
+                if entry.node_id not in exclude
+                and self.runtime.coordination.guardian_allowed(self, entry)
+            ],
+        )
+        if choice is None:
             self.guardian_id = None
             self.runtime.note_guardian(self.node_id, None)
             return None
-        self.guardian_id = best.node_id
-        self._last_beacon.setdefault(best.node_id, self.sim.now)
-        self.runtime.note_guardian(self.node_id, best.node_id)
+        guardian_id, guardian_position = choice
+        self.guardian_id = guardian_id
+        self._last_beacon.setdefault(guardian_id, self.sim.now)
+        self.runtime.note_guardian(self.node_id, guardian_id)
         if send_confirm:
             self.send_routed(
-                best.node_id,
-                best.position,
+                guardian_id,
+                guardian_position,
                 Category.GUARDIAN_CONTROL,
                 GuardianConfirm(
                     guardee_id=self.node_id,
@@ -217,7 +214,7 @@ class SensorNode(NetworkNode):
                     reselection=bool(exclude),
                 ),
             )
-        return best.node_id
+        return guardian_id
 
     # ------------------------------------------------------------------
     # Failure detection & reporting
@@ -607,10 +604,3 @@ class SensorNode(NetworkNode):
         if known is None:
             return None
         return known
-
-    def distance_to_robot(self, robot_id: NodeId) -> float:
-        """Distance to a robot's last known position (inf if unknown)."""
-        known = self.known_robots.get(robot_id)
-        if known is None:
-            return float("inf")
-        return self.position.distance_to(known[0])

@@ -56,7 +56,7 @@ from repro.core.messages import (
 )
 from repro.faults.script import FaultKind
 from repro.geometry.detour import plan_route
-from repro.geometry.point import Point
+from repro.geometry.point import Point, by_distance
 from repro.net.frames import Category, NodeId
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -409,27 +409,21 @@ class CoopRepairService:
         positions when resilience runs, else the fleet roster the
         robots learned at deployment (live positions stand in for the
         location floods peers have been relaying)."""
-        entries: typing.List[typing.Tuple[NodeId, Point]] = []
         service = self.runtime.resilience
         if service is not None and service.last_position:
-            for robot_id in sorted(service.last_position):
-                if robot_id == robot.node_id:
-                    continue
-                if robot_id in service.declared_dead:
-                    continue
-                entries.append((robot_id, service.last_position[robot_id]))
+            entries = [
+                (robot_id, known)
+                for robot_id, known in service.last_position.items()
+                if robot_id != robot.node_id
+                and robot_id not in service.declared_dead
+            ]
         else:
-            for peer in self.runtime.robots_sorted():
-                if peer.node_id == robot.node_id or not peer.alive:
-                    continue
-                entries.append((peer.node_id, peer.position))
-        entries.sort(
-            key=lambda entry: (
-                position.squared_distance_to(entry[1]),
-                entry[0],
-            )
-        )
-        return entries[:_MAX_CANDIDATES]
+            entries = [
+                (peer.node_id, peer.position)
+                for peer in self.runtime.robots_sorted()
+                if peer.node_id != robot.node_id and peer.alive
+            ]
+        return by_distance(position, entries)[:_MAX_CANDIDATES]
 
     # ------------------------------------------------------------------
     # Desk side
@@ -444,7 +438,7 @@ class CoopRepairService:
             return
         origin_load = desk.outstanding.get(offer.origin_id, 0)
         candidates: typing.List[typing.Tuple[NodeId, Point]] = []
-        for robot_id in sorted(desk.robot_registry):
+        for robot_id, robot_position in desk.robot_registry.items():
             if robot_id == offer.origin_id or desk.is_dead(robot_id):
                 continue
             load = desk.outstanding.get(robot_id, 0)
@@ -455,14 +449,10 @@ class CoopRepairService:
                     continue
             elif load > self.config.coop_backlog_threshold:
                 continue
-            candidates.append((robot_id, desk.robot_registry[robot_id]))
-        candidates.sort(
-            key=lambda entry: (
-                offer.failed_position.squared_distance_to(entry[1]),
-                entry[0],
-            )
-        )
-        candidates = candidates[:_MAX_CANDIDATES]
+            candidates.append((robot_id, robot_position))
+        candidates = by_distance(offer.failed_position, candidates)[
+            :_MAX_CANDIDATES
+        ]
         if not candidates:
             return
         auction = _Auction(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import typing
 
 from repro.core.messages import Heartbeat
-from repro.geometry.point import Point
+from repro.geometry.point import Point, nearest
 from repro.net.frames import Category, NodeId
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -278,22 +278,18 @@ class ResilienceService:
             if manager is not None
             else self.config.bounds.center
         )
-        candidates = [
-            robot
-            for robot in self.runtime.robots_sorted()
-            if robot.alive and robot.node_id not in self.declared_dead
-        ]
-        if not candidates:
-            return
-        chosen = min(
-            candidates,
-            key=lambda robot: (
-                post.squared_distance_to(
-                    self.last_position.get(robot.node_id, robot.position)
-                ),
-                robot.node_id,
-            ),
+        last = self.last_position
+        choice = nearest(
+            post,
+            [
+                (robot.node_id, last.get(robot.node_id, robot.position))
+                for robot in self.runtime.robots_sorted()
+                if robot.alive and robot.node_id not in self.declared_dead
+            ],
         )
+        if choice is None:
+            return
+        chosen = self.runtime.robots[choice[0]]
         self.manager_epoch += 1
         self._epoch_start = now
         if manager is not None and not manager.alive:

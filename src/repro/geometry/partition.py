@@ -15,6 +15,7 @@ import typing
 
 from repro.geometry.point import Point
 from repro.geometry.polygon import Rect
+from repro.geometry.voronoi import closest_site_index
 
 __all__ = ["Partition", "SquarePartition", "StaggeredPartition"]
 
@@ -132,15 +133,7 @@ class StaggeredPartition(Partition):
         return self.bounds.clamp(Point(x, y))
 
     def index_of(self, point: Point) -> int:
-        clamped = self.bounds.clamp(point)
-        best_index = 0
-        best_d2 = clamped.squared_distance_to(self._centers[0])
-        for index in range(1, self.count):
-            d2 = clamped.squared_distance_to(self._centers[index])
-            if d2 < best_d2:
-                best_d2 = d2
-                best_index = index
-        return best_index
+        return closest_site_index(self.bounds.clamp(point), self._centers)
 
     def center_of(self, index: int) -> Point:
         self._check_index(index)

@@ -11,7 +11,7 @@ import dataclasses
 import math
 import typing
 
-__all__ = ["Point", "midpoint", "centroid_of"]
+__all__ = ["Point", "by_distance", "centroid_of", "midpoint", "nearest"]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -142,3 +142,29 @@ def centroid_of(points: typing.Sequence[Point]) -> Point:
     sx = sum(p.x for p in points)
     sy = sum(p.y for p in points)
     return Point(sx / len(points), sy / len(points))
+
+
+def nearest(
+    point: Point, candidates: typing.Iterable[typing.Tuple[str, Point]]
+) -> typing.Optional[typing.Tuple[str, Point]]:
+    """The ``(id, position)`` candidate nearest to *point*, or None.
+
+    Distances compare squared (:meth:`Point.squared_distance_to`) and an
+    exact tie goes to the smaller id, so the choice does not depend on
+    the order of *candidates*.
+    """
+    return min(
+        candidates,
+        key=lambda pair: (point.squared_distance_to(pair[1]), pair[0]),
+        default=None,
+    )
+
+
+def by_distance(
+    point: Point, candidates: typing.Iterable[typing.Tuple[str, Point]]
+) -> typing.List[typing.Tuple[str, Point]]:
+    """*candidates* sorted nearest first, by the :func:`nearest` rule."""
+    return sorted(
+        candidates,
+        key=lambda pair: (point.squared_distance_to(pair[1]), pair[0]),
+    )

@@ -108,41 +108,5 @@ class NeighborTable:
         """Entries whose ``kind`` matches, id-sorted."""
         return [e for e in self.entries() if e.kind == kind]
 
-    def nearest_to(
-        self,
-        point: Point,
-        exclude: typing.Container[NodeId] = (),
-        kind: typing.Optional[str] = None,
-    ) -> typing.Optional[NeighborEntry]:
-        """The neighbour closest to *point*, or None.
-
-        Ties break towards the smaller id, keeping runs deterministic.
-        """
-        best: typing.Optional[NeighborEntry] = None
-        best_d2 = float("inf")
-        for entry in self.entries():
-            if entry.node_id in exclude:
-                continue
-            if kind is not None and entry.kind != kind:
-                continue
-            d2 = point.squared_distance_to(entry.position)
-            if d2 < best_d2:
-                best = entry
-                best_d2 = d2
-        return best
-
-    def closer_to_than(
-        self, destination: Point, reference_distance: float
-    ) -> typing.List[NeighborEntry]:
-        """Neighbours strictly closer to *destination* than the reference.
-
-        The greedy-forwarding candidate set.
-        """
-        return [
-            entry
-            for entry in self.entries()
-            if entry.position.distance_to(destination) < reference_distance
-        ]
-
     def __repr__(self) -> str:
         return f"<NeighborTable {len(self._entries)} entries>"

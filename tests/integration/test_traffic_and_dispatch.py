@@ -110,10 +110,10 @@ class TestDispatchPolicies:
 
     def test_outstanding_counters_drain(self):
         runtime, _report = self.run_policy(DispatchPolicy.CLOSEST_IDLE)
-        manager = runtime.manager
+        desk = runtime.manager.desk
         # After the horizon the robots are (essentially) done; no robot
         # should hold a large phantom backlog.
-        assert all(count <= 2 for count in manager.outstanding.values())
+        assert all(count <= 2 for count in desk.outstanding.values())
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from repro.geometry.kernels import (
     nearest_site_indices,
     segment_distances_to_points,
 )
+from repro.geometry.point import by_distance, nearest
 from repro.sim.rng import RandomStreams
 
 coords = st.floats(
@@ -260,3 +261,36 @@ class TestRobotKnowledgeClosest:
             assert knowledge.closest(px, py) == _scalar_closest(
                 table, px, py, None
             )
+
+
+class TestNearestRule:
+    @given(
+        st.dictionaries(
+            robot_ids,
+            st.tuples(tie_coords, tie_coords, st.integers(0, 99)),
+            max_size=8,
+        ),
+        tie_coords,
+        tie_coords,
+        st.data(),
+    )
+    def test_nearest_and_by_distance_match_scalar_reference(
+        self, table, px, py, data
+    ):
+        # The shared (d2, id) rule picks what the scalar dict loop picks,
+        # ties included, whatever order the candidates come in.
+        first = _scalar_closest(table, px, py, None)
+        second = (
+            None
+            if first is None
+            else _scalar_closest(table, px, py, first[0])
+        )
+        expected = [pair for pair in (first, second) if pair is not None]
+        pairs = [
+            (robot_id, Point(x, y)) for robot_id, (x, y, _) in table.items()
+        ]
+        shuffled = data.draw(st.permutations(pairs))
+        point = Point(px, py)
+        for candidates in (pairs, shuffled):
+            assert nearest(point, candidates) == first
+            assert by_distance(point, candidates)[:2] == expected

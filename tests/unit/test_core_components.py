@@ -77,7 +77,7 @@ class TestInitialization:
 
     def test_manager_registry_complete(self):
         runtime = tiny_runtime()
-        assert set(runtime.manager.robot_registry) == set(runtime.robots)
+        assert set(runtime.manager.desk.robot_registry) == set(runtime.robots)
 
     def test_manager_sits_at_field_center(self):
         runtime = tiny_runtime()
@@ -354,7 +354,7 @@ class TestCentralManager:
             dest_location=manager.position,
         )
         manager.on_packet_delivered(packet)
-        assert manager.robot_registry[robot.node_id] == Point(123.0, 45.0)
+        assert manager.desk.robot_registry[robot.node_id] == Point(123.0, 45.0)
 
     def test_duplicate_reports_dispatch_once(self):
         runtime = tiny_runtime()
@@ -384,3 +384,50 @@ class TestCentralManager:
             Category.REPAIR_REQUEST, 0
         )
         assert after - before == 1
+
+
+class TestNearestLiveSensor:
+    @staticmethod
+    def brute_force(runtime, position, exclude=""):
+        in_range = [
+            sensor
+            for sensor in runtime.sensors_sorted()
+            if sensor.node_id != exclude
+            and sensor.position.distance_to(position)
+            <= sensor.radio.range_m
+        ]
+        return min(
+            in_range,
+            key=lambda s: (
+                s.position.squared_distance_to(position), s.node_id
+            ),
+        )
+
+    def test_skips_robots_and_the_manager(self):
+        runtime = tiny_runtime()
+        probes = [runtime.manager.position] + [
+            robot.position for robot in runtime.robots_sorted()
+        ]
+        for probe in probes:
+            found = runtime.nearest_live_sensor(probe)
+            assert found is self.brute_force(runtime, probe), probe
+
+    def test_honours_exclude(self):
+        runtime = tiny_runtime()
+        probe = runtime.manager.position
+        first = runtime.nearest_live_sensor(probe)
+        second = runtime.nearest_live_sensor(probe, exclude=first.node_id)
+        assert second is not first
+        assert second is self.brute_force(runtime, probe, first.node_id)
+
+    def test_exact_tie_goes_to_smaller_id(self):
+        runtime = tiny_runtime()
+        probe = runtime.manager.position
+        # Two new sensors 5 m from the probe (a 3-4-5 triangle each
+        # way), nearer than any grid sensor; the larger id is placed
+        # first so insertion order cannot decide.
+        runtime._create_sensor("sensor-t2", probe + Point(3.0, 4.0))
+        runtime._create_sensor("sensor-t1", probe - Point(3.0, 4.0))
+        assert runtime.nearest_live_sensor(probe).node_id == "sensor-t1"
+        found = runtime.nearest_live_sensor(probe, exclude="sensor-t1")
+        assert found.node_id == "sensor-t2"

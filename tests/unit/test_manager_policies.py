@@ -1,7 +1,5 @@
 """Unit tests for central-manager dispatch policy selection."""
 
-import pytest
-
 from repro import Algorithm, DispatchPolicy, paper_scenario
 from repro.core import ScenarioRuntime
 from repro.geometry import Point
@@ -28,64 +26,75 @@ def manager_with(policy):
         "robot-03": Point(300, 300),
     }
     for robot_id, position in positions.items():
-        manager.register_robot(robot_id, position)
+        manager.desk.register_robot(robot_id, position)
     return runtime, manager
 
 
 class TestClosestPolicy:
     def test_picks_geometrically_closest(self):
         _runtime, manager = manager_with(DispatchPolicy.CLOSEST)
-        choice = manager.select_robot_for(Point(110, 110))
+        choice = manager.desk.select_robot_for(Point(110, 110))
         assert choice[0] == "robot-00"
 
     def test_ignores_load(self):
         _runtime, manager = manager_with(DispatchPolicy.CLOSEST)
-        manager.outstanding["robot-00"] = 10
-        choice = manager.select_robot_for(Point(110, 110))
+        manager.desk.outstanding["robot-00"] = 10
+        choice = manager.desk.select_robot_for(Point(110, 110))
         assert choice[0] == "robot-00"
 
     def test_tie_breaks_by_id(self):
         _runtime, manager = manager_with(DispatchPolicy.CLOSEST)
-        choice = manager.select_robot_for(Point(200, 100))
+        choice = manager.desk.select_robot_for(Point(200, 100))
         assert choice[0] == "robot-00"  # equidistant from 00 and 01
 
 
 class TestClosestIdlePolicy:
     def test_prefers_idle_over_closer_busy(self):
         _runtime, manager = manager_with(DispatchPolicy.CLOSEST_IDLE)
-        manager.outstanding["robot-00"] = 1
-        choice = manager.select_robot_for(Point(110, 110))
-        # robot-00 is closest but busy; the nearest idle robot wins.
-        assert choice[0] in ("robot-01", "robot-02")
+        manager.desk.outstanding["robot-00"] = 1
+        choice = manager.desk.select_robot_for(Point(110, 110))
+        # robot-00 is closest but busy; the idle robots 01 and 02 are
+        # equidistant, and the smaller id wins.
+        assert choice[0] == "robot-01"
 
     def test_falls_back_to_closest_when_all_busy(self):
         _runtime, manager = manager_with(DispatchPolicy.CLOSEST_IDLE)
-        for robot_id in list(manager.robot_registry):
-            manager.outstanding[robot_id] = 2
-        choice = manager.select_robot_for(Point(110, 110))
+        for robot_id in list(manager.desk.robot_registry):
+            manager.desk.outstanding[robot_id] = 2
+        choice = manager.desk.select_robot_for(Point(110, 110))
         assert choice[0] == "robot-00"
 
     def test_all_idle_behaves_like_closest(self):
         _runtime, manager = manager_with(DispatchPolicy.CLOSEST_IDLE)
-        choice = manager.select_robot_for(Point(290, 290))
-        assert choice[0] == "robot-03"
+        for probe, expected in [
+            (Point(290, 290), "robot-03"),
+            # Equidistant from the idle robots 00 and 01: smaller id.
+            (Point(200, 100), "robot-00"),
+        ]:
+            choice = manager.desk.select_robot_for(probe)
+            assert choice[0] == expected, probe
 
 
 class TestLeastLoadedPolicy:
     def test_minimises_outstanding(self):
         _runtime, manager = manager_with(DispatchPolicy.LEAST_LOADED)
-        manager.outstanding.update(
+        manager.desk.outstanding.update(
             {"robot-00": 3, "robot-01": 1, "robot-02": 0, "robot-03": 2}
         )
-        choice = manager.select_robot_for(Point(110, 110))
+        choice = manager.desk.select_robot_for(Point(110, 110))
         assert choice[0] == "robot-02"
 
     def test_ties_break_by_distance(self):
         _runtime, manager = manager_with(DispatchPolicy.LEAST_LOADED)
-        manager.outstanding.update({"robot-00": 1, "robot-01": 1})
-        # 02 and 03 both idle; 03 is closer to the probe.
-        choice = manager.select_robot_for(Point(290, 290))
-        assert choice[0] == "robot-03"
+        manager.desk.outstanding.update({"robot-00": 1, "robot-01": 1})
+        for probe, expected in [
+            # 02 and 03 both idle; 03 is closer to the probe.
+            (Point(290, 290), "robot-03"),
+            # Equal load and equidistant from 02 and 03: smaller id.
+            (Point(200, 300), "robot-02"),
+        ]:
+            choice = manager.desk.select_robot_for(probe)
+            assert choice[0] == expected, probe
 
 
 class TestCompletionAccounting:
@@ -109,7 +118,7 @@ class TestCompletionAccounting:
                 dest_location=manager.position,
             )
         )
-        assert manager.outstanding["robot-00"] == 1
+        assert manager.desk.outstanding["robot-00"] == 1
         manager.on_packet_delivered(
             Packet(
                 source="robot-00",
@@ -123,7 +132,7 @@ class TestCompletionAccounting:
                 dest_location=manager.position,
             )
         )
-        assert manager.outstanding["robot-00"] == 0
+        assert manager.desk.outstanding["robot-00"] == 0
 
     def test_completion_never_goes_negative(self):
         _runtime, manager = manager_with(DispatchPolicy.CLOSEST_IDLE)
@@ -143,4 +152,4 @@ class TestCompletionAccounting:
                 dest_location=manager.position,
             )
         )
-        assert manager.outstanding["robot-00"] == 0
+        assert manager.desk.outstanding["robot-00"] == 0

@@ -61,23 +61,6 @@ class TestNeighborTable:
         table = self.make()
         assert [e.node_id for e in table.of_kind("robot")] == ["r"]
 
-    def test_nearest_to_with_exclusion_and_kind(self):
-        table = self.make()
-        nearest = table.nearest_to(Point(0, 1))
-        assert nearest.node_id == "a"
-        nearest = table.nearest_to(Point(0, 1), exclude={"a"})
-        assert nearest.node_id == "r"
-        nearest = table.nearest_to(Point(0, 1), kind="sensor", exclude={"a"})
-        assert nearest.node_id == "b"
-
-    def test_nearest_to_empty(self):
-        assert NeighborTable().nearest_to(Point(0, 0)) is None
-
-    def test_closer_to_than(self):
-        table = self.make()
-        closer = table.closer_to_than(Point(10, 0), 5.0)
-        assert [e.node_id for e in closer] == ["b"]
-
     def test_clear(self):
         table = self.make()
         table.clear()
