@@ -5,59 +5,19 @@ sensing coverage kept, and joules spent keeping it.
 The paper compares motion and messaging overhead; this example converts
 both into one energy axis (robot locomotion + radio energy) and adds the
 end-to-end service metric the system exists to protect — the integrated
-sensing-coverage deficit.
+sensing-coverage deficit.  It runs the coverage/energy ablation study
+(``python -m repro ablate coverage``) at seed 12 and prints its table
+and claim checklist.
 
 Run:
     python examples/coverage_and_energy.py
 """
 
-from repro import Algorithm, ScenarioRuntime, paper_scenario
-from repro.analysis import CoverageTracker, energy_report
-from repro.experiments import render_table
+from repro.experiments import coverage_energy_ablation
 
 
 def main() -> None:
-    rows = []
-    for algorithm in Algorithm.ALL:
-        config = paper_scenario(
-            algorithm,
-            robot_count=4,
-            seed=12,
-            sim_time_s=12_000.0,
-        )
-        runtime = ScenarioRuntime(config)
-        tracker = CoverageTracker(runtime, period=400.0, resolution=35)
-        print(f"running {algorithm} ...")
-        report = runtime.run()
-        energy = energy_report(runtime.channel, runtime.metrics)
-        rows.append(
-            [
-                algorithm,
-                report.repaired,
-                tracker.mean_coverage(),
-                tracker.minimum_coverage(),
-                tracker.deficit_integral(),
-                energy.motion_total_j / 1_000.0,
-                energy.messaging_total_j,
-            ]
-        )
-
-    print()
-    print(
-        render_table(
-            [
-                "algorithm",
-                "repaired",
-                "mean cover",
-                "min cover",
-                "deficit f·s",
-                "motion kJ",
-                "radio J",
-            ],
-            rows,
-            title="Coverage kept vs energy spent (4 robots, 12000 s)",
-        )
-    )
+    print(coverage_energy_ablation(seeds=(12,)).table())
     print()
     print("Reading the table: all three algorithms keep coverage near its")
     print("deployed level — the differences are in the energy bill.  The")

@@ -35,9 +35,12 @@ import typing
 from repro.analysis import CoverageTracker, energy_report
 from repro.core.runtime import ScenarioRuntime
 from repro.experiments.ablations import (
+    beacon_period_ablation,
+    coverage_energy_ablation,
     dispatch_policy_ablation,
     efficient_broadcast_ablation,
     partition_ablation,
+    return_to_post_ablation,
     update_threshold_ablation,
 )
 from repro.deploy.scenario import (
@@ -81,6 +84,9 @@ _ABLATIONS = {
     "threshold": update_threshold_ablation,
     "dispatch": dispatch_policy_ablation,
     "broadcast": efficient_broadcast_ablation,
+    "beacon": beacon_period_ablation,
+    "return": return_to_post_ablation,
+    "coverage": coverage_energy_ablation,
 }
 
 
@@ -148,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--speed",
         type=float,
         default=4.0,
-        help="robot speed (m/s); 4 = the benches' low-utilization "
-        "regime, 1 = the paper's literal setting",
+        help="robot speed (m/s); 4 = the low-utilization regime of "
+        "EXPERIMENTS.md, 1 = the paper's literal setting",
     )
     figure.add_argument(
         "--loss",
@@ -173,22 +179,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_argument(figure)
 
     ablate = commands.add_parser(
-        "ablate", help="run one of the ablation studies"
+        "ablate",
+        help="run one of the ablation studies and check its claims; "
+        "unset flags keep the study's own defaults",
     )
     ablate.add_argument(
         "study",
         choices=sorted(_ABLATIONS),
         help="which design choice to ablate",
     )
-    ablate.add_argument("--robots", type=int, default=9)
-    ablate.add_argument("--seed", type=int, default=1)
+    ablate.add_argument("--robots", type=int, default=None)
+    ablate.add_argument("--seed", type=int, default=None)
     ablate.add_argument(
-        "--sim-time", type=float, default=16_000.0, help="horizon (s)"
+        "--sim-time", type=float, default=None, help="horizon (s)"
     )
     ablate.add_argument(
         "--loss",
         type=float,
-        default=0.0,
+        default=None,
         help="frame loss rate [0,1) applied to every run",
     )
     _add_cache_arguments(ablate)
@@ -787,28 +795,19 @@ def _command_figure(args: argparse.Namespace) -> int:
 
 
 def _command_ablate(args: argparse.Namespace) -> int:
-    study = _ABLATIONS[args.study]
-    store = _resolve_store(args)
-    if args.study == "partition":  # multi-seed signature
-        result = study(
-            robot_count=args.robots,
-            seeds=(args.seed,),
-            store=store,
-            max_workers=args.jobs,
-            sim_time_s=args.sim_time,
-            loss_rate=args.loss,
-        )
-    else:
-        result = study(
-            robot_count=args.robots,
-            seed=args.seed,
-            store=store,
-            max_workers=args.jobs,
-            sim_time_s=args.sim_time,
-            loss_rate=args.loss,
-        )
+    flags: typing.Dict[str, typing.Any] = {
+        "robot_count": args.robots,
+        "seeds": None if args.seed is None else (args.seed,),
+        "sim_time_s": args.sim_time,
+        "loss_rate": args.loss,
+    }
+    result = _ABLATIONS[args.study](
+        store=_resolve_store(args),
+        max_workers=args.jobs,
+        **{name: value for name, value in flags.items() if value is not None},
+    )
     print(result.table())
-    return 0
+    return 0 if result.all_claims_hold else 1
 
 
 _FAULT_TIMELINE_CATEGORIES = (

@@ -2,9 +2,12 @@
 
 from repro.experiments.ablations import (
     AblationResult,
+    beacon_period_ablation,
+    coverage_energy_ablation,
     dispatch_policy_ablation,
     efficient_broadcast_ablation,
     partition_ablation,
+    return_to_post_ablation,
     update_threshold_ablation,
 )
 from repro.experiments.figures import (
@@ -44,9 +47,12 @@ __all__ = [
     "FigureResult",
     "SweepPoint",
     "SweepResult",
+    "beacon_period_ablation",
+    "coverage_energy_ablation",
     "dispatch_policy_ablation",
     "efficient_broadcast_ablation",
     "partition_ablation",
+    "return_to_post_ablation",
     "update_threshold_ablation",
     "figure2_motion_overhead",
     "figure3_hops",

@@ -4,7 +4,7 @@ The paper's fixed algorithm divides the field into equal-size subareas,
 one robot per subarea (§3.2), and evaluates the square partition ("other
 partition methods, e.g. hexagon partition, show negligible difference").
 We implement the square grid exactly as in the paper, plus a staggered
-("hexagon-like") partition used by the partition-shape ablation bench.
+("hexagon-like") partition used by the partition-shape ablation.
 """
 
 from __future__ import annotations
@@ -112,8 +112,9 @@ class StaggeredPartition(Partition):
     hexagon-ish, connected, near-equal cells (a true hexagonal packing's
     neighbour structure) without any wrap-around at the field edges.
     The paper reports the partition shape makes "negligible difference";
-    the ablation bench :mod:`benchmarks.test_ablation_partition`
-    verifies that claim against this layout.
+    :func:`repro.experiments.ablations.partition_ablation`
+    (``python -m repro ablate partition``) checks that claim against
+    this layout.
     """
 
     def __init__(self, bounds: Rect, count: int) -> None:

@@ -1,7 +1,7 @@
 """Beacon-driven vs event-driven failure detection must agree.
 
-The benchmarks use the event-driven shortcut (no beacon frames); these
-tests pin its equivalence to the full packet-level protocol: same
+The figure sweeps (``python -m repro figure …``) use the event-driven
+shortcut (no beacon frames); these tests pin its equivalence to the full packet-level protocol: same
 detection latency distribution, same reports, same repairs.
 """
 

@@ -1,128 +1,114 @@
-"""Directional checks of the paper's headline claims at test scale.
+"""The paper's headline claims, checked at test scale.
 
-The full-figure regeneration lives in ``benchmarks/``; these tests run a
-smaller grid (one seed, shorter horizon, 9 robots) and assert the same
-qualitative orderings so the claims are guarded by ``pytest tests/``
-alone.  The figure benches use the low-utilization regime the paper
-motivates ("robots spend most of the time waiting", §4.1); so do these.
+The claims themselves are the ``ClaimCheck``s that the figure
+generators attach to Figures 2-4 (``python -m repro figure 2|3|4``
+prints the same checklist at full scale).  These tests run a smaller
+grid (one seed, shorter horizon, 4 and 9 robots) in the
+low-utilization regime the paper motivates ("robots spend most of the
+time waiting", §4.1) and require every claim to hold on it.  No claim
+is exempt at this scale.
 """
 
 import pytest
 
-from repro import Algorithm, paper_scenario
-from repro.experiments import sweep
-from repro.net import Category
+from repro import Algorithm
+from repro.experiments import (
+    figure2_motion_overhead,
+    figure3_hops,
+    figure4_update_transmissions,
+    sweep,
+)
 
 SCALE = dict(
     sim_time_s=16_000.0,
     robot_speed_mps=4.0,  # low-utilization regime, see module docstring
 )
 
+GENERATORS = {
+    "2": figure2_motion_overhead,
+    "3": figure3_hops,
+    "4": figure4_update_transmissions,
+}
+
 
 @pytest.fixture(scope="module")
-def grid():
-    return sweep(
+def figures():
+    grid = sweep(
         Algorithm.ALL,
         robot_counts=(4, 9),
         seeds=(1,),
         parallel=False,
         **SCALE,
     )
+    return {
+        number: generator(
+            robot_counts=(4, 9), seeds=(1,), sweep_result=grid
+        )
+        for number, generator in GENERATORS.items()
+    }
+
+
+def assert_claim(figure, fragment):
+    """The one claim of *figure* whose text contains *fragment* holds."""
+    (claim,) = [c for c in figure.claims if fragment in c.claim]
+    assert claim.holds, str(claim)
+
+
+@pytest.mark.parametrize("number", sorted(GENERATORS))
+def test_every_figure_claim_holds(figures, number):
+    claims = figures[number].claims
+    failed = [str(claim) for claim in claims if not claim.holds]
+    assert not failed
 
 
 class TestClaimA_MotionOverhead:
     """(a) centralized and dynamic have lower motion overhead than
     fixed."""
 
-    def test_ordering_at_nine_robots(self, grid):
-        fixed = grid.point(Algorithm.FIXED, 9).mean("mean_travel_distance")
-        dynamic = grid.point(Algorithm.DYNAMIC, 9).mean(
-            "mean_travel_distance"
-        )
-        centralized = grid.point(Algorithm.CENTRALIZED, 9).mean(
-            "mean_travel_distance"
-        )
-        assert centralized < fixed
-        assert dynamic < fixed
+    def test_ordering_at_nine_robots(self, figures):
+        assert_claim(figures["2"], "fixed has the highest motion overhead")
+        assert_claim(figures["2"], "dynamic saves")
 
-    def test_dynamic_close_to_centralized(self, grid):
-        dynamic = grid.point(Algorithm.DYNAMIC, 9).mean(
-            "mean_travel_distance"
-        )
-        centralized = grid.point(Algorithm.CENTRALIZED, 9).mean(
-            "mean_travel_distance"
-        )
-        assert dynamic == pytest.approx(centralized, rel=0.20)
+    def test_dynamic_close_to_centralized(self, figures):
+        assert_claim(figures["2"], "dynamic tracks centralized")
 
 
 class TestClaimB_Scalability:
     """(b) the centralized algorithm is less scalable: its hop counts
     grow with the network while the distributed ones stay flat."""
 
-    def test_centralized_hops_grow(self, grid):
-        small = grid.point(Algorithm.CENTRALIZED, 4).mean(
-            "mean_report_hops"
-        )
-        large = grid.point(Algorithm.CENTRALIZED, 9).mean(
-            "mean_report_hops"
-        )
-        assert large > small
+    def test_centralized_hops_grow(self, figures):
+        assert_claim(figures["3"], "centralized report hops grow")
 
-    def test_distributed_hops_flat_around_two(self, grid):
-        for algorithm in (Algorithm.FIXED, Algorithm.DYNAMIC):
-            for robots in (4, 9):
-                hops = grid.point(algorithm, robots).mean(
-                    "mean_report_hops"
-                )
-                assert 1.5 <= hops <= 3.5
+    def test_distributed_hops_flat_around_two(self, figures):
+        assert_claim(figures["3"], "stay flat around two")
+        assert_claim(figures["3"], "within 1-10 hops")
 
-    def test_requests_cheaper_than_reports(self, grid):
+    def test_requests_cheaper_than_reports(self, figures):
         # The manager's 250 m radio shortens the first hop of every
         # repair request.
-        for robots in (4, 9):
-            point = grid.point(Algorithm.CENTRALIZED, robots)
-            assert point.mean("mean_request_hops") < point.mean(
-                "mean_report_hops"
-            )
+        assert_claim(figures["3"], "more hops than requests")
 
 
 class TestClaimC_MessagingOverhead:
     """(c) the distributed algorithms have higher messaging cost."""
 
-    def test_location_update_ordering(self, grid):
-        for robots in (4, 9):
-            fixed = grid.point(Algorithm.FIXED, robots).mean(
-                "update_transmissions_per_failure"
-            )
-            dynamic = grid.point(Algorithm.DYNAMIC, robots).mean(
-                "update_transmissions_per_failure"
-            )
-            centralized = grid.point(Algorithm.CENTRALIZED, robots).mean(
-                "update_transmissions_per_failure"
-            )
-            assert dynamic > fixed > centralized
-            assert fixed > 5 * centralized
+    def test_location_update_ordering(self, figures):
+        assert_claim(figures["4"], "far more update transmissions")
+        assert_claim(figures["4"], "dynamic pays slightly more than fixed")
+        assert_claim(figures["4"], "centralized routed updates")
 
-    def test_flood_size_tracks_subarea_population(self, grid):
-        # Each location update floods one subarea (~50 sensors); a
-        # repair travels ~100 m = ~5 updates, so a few hundred
-        # transmissions per failure.
-        fixed = grid.point(Algorithm.FIXED, 9).mean(
-            "update_transmissions_per_failure"
-        )
-        assert 100 <= fixed <= 600
+    def test_flood_size_tracks_subarea_population(self, figures):
+        assert_claim(figures["4"], "a subarea flood costs")
 
 
 class TestDeliveryClaim:
     """Reports are delivered essentially always (paper: "100% delivery
     ratio due to the high density of sensor nodes and low traffic")."""
 
-    def test_delivery_ratio_near_one(self, grid):
-        for point in grid.points:
-            for report in point.reports:
-                assert report.report_delivery_ratio >= 0.98
+    def test_delivery_ratio_near_one(self, figures):
+        assert_claim(figures["3"], "failure reports are delivered")
 
-    def test_failures_repaired(self, grid):
-        for point in grid.points:
-            for report in point.reports:
-                assert report.repaired >= report.failures * 0.9
+    def test_failures_repaired(self, figures):
+        assert_claim(figures["2"], "repairs >= 90% of its failures")
+        assert_claim(figures["2"], "field-scale distances")

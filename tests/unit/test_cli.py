@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.experiments import AblationResult, ClaimCheck
 
 
 class TestParser:
@@ -118,3 +120,32 @@ class TestCommands:
         assert exit_code == 0
         for algorithm in ("centralized", "fixed", "dynamic"):
             assert algorithm in out
+
+    @pytest.mark.parametrize("holds, exit_code", [(True, 0), (False, 1)])
+    def test_ablate_exit_code_follows_claims(
+        self, holds, exit_code, capsys, monkeypatch
+    ):
+        calls = []
+
+        def stub_study(**kwargs):
+            calls.append(kwargs)
+            return AblationResult(
+                name="stub study",
+                variants={"only": {"value": 1.0}},
+                claims=(ClaimCheck("stub claim", holds, "detail"),),
+            )
+
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.delenv("REPRO_STORE_ROOT", raising=False)
+        monkeypatch.setitem(cli._ABLATIONS, "partition", stub_study)
+        assert main(["ablate", "partition"]) == exit_code
+        assert "stub claim" in capsys.readouterr().out
+        # unset flags are not forwarded: the study keeps its defaults
+        assert calls == [{"store": None, "max_workers": None}]
+        main(["ablate", "partition", "--seed", "3", "--robots", "4"])
+        assert calls[1] == {
+            "store": None,
+            "max_workers": None,
+            "robot_count": 4,
+            "seeds": (3,),
+        }
