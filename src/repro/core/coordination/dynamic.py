@@ -17,8 +17,7 @@ import typing
 from repro.core.coordination.base import CoordinationStrategy
 from repro.core.messages import FloodMessage
 from repro.deploy.placement import uniform_random_positions
-from repro.geometry.point import Point
-from repro.geometry.voronoi import closest_site_indices
+from repro.geometry.point import Point, nearest
 from repro.net.frames import Category, NodeId
 from repro.sim.rng import RandomStream
 
@@ -42,21 +41,16 @@ class DynamicStrategy(CoordinationStrategy):
 
     def setup(self) -> None:
         robots = self.runtime.robots_sorted()
-        positions = [robot.position for robot in robots]
+        candidates = [(robot.node_id, robot.position) for robot in robots]
 
         # Deployment-time seed: every sensor knows the initial robot
-        # layout and adopts the closest robot as myrobot.  Membership is
-        # resolved for all sensors in one flat-array kernel pass
-        # (bit-identical to the per-sensor closest_site_index loop).
-        sensors = self.runtime.sensors_sorted()
-        indices = closest_site_indices(
-            [sensor.position for sensor in sensors], positions
-        )
-        for sensor, index in zip(sensors, indices):
+        # layout and adopts the closest robot as myrobot.
+        for sensor in self.runtime.sensors_sorted():
             for robot in robots:
                 sensor.known_robots[robot.node_id] = (robot.position, 0)
-            sensor.myrobot_id = robots[index].node_id
-            sensor.myrobot_position = robots[index].position
+            choice = nearest(sensor.position, candidates)
+            assert choice is not None
+            sensor.myrobot_id, sensor.myrobot_position = choice
 
         # On-air initialization floods: with empty relay knowledge these
         # propagate network-wide, establishing the same state on the air.

@@ -1,4 +1,4 @@
-"""Flat-array robot-knowledge table for sensors.
+"""Robot-knowledge table for sensors, scanned as prebuilt rows.
 
 Every sensor tracks the robots it has learned about from floods as
 ``robot_id -> (position, seq)``.  The dominant query on that table is
@@ -55,7 +55,7 @@ _Row = typing.Tuple[NodeId, float, float, _Pair]
 
 
 class RobotKnowledge:
-    """``robot_id -> (position, seq)`` with a flat-array nearest query."""
+    """``robot_id -> (position, seq)`` with a prebuilt-row nearest query."""
 
     __slots__ = ("_entries", "_slots", "_rows", "_nearest")
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import typing
 
+from math import hypot
+
 from repro.core.coordination import CoordinationStrategy, strategy_for
 from repro.core.manager import CentralManagerNode
 from repro.core.messages import FloodMessage
@@ -44,7 +46,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.network import NetworkFaultService
 from repro.faults.recovery import ResilienceService
 from repro.faults.script import FaultKind
-from repro.geometry.kernels import distances_to_point
 from repro.geometry.point import Point, nearest
 from repro.metrics.collector import MetricsCollector, RunReport
 from repro.net.beacon import BeaconService
@@ -237,16 +238,14 @@ class ScenarioRuntime:
         others = self.channel.nodes_within(
             node.position, probe_range, exclude=node.node_id
         )
-        # One flat-array kernel pass computes every candidate distance
-        # (same math.hypot as Point.distance_to, so the reachability
-        # cutoffs below see bit-identical values).
-        distances = distances_to_point(
-            [other.position.x for other in others],
-            [other.position.y for other in others],
-            node.position.x,
-            node.position.y,
-        )
-        for other, distance in zip(others, distances):
+        # Point.distance_to's math.hypot, inlined: this loop is most of
+        # a run's setup.  hypot is exact under operand negation, so the
+        # reachability cutoffs below see the same values either way.
+        x = node.position.x
+        y = node.position.y
+        for other in others:
+            position = other.position
+            distance = hypot(position.x - x, position.y - y)
             if distance <= other.radio.range_m:
                 node.neighbor_table.upsert(
                     other.node_id, other.position, other.kind, now

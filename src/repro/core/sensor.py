@@ -77,8 +77,8 @@ class SensorNode(NetworkNode):
         self.manager_position: typing.Optional[Point] = None
 
         #: Robot positions learned from floods: id -> (position, seq),
-        #: held in a flat-array table so the closest-robot query (the
-        #: dynamic algorithm's relay predicate) runs kernel-style.
+        #: held as prebuilt rows so the closest-robot query (the dynamic
+        #: algorithm's relay predicate) scans without attribute loads.
         self.known_robots = RobotKnowledge()
         #: Fixed-algorithm subarea index of this sensor (None otherwise).
         self.subarea: typing.Optional[int] = None
@@ -588,7 +588,7 @@ class SensorNode(NetworkNode):
         """The robot with the smallest known distance to this sensor,
         other than *exclude*.
 
-        Delegates to the knowledge table's flat-array scan — the same
+        Delegates to the knowledge table's row scan — the same
         squared-distance float ops and ``(d2, id)`` tie-break as the
         dict loop this method used to run, without the per-robot
         ``Point`` method calls.

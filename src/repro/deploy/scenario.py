@@ -268,8 +268,29 @@ class ScenarioConfig:
             raise ValueError(f"unknown partition: {self.partition!r}")
         if self.robot_count < 1:
             raise ValueError(f"need at least one robot: {self.robot_count}")
-        if self.sim_time_s <= 0:
+        # Float checks are written so NaN fails them (every comparison
+        # with NaN is false).
+        if not self.sim_time_s > 0:
             raise ValueError(f"non-positive sim time: {self.sim_time_s}")
+        if not self.robot_speed_mps > 0:
+            raise ValueError(
+                f"robot speed must be positive: {self.robot_speed_mps}"
+            )
+        if not self.mean_lifetime_s > 0:
+            raise ValueError(
+                f"mean lifetime must be positive: {self.mean_lifetime_s}"
+            )
+        if not self.beacon_period_s > 0:
+            raise ValueError(
+                f"beacon period must be positive: {self.beacon_period_s}"
+            )
+        if not self.update_threshold_m >= 0:
+            raise ValueError(
+                "update threshold must be non-negative: "
+                f"{self.update_threshold_m}"
+            )
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ValueError(f"loss rate outside [0, 1): {self.loss_rate}")
         if self.robot_capacity is not None and self.robot_capacity < 1:
             raise ValueError(
                 f"robot capacity must be positive: {self.robot_capacity}"
@@ -280,7 +301,7 @@ class ScenarioConfig:
             )
         if (
             self.data_traffic_period_s is not None
-            and self.data_traffic_period_s <= 0
+            and not self.data_traffic_period_s > 0
         ):
             raise ValueError(
                 "data traffic period must be positive: "
@@ -288,17 +309,17 @@ class ScenarioConfig:
             )
         if (
             self.return_to_post_after_s is not None
-            and self.return_to_post_after_s < 0
+            and not self.return_to_post_after_s >= 0
         ):
             raise ValueError(
                 "return-to-post delay must be non-negative: "
                 f"{self.return_to_post_after_s}"
             )
-        if self.robot_mtbf_s is not None and self.robot_mtbf_s <= 0:
+        if self.robot_mtbf_s is not None and not self.robot_mtbf_s > 0:
             raise ValueError(
                 f"robot MTBF must be positive: {self.robot_mtbf_s}"
             )
-        if self.robot_downtime_s <= 0:
+        if not self.robot_downtime_s > 0:
             raise ValueError(
                 f"robot downtime must be positive: {self.robot_downtime_s}"
             )
@@ -312,7 +333,7 @@ class ScenarioConfig:
             object.__setattr__(
                 self, "fault_script", script if script else None
             )
-        if self.heartbeat_period_s <= 0:
+        if not self.heartbeat_period_s > 0:
             raise ValueError(
                 f"heartbeat period must be positive: "
                 f"{self.heartbeat_period_s}"
@@ -322,11 +343,14 @@ class ScenarioConfig:
                 "need at least one missed heartbeat for failure: "
                 f"{self.missed_heartbeats_for_failure}"
             )
-        if self.repair_deadline_s is not None and self.repair_deadline_s <= 0:
+        if (
+            self.repair_deadline_s is not None
+            and not self.repair_deadline_s > 0
+        ):
             raise ValueError(
                 f"repair deadline must be positive: {self.repair_deadline_s}"
             )
-        if self.redispatch_backoff_s <= 0:
+        if not self.redispatch_backoff_s > 0:
             raise ValueError(
                 "re-dispatch backoff must be positive: "
                 f"{self.redispatch_backoff_s}"
@@ -335,15 +359,15 @@ class ScenarioConfig:
             raise ValueError(
                 f"re-dispatch limit must be >= 0: {self.redispatch_limit}"
             )
-        if self.jam_rate is not None and self.jam_rate <= 0:
+        if self.jam_rate is not None and not self.jam_rate > 0:
             raise ValueError(
                 f"jam rate must be positive: {self.jam_rate}"
             )
-        if self.jam_radius_m <= 0:
+        if not self.jam_radius_m > 0:
             raise ValueError(
                 f"jam radius must be positive: {self.jam_radius_m}"
             )
-        if self.jam_duration_mtbf_s <= 0:
+        if not self.jam_duration_mtbf_s > 0:
             raise ValueError(
                 "jam duration MTBF must be positive: "
                 f"{self.jam_duration_mtbf_s}"
@@ -357,7 +381,7 @@ class ScenarioConfig:
                 "verification quorum must be >= 1: "
                 f"{self.verification_quorum}"
             )
-        if self.verification_timeout_s <= 0:
+        if not self.verification_timeout_s > 0:
             raise ValueError(
                 "verification timeout must be positive: "
                 f"{self.verification_timeout_s}"
@@ -367,7 +391,7 @@ class ScenarioConfig:
                 "adaptive_verify scales the verification ladder and "
                 "requires verify_failures=True"
             )
-        if self.adaptation_window_s <= 0:
+        if not self.adaptation_window_s > 0:
             raise ValueError(
                 "adaptation window must be positive: "
                 f"{self.adaptation_window_s}"
@@ -382,12 +406,12 @@ class ScenarioConfig:
                 "cooperative backlog threshold must be >= 1: "
                 f"{self.coop_backlog_threshold}"
             )
-        if self.coop_claim_timeout_s <= 0:
+        if not self.coop_claim_timeout_s > 0:
             raise ValueError(
                 "cooperative claim timeout must be positive: "
                 f"{self.coop_claim_timeout_s}"
             )
-        if self.jam_detour_margin_m < 0:
+        if not self.jam_detour_margin_m >= 0:
             raise ValueError(
                 "jam detour margin must be non-negative: "
                 f"{self.jam_detour_margin_m}"

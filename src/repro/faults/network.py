@@ -28,12 +28,9 @@ drawing at all.
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import operator
 import typing
 
 from repro.faults.script import FaultEvent, FaultKind
-from repro.geometry.kernels import in_disk_mask
 from repro.geometry.point import Point
 from repro.net.channel import DropCause
 from repro.sim.rng import RandomStream
@@ -121,75 +118,6 @@ class NetworkFaultField:
         if jam_p >= 1.0 or self._jam_rng.random() < jam_p:
             return DropCause.JAM
         return None
-
-    def drop_causes(
-        self,
-        sender_position: Point,
-        receiver_xs: typing.Sequence[float],
-        receiver_ys: typing.Sequence[float],
-    ) -> typing.List[typing.Optional[str]]:
-        """Batched :meth:`drop_cause` over parallel receiver coordinates.
-
-        Disk membership is evaluated per region for the whole receiver
-        batch with :func:`repro.geometry.kernels.in_disk_mask` (the
-        same float ops as :meth:`FaultRegion.covers`), the sender's
-        coverage is resolved once per region instead of once per
-        (receiver, region) pair, and the combine is **sparse**: Python
-        touches only the receivers a region's mask actually selects
-        (via :func:`itertools.compress`), so the per-receiver cost
-        scales with region coverage, not with ``receivers × regions``.
-
-        Bit-identity with a per-receiver :meth:`drop_cause` loop rests
-        on three facts about the scalar logic.  The ``PARTITION`` cause
-        carries no region identity, so "first mismatching partition
-        region wins" equals "any partition region mismatches".  The jam
-        probability is the max severity over covering jam/degrade
-        regions, which is order-independent.  And randomness: the
-        scalar draws from ``channel.jam`` exactly for receivers with no
-        partition mismatch and ``0 < jam_p < 1``, in receiver order —
-        the final draw loop below visits jam candidates in ascending
-        receiver index, skips partitioned ones, and never draws for
-        ``jam_p >= 1.0``, reproducing that sequence draw for draw.
-        """
-        count = len(receiver_xs)
-        causes: typing.List[typing.Optional[str]] = [None] * count
-        jam_p: typing.Dict[int, float] = {}
-        indices = range(count)
-        partition = DropCause.PARTITION
-        for region in self._regions:
-            mask = in_disk_mask(
-                receiver_xs,
-                receiver_ys,
-                region.center.x,
-                region.center.y,
-                region.radius,
-            )
-            if region.kind == FaultKind.PARTITION:
-                if region.covers(sender_position):
-                    selector: typing.Iterable[object] = map(
-                        operator.not_, mask
-                    )
-                else:
-                    selector = mask
-                for index in itertools.compress(indices, selector):
-                    causes[index] = partition
-            else:
-                severity = region.severity
-                if severity <= 0.0:
-                    continue
-                for index in itertools.compress(indices, mask):
-                    if severity > jam_p.get(index, 0.0):
-                        jam_p[index] = severity
-        if jam_p:
-            rng_random = self._jam_rng.random
-            jam = DropCause.JAM
-            for index in sorted(jam_p):
-                if causes[index] is not None:
-                    continue
-                probability = jam_p[index]
-                if probability >= 1.0 or rng_random() < probability:
-                    causes[index] = jam
-        return causes
 
 
 class NetworkFaultService:

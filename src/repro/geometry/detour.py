@@ -19,10 +19,6 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.geometry.kernels import (
-    distances_to_point,
-    segment_distances_to_points,
-)
 from repro.geometry.point import Point
 
 __all__ = [
@@ -153,36 +149,15 @@ def plan_route(
     a repair target inside a jam still has to be reached.
     """
     route: typing.List[Point] = [start, target]
-    if not disks:
-        return tuple(route[1:])
-    # Flatten the disk set once; every leg below runs three batched
-    # kernel passes (endpoint distances and segment distance per disk)
-    # replicating segment_crosses_disk's float ops disk by disk.
-    centers = [center for center, _ in disks]
-    center_xs = [center.x for center in centers]
-    center_ys = [center.y for center in centers]
-    inflated_radii = [radius + margin for _, radius in disks]
+    inflated_disks = [(center, radius + margin) for center, radius in disks]
     for _ in range(_MAX_OBSTACLES):
         changed = False
         for index in range(len(route) - 1):
             a, b = route[index], route[index + 1]
-            from_a = distances_to_point(center_xs, center_ys, a.x, a.y)
-            from_b = distances_to_point(center_xs, center_ys, b.x, b.y)
-            from_leg = segment_distances_to_points(
-                a.x, a.y, b.x, b.y, center_xs, center_ys
-            )
             # The nearest obstruction along this leg, by entry distance.
             blocking: typing.Optional[typing.Tuple[float, Point, float]] = None
-            for disk_index, inflated in enumerate(inflated_radii):
-                # segment_crosses_disk: endpoints inside don't count,
-                # and the open leg must enter the disk interior.
-                if (
-                    from_a[disk_index] <= inflated + _EPS
-                    or from_b[disk_index] <= inflated + _EPS
-                ):
-                    continue
-                if from_leg[disk_index] < inflated - _EPS:
-                    center = centers[disk_index]
+            for center, inflated in inflated_disks:
+                if segment_crosses_disk(a, b, center, inflated):
                     along = (center - a).dot((b - a)) if a != b else 0.0
                     if blocking is None or along < blocking[0]:
                         blocking = (along, center, inflated)

@@ -13,9 +13,8 @@ import abc
 import math
 import typing
 
-from repro.geometry.point import Point
+from repro.geometry.point import Point, nearest
 from repro.geometry.polygon import Rect
-from repro.geometry.voronoi import closest_site_index
 
 __all__ = ["Partition", "SquarePartition", "StaggeredPartition"]
 
@@ -87,17 +86,6 @@ class SquarePartition(Partition):
             self.bounds.y_min + (row + 0.5) * self._cell_height,
         )
 
-    def rect_of(self, index: int) -> Rect:
-        """The rectangle of subarea *index*."""
-        self._check_index(index)
-        row, col = divmod(index, self.cols)
-        return Rect(
-            self.bounds.x_min + col * self._cell_width,
-            self.bounds.y_min + row * self._cell_height,
-            self.bounds.x_min + (col + 1) * self._cell_width,
-            self.bounds.y_min + (row + 1) * self._cell_height,
-        )
-
     def __repr__(self) -> str:
         return (
             f"<SquarePartition {self.cols}x{self.rows} over {self.bounds!r}>"
@@ -134,7 +122,10 @@ class StaggeredPartition(Partition):
         return self.bounds.clamp(Point(x, y))
 
     def index_of(self, point: Point) -> int:
-        return closest_site_index(self.bounds.clamp(point), self._centers)
+        # Indices are the ids, so an exact tie goes to the lower index.
+        choice = nearest(self.bounds.clamp(point), enumerate(self._centers))
+        assert choice is not None
+        return choice[0]
 
     def center_of(self, index: int) -> Point:
         self._check_index(index)

@@ -13,6 +13,9 @@ import typing
 
 __all__ = ["Point", "by_distance", "centroid_of", "midpoint", "nearest"]
 
+#: A candidate's id: a node id, or an index for anonymous sites.
+_Id = typing.TypeVar("_Id", str, int)
+
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Point:
@@ -145,8 +148,8 @@ def centroid_of(points: typing.Sequence[Point]) -> Point:
 
 
 def nearest(
-    point: Point, candidates: typing.Iterable[typing.Tuple[str, Point]]
-) -> typing.Optional[typing.Tuple[str, Point]]:
+    point: Point, candidates: typing.Iterable[typing.Tuple[_Id, Point]]
+) -> typing.Optional[typing.Tuple[_Id, Point]]:
     """The ``(id, position)`` candidate nearest to *point*, or None.
 
     Distances compare squared (:meth:`Point.squared_distance_to`) and an
@@ -161,8 +164,8 @@ def nearest(
 
 
 def by_distance(
-    point: Point, candidates: typing.Iterable[typing.Tuple[str, Point]]
-) -> typing.List[typing.Tuple[str, Point]]:
+    point: Point, candidates: typing.Iterable[typing.Tuple[_Id, Point]]
+) -> typing.List[typing.Tuple[_Id, Point]]:
     """*candidates* sorted nearest first, by the :func:`nearest` rule."""
     return sorted(
         candidates,

@@ -227,20 +227,6 @@ class ConvexPolygon:
             for i in range(len(verts))
         )
 
-    def bounding_rect(self) -> Rect:
-        """Smallest axis-aligned rectangle containing the polygon.
-
-        Raises
-        ------
-        ValueError
-            For an empty polygon.
-        """
-        if self.is_empty:
-            raise ValueError("bounding rectangle of an empty polygon")
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return Rect(min(xs), min(ys), max(xs), max(ys))
-
     def __repr__(self) -> str:
         if self.is_empty:
             return "ConvexPolygon(<empty>)"

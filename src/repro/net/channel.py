@@ -455,23 +455,15 @@ class Channel:
         fault_field = self.fault_field
         faults_active = fault_field is not None and fault_field.active
         if loss_rate > 0.0 or faults_active:
-            if faults_active:
-                # Batch the fault field's disk tests over the whole
-                # receiver set (one flat-array pass per region).  The
-                # jam draws stay in receiver order on their own stream
-                # and the loss draws below stay in receiver order on
-                # theirs, so interleaving the two loops differently
-                # from a per-receiver loop changes no stream's sequence.
-                causes = fault_field.drop_causes(
-                    sender_position,
-                    [receiver.position.x for receiver in receivers],
-                    [receiver.position.y for receiver in receivers],
-                )
-            else:
-                causes = None
+            # Fault-field jam draws come from channel.jam and loss draws
+            # from channel.loss, each in receiver order.
             surviving = []
-            for index, receiver in enumerate(receivers):
-                cause = causes[index] if causes is not None else None
+            for receiver in receivers:
+                cause = (
+                    fault_field.drop_cause(sender_position, receiver.position)
+                    if faults_active
+                    else None
+                )
                 if (
                     cause is None
                     and loss_rate > 0.0

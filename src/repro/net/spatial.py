@@ -8,15 +8,10 @@ for the paper's densities (one sensor per ~28 m × 28 m).
 Hot-path layout (see ``docs/PERFORMANCE.md``):
 
 * Cells store flattened ``(id, x, y, (id, position))`` entry rows in
-  id-sorted lists.  Iterating prebuilt tuples beats zipping parallel
-  coordinate arrays here — list iteration yields existing tuples with
-  no per-element allocation, and the buckets are too small (a handful
-  of sensors each) to amortize any per-bucket batch setup — so the
-  grid keeps the row layout and hands the *concatenated* candidate
-  rows of a query to one
-  :func:`repro.geometry.kernels.collect_entries_within_radius` call:
-  a single fused filter-and-gather pass with no attribute loads and no
-  per-hit allocation.
+  id-sorted lists, and a query filters the concatenated candidate rows
+  of its cells in one loop.  Iterating prebuilt tuples yields existing
+  objects, so the loop does no attribute loads and a hit allocates
+  nothing: its result pair is already in the row.
 * The set of candidate cell offsets for a query radius is precomputed
   once per radius (``_offsets_for``) — the paper uses exactly two radii
   (63 m sensors, 250 m robots/manager), so the tables are tiny.  Each
@@ -36,7 +31,6 @@ import typing
 
 from math import floor as _floor
 
-from repro.geometry.kernels import collect_entries_within_radius
 from repro.geometry.point import Point
 
 __all__ = ["SpatialGrid"]
@@ -214,7 +208,12 @@ class SpatialGrid:
             if bucket:
                 extend(bucket)
         found: typing.List[typing.Tuple[str, Point]] = []
-        collect_entries_within_radius(candidates, x, y, r2, found)
+        append = found.append
+        for _id, px, py, pair in candidates:
+            qx = px - x
+            qy = py - y
+            if qx * qx + qy * qy <= r2:
+                append(pair)
         found.sort(key=_hit_id)
         return found
 

@@ -8,6 +8,13 @@ enabled, one scenario per algorithm.  A refactor that silently
 changes auction ordering, adaptation windows, or detour geometry
 shows up here as a digest mismatch.
 
+A second set pins the partition + jam campaign of
+:func:`~repro.experiments.verification.default_network_campaign` with
+failure verification on, one scenario per algorithm: the only pinned
+runs in which the channel drops frames for ``PARTITION`` as well as
+``JAM``, so a change to the fault field's per-receiver drop decision
+or to the order of its ``channel.jam`` draws shows up here.
+
 To bless an intentional change::
 
     REPRO_UPDATE_BASELINES=1 python -m pytest \
@@ -23,6 +30,7 @@ import pytest
 from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, DetectionMode, paper_scenario
 from repro.experiments.degraded import default_degraded_campaign
+from repro.experiments.verification import default_network_campaign
 from repro.sim.trace import RecordingSink, Tracer, trace_digest
 
 BASELINE_PATH = (
@@ -54,12 +62,28 @@ def degraded_scenario(algorithm):
     )
 
 
-def run_and_digest(algorithm):
+def partition_scenario(algorithm):
+    sim_time = 3_000.0
+    return paper_scenario(
+        algorithm,
+        4,
+        seed=7,
+        sensors_per_robot=25,
+        sim_time_s=sim_time,
+        detection_mode=DetectionMode.BEACON,
+        fault_script=default_network_campaign(sim_time),
+        verify_failures=True,
+    )
+
+
+def run_and_digest(config):
+    """Run *config* traced; return its digest, record count and runtime."""
     tracer = Tracer()
     recorder = RecordingSink()
     tracer.subscribe("*", recorder)
-    ScenarioRuntime(degraded_scenario(algorithm), tracer=tracer).run()
-    return trace_digest(recorder.records), len(recorder.records)
+    runtime = ScenarioRuntime(config, tracer=tracer)
+    runtime.run()
+    return trace_digest(recorder.records), len(recorder.records), runtime
 
 
 def _load_baselines() -> dict:
@@ -78,10 +102,7 @@ def _store_baseline(key: str, sha256: str, records: int) -> None:
         handle.write("\n")
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_degraded_trace_digest_matches_baseline(algorithm):
-    key = f"{algorithm}/degraded"
-    sha256, records = run_and_digest(algorithm)
+def _check_baseline(key: str, sha256: str, records: int) -> None:
     if os.environ.get("REPRO_UPDATE_BASELINES"):
         _store_baseline(key, sha256, records)
         pytest.skip(f"baseline for {key} updated to {sha256[:16]}")
@@ -99,8 +120,26 @@ def test_degraded_trace_digest_matches_baseline(algorithm):
     )
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_degraded_trace_digest_matches_baseline(algorithm):
+    sha256, records, _ = run_and_digest(degraded_scenario(algorithm))
+    _check_baseline(f"{algorithm}/degraded", sha256, records)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_partition_trace_digest_matches_baseline(algorithm):
+    sha256, records, runtime = run_and_digest(partition_scenario(algorithm))
+    stats = runtime.channel.stats
+    # The pin only guards the fault path if both causes actually fire.
+    assert stats.dropped_partition > 0
+    assert stats.dropped_jam > 0
+    _check_baseline(f"{algorithm}/partition", sha256, records)
+
+
 def test_baseline_file_covers_all_degraded_scenarios():
     scenarios = _load_baselines()["scenarios"]
     assert sorted(scenarios) == sorted(
-        f"{algorithm}/degraded" for algorithm in ALGORITHMS
+        f"{algorithm}/{campaign}"
+        for algorithm in ALGORITHMS
+        for campaign in ("degraded", "partition")
     )

@@ -12,9 +12,9 @@ from repro.geometry import (
     Rect,
     SquarePartition,
     StaggeredPartition,
-    closest_site_index,
     voronoi_cells,
 )
+from repro.geometry.point import nearest
 
 coords = st.floats(
     min_value=-1_000.0,
@@ -135,7 +135,7 @@ class TestVoronoiProperties:
     def test_ownership_matches_nearest_site(self, sites, probe):
         assume(self._well_separated(sites))
         cells = voronoi_cells(sites, BOUNDS)
-        owner = closest_site_index(probe, sites)
+        owner, _ = nearest(probe, enumerate(sites))
         margin = min(
             abs(probe.distance_to(sites[owner]) - probe.distance_to(s))
             for i, s in enumerate(sites)

@@ -210,6 +210,28 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(robot_capacity=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sim_time_s", math.nan),
+            ("heartbeat_period_s", math.nan),
+            ("robot_downtime_s", math.nan),
+            ("verification_timeout_s", math.nan),
+            ("robot_speed_mps", math.nan),
+            ("robot_speed_mps", -1.0),
+            ("beacon_period_s", -1.0),
+            ("mean_lifetime_s", -5.0),
+            ("update_threshold_m", math.nan),
+            ("loss_rate", 2.0),
+            ("loss_rate", math.nan),
+        ],
+    )
+    def test_nonsensical_float_rejected(self, field, value):
+        # Checks written ``x <= 0`` let NaN through; the config must
+        # reject these itself, not leave them to fail deep in a run.
+        with pytest.raises(ValueError):
+            ScenarioConfig(**{field: value})
+
     def test_replace_creates_modified_copy(self):
         config = ScenarioConfig()
         changed = config.replace(sim_time_s=100.0)

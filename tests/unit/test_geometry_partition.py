@@ -38,11 +38,6 @@ class TestSquarePartition:
         assert partition.index_of(Point(-50, -50)) == 0
         assert partition.index_of(Point(900, 900)) == 3
 
-    def test_rect_of_tiles_the_field(self):
-        partition = SquarePartition(FIELD, 16)
-        total = sum(partition.rect_of(i).area for i in range(16))
-        assert total == pytest.approx(FIELD.area)
-
     def test_non_square_count_uses_balanced_grid(self):
         partition = SquarePartition(FIELD, 6)
         assert partition.cols * partition.rows == 6
@@ -56,11 +51,6 @@ class TestSquarePartition:
         partition = SquarePartition(FIELD, 4)
         with pytest.raises(IndexError):
             partition.center_of(4)
-
-    def test_cells_are_equal_area(self):
-        partition = SquarePartition(FIELD, 16)
-        areas = {partition.rect_of(i).area for i in range(16)}
-        assert len(areas) == 1
 
 
 class TestStaggeredPartition:

@@ -111,22 +111,12 @@ class TestConvexPolygon:
         square = Rect.square(3.0).to_polygon()
         assert square.perimeter() == pytest.approx(12.0)
 
-    def test_bounding_rect_roundtrip(self):
-        polygon = ConvexPolygon(
-            [Point(1, 1), Point(5, 2), Point(4, 6), Point(0, 4)]
-        )
-        box = polygon.bounding_rect()
-        assert box.x_min == 0 and box.x_max == 5
-        assert box.y_min == 1 and box.y_max == 6
-
     def test_empty_polygon_properties(self):
         empty = ConvexPolygon([])
         assert empty.is_empty
         assert empty.perimeter() == 0.0
         with pytest.raises(ValueError):
             _ = empty.centroid
-        with pytest.raises(ValueError):
-            empty.bounding_rect()
 
     def test_equality_and_hash(self):
         a = ConvexPolygon([Point(0, 0), Point(1, 0), Point(0, 1)])

@@ -1,33 +1,37 @@
-"""Unit tests for bounded Voronoi cells, cross-checked against scipy."""
+"""Unit tests for bounded Voronoi cells, cross-checked against scipy.
+
+Cell ownership is checked against the one nearest-site rule,
+:func:`repro.geometry.point.nearest`, with site indices as ids.
+"""
 
 import random
 
 import pytest
 
-from repro.geometry import (
-    Point,
-    Rect,
-    closest_site_index,
-    voronoi_cell,
-    voronoi_cells,
-)
+from repro.geometry import Point, Rect, voronoi_cell, voronoi_cells
+from repro.geometry.point import nearest
 
 BOUNDS = Rect.square(400.0)
+
+
+def closest_site(point, sites):
+    """Index of the site nearest to *point*, or None for no sites."""
+    choice = nearest(point, enumerate(sites))
+    return None if choice is None else choice[0]
 
 
 class TestClosestSite:
     def test_basic(self):
         sites = [Point(0, 0), Point(10, 0)]
-        assert closest_site_index(Point(2, 0), sites) == 0
-        assert closest_site_index(Point(8, 0), sites) == 1
+        assert closest_site(Point(2, 0), sites) == 0
+        assert closest_site(Point(8, 0), sites) == 1
 
     def test_tie_breaks_to_first(self):
         sites = [Point(0, 0), Point(10, 0)]
-        assert closest_site_index(Point(5, 0), sites) == 0
+        assert closest_site(Point(5, 0), sites) == 0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            closest_site_index(Point(0, 0), [])
+        assert closest_site(Point(0, 0), []) is None
 
 
 class TestVoronoiCells:
@@ -71,7 +75,7 @@ class TestVoronoiCells:
             for _ in range(200)
         ]
         for probe in probes:
-            owner = closest_site_index(probe, sites)
+            owner = closest_site(probe, sites)
             assert cells[owner].contains(probe, tolerance=1e-6)
 
     def test_coincident_other_site_skipped(self):
