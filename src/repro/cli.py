@@ -60,7 +60,7 @@ from repro.experiments.resilience import (
     figure_resilience,
     figure_resilience_permanence,
 )
-from repro.experiments.runner import run_many
+from repro.experiments.runner import run_grid
 from repro.experiments.verification import figure_verification
 from repro.faults.script import load_fault_script
 from repro.sim.trace import RecordingSink, Tracer
@@ -160,8 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument(
         "--loss",
         type=float,
-        default=0.0,
-        help="frame loss rate [0,1) applied to every run",
+        default=None,
+        help="frame loss rate [0,1) applied to every run (default 0; "
+        "not accepted by 'degraded', whose campaign fixes it)",
     )
     figure.add_argument(
         "--mtbf",
@@ -683,14 +684,13 @@ def _command_run(args: argparse.Namespace) -> int:
 
 def _command_compare(args: argparse.Namespace) -> int:
     store = _resolve_store(args)
-    configs = [
-        _config_from_args(args, algorithm) for algorithm in Algorithm.ALL
-    ]
-    reports, cache = run_many(
-        configs,
-        parallel=bool(args.jobs and args.jobs > 1),
-        max_workers=args.jobs,
+    groups, cache = run_grid(
+        [
+            (algorithm, _config_from_args(args, algorithm))
+            for algorithm in Algorithm.ALL
+        ],
         store=store,
+        max_workers=args.jobs,
         progress=lambda line: print(line, file=sys.stderr),
     )
     rows = [
@@ -702,7 +702,7 @@ def _command_compare(args: argparse.Namespace) -> int:
             report.mean_report_hops,
             report.update_transmissions_per_failure,
         ]
-        for algorithm, report in zip(Algorithm.ALL, reports)
+        for algorithm, (report,) in groups.items()
     ]
     _cache_note(cache, store)
     print(
@@ -724,15 +724,22 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _command_figure(args: argparse.Namespace) -> int:
+    if args.number == "degraded" and args.loss is not None:
+        print(
+            "figure degraded: --loss is not accepted; the campaign runs "
+            "at its own fixed frame loss",
+            file=sys.stderr,
+        )
+        return 2
     generator = _FIGURES[args.number]
     store = _resolve_store(args)
+    loss = args.loss or 0.0
     if args.number == "resilience":
         figure = generator(
             mtbf_values=tuple(args.mtbf),
-            loss_rates=(args.loss,),
+            loss_rates=(loss,),
             robot_count=args.robots[0],
             seeds=tuple(args.seeds),
-            parallel=bool(args.jobs and args.jobs > 1),
             store=store,
             max_workers=args.jobs,
             sim_time_s=args.sim_time,
@@ -743,7 +750,6 @@ def _command_figure(args: argparse.Namespace) -> int:
             robot_count=args.robots[0],
             seeds=tuple(args.seeds),
             sim_time_s=args.sim_time,
-            parallel=bool(args.jobs and args.jobs > 1),
             store=store,
             max_workers=args.jobs,
             robot_speed_mps=args.speed,
@@ -753,24 +759,22 @@ def _command_figure(args: argparse.Namespace) -> int:
             robot_count=args.robots[0],
             seeds=tuple(args.seeds),
             sim_time_s=args.sim_time,
-            parallel=bool(args.jobs and args.jobs > 1),
             store=store,
             max_workers=args.jobs,
             robot_speed_mps=args.speed,
-            loss_rate=args.loss,
+            loss_rate=loss,
         )
     else:
         figure = generator(
             robot_counts=tuple(args.robots),
             seeds=tuple(args.seeds),
-            parallel=bool(args.jobs and args.jobs > 1),
             store=store,
             max_workers=args.jobs,
             sim_time_s=args.sim_time,
             robot_speed_mps=args.speed,
-            loss_rate=args.loss,
+            loss_rate=loss,
         )
-    _cache_note(figure.sweep_result.cache, store)
+    _cache_note(figure.cache, store)
     print(figure.render())
     if args.svg:
         from repro.viz import figure_to_svg

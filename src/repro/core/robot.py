@@ -731,11 +731,6 @@ class RobotNode(NetworkNode):
             self, self._flood_seq
         )
 
-    @property
-    def flood_seq(self) -> int:
-        """Monotone sequence number for this robot's announcements."""
-        return self._flood_seq
-
     def next_flood_seq(self) -> int:
         """Advance and return the announcement sequence number."""
         self._flood_seq += 1

@@ -10,7 +10,7 @@ defaults are the parameters its claims were established at, so a call
 without arguments reproduces the checked study.
 
 The studies that need only a :class:`~repro.metrics.RunReport` execute
-through :func:`~repro.experiments.runner.run_many`, so an optional
+through :func:`~repro.experiments.runner.run_grid`, so an optional
 :class:`~repro.store.RunStore` serves previously computed variants from
 disk, and ``max_workers`` fans fresh variants out over a process pool.
 The beacon-period and coverage/energy studies read the runtime's
@@ -36,7 +36,7 @@ from repro.deploy.scenario import (
 )
 from repro.experiments.figures import ClaimCheck
 from repro.experiments.render import render_table
-from repro.experiments.runner import run_many
+from repro.experiments.runner import run_grid
 from repro.metrics.collector import RunReport
 from repro.net import Category
 
@@ -152,14 +152,8 @@ def _report_rows(
     store: typing.Optional["RunStore"],
     max_workers: typing.Optional[int],
 ) -> typing.Dict[str, Row]:
-    """Run the configs (parallel only when asked via --jobs) and keep
-    *metrics* of each report."""
-    reports, _cache = run_many(
-        [config for _, config in labelled],
-        parallel=max_workers is not None and max_workers > 1,
-        max_workers=max_workers,
-        store=store,
-    )
+    """Run the configs and keep *metrics* of each report."""
+    groups, _cache = run_grid(labelled, store=store, max_workers=max_workers)
     return _mean_rows(
         (
             label,
@@ -170,7 +164,8 @@ def _report_rows(
                 for metric in metrics
             },
         )
-        for (label, _), report in zip(labelled, reports)
+        for label, reports in groups.items()
+        for report in reports
     )
 
 

@@ -18,7 +18,7 @@ import typing
 
 from repro.deploy.scenario import Algorithm, PAPER_ROBOT_COUNTS
 from repro.experiments.render import render_series_table
-from repro.experiments.runner import SweepResult, sweep
+from repro.experiments.runner import CacheStats, SweepResult, sweep
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard only
     from repro.store.store import RunStore
@@ -53,7 +53,8 @@ class FigureResult:
     x_values: typing.Tuple[int, ...]
     series: typing.Dict[str, typing.Tuple[float, ...]]
     claims: typing.Tuple[ClaimCheck, ...]
-    sweep_result: SweepResult
+    #: Store hit/miss split of the runs behind the figure.
+    cache: CacheStats
     #: Label of the x axis (the paper figures sweep robot counts; the
     #: resilience extension sweeps robot MTBF instead).
     x_label: str = "robots"
@@ -81,7 +82,6 @@ _ALGORITHMS = (Algorithm.FIXED, Algorithm.DYNAMIC, Algorithm.CENTRALIZED)
 def figure2_motion_overhead(
     robot_counts: typing.Sequence[int] = PAPER_ROBOT_COUNTS,
     seeds: typing.Sequence[int] = (1, 2),
-    parallel: bool = True,
     sweep_result: typing.Optional[SweepResult] = None,
     store: typing.Optional["RunStore"] = None,
     max_workers: typing.Optional[int] = None,
@@ -97,7 +97,6 @@ def figure2_motion_overhead(
         _ALGORITHMS,
         robot_counts,
         seeds,
-        parallel=parallel,
         store=store,
         max_workers=max_workers,
         **overrides,
@@ -163,14 +162,13 @@ def figure2_motion_overhead(
         x_values=tuple(robot_counts),
         series=series,
         claims=claims,
-        sweep_result=result,
+        cache=result.cache,
     )
 
 
 def figure3_hops(
     robot_counts: typing.Sequence[int] = PAPER_ROBOT_COUNTS,
     seeds: typing.Sequence[int] = (1, 2),
-    parallel: bool = True,
     sweep_result: typing.Optional[SweepResult] = None,
     store: typing.Optional["RunStore"] = None,
     max_workers: typing.Optional[int] = None,
@@ -187,7 +185,6 @@ def figure3_hops(
         _ALGORITHMS,
         robot_counts,
         seeds,
-        parallel=parallel,
         store=store,
         max_workers=max_workers,
         **overrides,
@@ -269,14 +266,13 @@ def figure3_hops(
         x_values=tuple(robot_counts),
         series=series,
         claims=claims,
-        sweep_result=result,
+        cache=result.cache,
     )
 
 
 def figure4_update_transmissions(
     robot_counts: typing.Sequence[int] = PAPER_ROBOT_COUNTS,
     seeds: typing.Sequence[int] = (1, 2),
-    parallel: bool = True,
     sweep_result: typing.Optional[SweepResult] = None,
     store: typing.Optional["RunStore"] = None,
     max_workers: typing.Optional[int] = None,
@@ -293,7 +289,6 @@ def figure4_update_transmissions(
         _ALGORITHMS,
         robot_counts,
         seeds,
-        parallel=parallel,
         store=store,
         max_workers=max_workers,
         **overrides,
@@ -357,5 +352,5 @@ def figure4_update_transmissions(
         x_values=tuple(robot_counts),
         series=series,
         claims=claims,
-        sweep_result=result,
+        cache=result.cache,
     )

@@ -18,7 +18,7 @@ import typing
 
 from repro.deploy.scenario import Algorithm, paper_scenario
 from repro.experiments.figures import ClaimCheck, FigureResult
-from repro.experiments.runner import SweepPoint, SweepResult, run_many
+from repro.experiments.runner import mean_metric, run_grid
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard only
     from repro.store.store import RunStore
@@ -39,7 +39,6 @@ def figure_resilience(
     loss_rates: typing.Sequence[float] = (0.0,),
     robot_count: int = 4,
     seeds: typing.Sequence[int] = (1, 2),
-    parallel: bool = True,
     store: typing.Optional["RunStore"] = None,
     max_workers: typing.Optional[int] = None,
     **overrides: typing.Any,
@@ -52,71 +51,46 @@ def figure_resilience(
     most hostile MTBF is no easier than the most benign one (within a
     small tolerance, since shorter MTBF also means more recoveries).
     """
-    configs = []
-    cells = []
-    for algorithm in _ALGORITHMS:
-        for loss_rate in loss_rates:
-            for mtbf in mtbf_values:
-                for seed in seeds:
-                    configs.append(
-                        paper_scenario(
-                            algorithm,
-                            robot_count,
-                            seed=seed,
-                            loss_rate=loss_rate,
-                            robot_mtbf_s=mtbf,
-                            **overrides,
-                        )
-                    )
-                    cells.append((_label(algorithm, loss_rate), mtbf))
-
-    ordered, cache = run_many(
-        configs,
-        parallel=parallel,
-        max_workers=max_workers,
+    groups, cache = run_grid(
+        [
+            (
+                (_label(algorithm, loss_rate), mtbf),
+                paper_scenario(
+                    algorithm,
+                    robot_count,
+                    seed=seed,
+                    loss_rate=loss_rate,
+                    robot_mtbf_s=mtbf,
+                    **overrides,
+                ),
+            )
+            for algorithm in _ALGORITHMS
+            for loss_rate in loss_rates
+            for mtbf in mtbf_values
+            for seed in seeds
+        ],
         store=store,
+        max_workers=max_workers,
     )
-
-    groups: typing.Dict[typing.Tuple[str, float], list] = {}
-    for cell, report in zip(cells, ordered):
-        groups.setdefault(cell, []).append(report)
-
     labels = [
         _label(algorithm, loss_rate)
         for algorithm in _ALGORITHMS
         for loss_rate in loss_rates
     ]
-    points = tuple(
-        SweepPoint(
-            algorithm=label,
-            robot_count=int(mtbf),
-            reports=tuple(groups[(label, mtbf)]),
-        )
-        for label in labels
-        for mtbf in mtbf_values
-    )
-    result = SweepResult(points=points, cache=cache)
-
     series = {
         label: tuple(
-            result.point(label, int(mtbf)).mean("unrepaired_fraction")
+            mean_metric(groups[(label, mtbf)], "unrepaired_fraction")
             for mtbf in mtbf_values
         )
         for label in labels
     }
+    runs = [report for reports in groups.values() for report in reports]
 
-    total_faults = sum(
-        report.robot_faults for reports in groups.values() for report in reports
-    )
-    total_detected = sum(
-        report.robot_faults_detected
-        for reports in groups.values()
-        for report in reports
-    )
+    total_faults = sum(report.robot_faults for report in runs)
+    total_detected = sum(report.robot_faults_detected for report in runs)
     latencies = [
         report.mean_fault_detection_latency_s
-        for reports in groups.values()
-        for report in reports
+        for report in runs
         if report.robot_faults_detected
     ]
     hostile_not_easier = all(
@@ -129,7 +103,7 @@ def figure_resilience(
             holds=total_faults > 0 and total_detected > 0,
             detail=(
                 f"{total_faults} faults, {total_detected} detected "
-                f"over {len(configs)} runs"
+                f"over {len(runs)} runs"
             ),
         ),
         ClaimCheck(
@@ -157,7 +131,7 @@ def figure_resilience(
         x_values=tuple(int(mtbf) for mtbf in mtbf_values),
         series=series,
         claims=claims,
-        sweep_result=result,
+        cache=cache,
         x_label="robot MTBF (s)",
     )
 
@@ -167,7 +141,6 @@ def figure_resilience_permanence(
     robot_mtbf_s: float = 6_000.0,
     robot_count: int = 4,
     seeds: typing.Sequence[int] = (1, 2),
-    parallel: bool = True,
     store: typing.Optional["RunStore"] = None,
     max_workers: typing.Optional[int] = None,
     **overrides: typing.Any,
@@ -185,58 +158,37 @@ def figure_resilience_permanence(
     unrepaired fraction than an all-recoverable one (small tolerance
     for seed noise).
     """
-    configs = []
-    cells = []
-    for algorithm in _ALGORITHMS:
-        for permanent_p in permanent_p_values:
-            for seed in seeds:
-                configs.append(
-                    paper_scenario(
-                        algorithm,
-                        robot_count,
-                        seed=seed,
-                        robot_mtbf_s=robot_mtbf_s,
-                        robot_fault_permanent_p=permanent_p,
-                        **overrides,
-                    )
-                )
-                cells.append((algorithm, permanent_p))
-
-    ordered, cache = run_many(
-        configs,
-        parallel=parallel,
-        max_workers=max_workers,
+    groups, cache = run_grid(
+        [
+            (
+                (algorithm, permanent_p),
+                paper_scenario(
+                    algorithm,
+                    robot_count,
+                    seed=seed,
+                    robot_mtbf_s=robot_mtbf_s,
+                    robot_fault_permanent_p=permanent_p,
+                    **overrides,
+                ),
+            )
+            for algorithm in _ALGORITHMS
+            for permanent_p in permanent_p_values
+            for seed in seeds
+        ],
         store=store,
+        max_workers=max_workers,
     )
-
-    groups: typing.Dict[typing.Tuple[str, float], list] = {}
-    for cell, report in zip(cells, ordered):
-        groups.setdefault(cell, []).append(report)
-
-    # SweepPoint keys x by an int; index into the p grid instead of the
-    # (fractional) probability itself.
-    points = tuple(
-        SweepPoint(
-            algorithm=algorithm,
-            robot_count=index,
-            reports=tuple(groups[(algorithm, permanent_p)]),
-        )
-        for algorithm in _ALGORITHMS
-        for index, permanent_p in enumerate(permanent_p_values)
-    )
-    result = SweepResult(points=points, cache=cache)
-
     series = {
         algorithm: tuple(
-            result.point(algorithm, index).mean("unrepaired_fraction")
-            for index in range(len(permanent_p_values))
+            mean_metric(
+                groups[(algorithm, permanent_p)], "unrepaired_fraction"
+            )
+            for permanent_p in permanent_p_values
         )
         for algorithm in _ALGORITHMS
     }
-
-    total_faults = sum(
-        report.robot_faults for reports in groups.values() for report in reports
-    )
+    runs = [report for reports in groups.values() for report in reports]
+    total_faults = sum(report.robot_faults for report in runs)
     permanence_hurts = all(
         series[algorithm][-1] >= series[algorithm][0] - 0.05
         for algorithm in _ALGORITHMS
@@ -245,7 +197,7 @@ def figure_resilience_permanence(
         ClaimCheck(
             claim="robot faults occur across the permanence grid",
             holds=total_faults > 0,
-            detail=f"{total_faults} faults over {len(configs)} runs",
+            detail=f"{total_faults} faults over {len(runs)} runs",
         ),
         ClaimCheck(
             claim=(
@@ -267,7 +219,7 @@ def figure_resilience_permanence(
         x_values=tuple(range(len(permanent_p_values))),
         series=series,
         claims=claims,
-        sweep_result=result,
+        cache=cache,
         x_label="permanent-crash probability (grid index: "
         + ", ".join(f"{i}={p:g}" for i, p in enumerate(permanent_p_values))
         + ")",

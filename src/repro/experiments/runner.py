@@ -1,20 +1,23 @@
-"""Experiment runner: replicated sweeps over scenario configurations.
+"""Experiment runner: replicated grids over scenario configurations.
 
-The paper's figures plot one metric against the number of maintenance
-robots (4, 9, 16) for each algorithm.  :func:`sweep` runs the cross
-product of algorithms × robot counts × seeds and returns every
-:class:`~repro.metrics.RunReport`, optionally in parallel across
-processes (each run is an independent, deterministic simulation).
+Every study — the paper's figures, the extension figures and the
+ablations — labels its configs and hands them to :func:`run_grid`,
+which runs them as one batch and returns each run's
+:class:`~repro.metrics.RunReport`, grouped by label.  The paper's
+figures plot one metric against the number of maintenance robots
+(4, 9, 16) for each algorithm; :func:`sweep` builds that grid
+(algorithms × robot counts × seeds) on top of :func:`run_grid`.
 
-When a :class:`~repro.store.RunStore` is supplied, the grid is first
+When a :class:`~repro.store.RunStore` is supplied, the batch is first
 partitioned into cache **hits** (loaded from disk, zero simulation) and
-**misses** (fanned out to the process pool, then persisted as each run
-finishes).  Because every completed run is written before the next one
-is awaited, an interrupted sweep resumes for free: rerunning it only
-executes the missing cells.
+**misses** (executed, then persisted as each run finishes).  Because
+every completed run is written before the next one is awaited, an
+interrupted grid resumes for free: rerunning it only executes the
+missing cells.
 
-The parallel path is a **chunked executor**: misses are grouped by
-their placement-relevant config subset (see
+Misses run in-process unless ``max_workers`` asks for more than one
+worker.  The parallel path is a **chunked executor**: misses are
+grouped by their placement-relevant config subset (see
 :func:`~repro.deploy.placement_cache.placement_key`), sliced into a
 bounded number of contiguous chunks, and each chunk runs sequentially
 inside one persistent worker of a spawn-context pool.  One process
@@ -39,7 +42,7 @@ from repro.core.runtime import ScenarioRuntime
 from repro.deploy.placement_cache import placement_key
 from repro.deploy.scenario import ScenarioConfig, paper_scenario
 from repro.net.radio import sensor_radio
-from repro.metrics.aggregate import SummaryStats, summarize
+from repro.metrics.aggregate import SummaryStats, mean_of, summarize
 from repro.metrics.collector import RunReport
 from repro.store.provenance import perf_clock
 
@@ -50,8 +53,10 @@ __all__ = [
     "CacheStats",
     "SweepPoint",
     "SweepResult",
+    "mean_metric",
     "run_config",
     "run_config_timed",
+    "run_grid",
     "run_many",
     "sweep",
 ]
@@ -164,10 +169,12 @@ def run_many(
     hit/miss split.  Misses are persisted one by one as they complete,
     so a killed batch leaves everything already finished reusable.
 
-    The parallel path groups misses by placement key into contiguous
-    chunks executed by a spawn-context worker pool (one process task
-    per chunk — see the module docstring); the serial path runs
-    in-process in input order.
+    With *parallel*, misses are grouped by placement key into
+    contiguous chunks executed by a spawn-context pool of *max_workers*
+    processes (one per CPU when ``None``; one process task per chunk —
+    see the module docstring); otherwise they run in-process in input
+    order.  Studies call :func:`run_grid`, which sets *parallel* from
+    *max_workers*.
     """
     reports: typing.Dict[int, RunReport] = {}
     misses: typing.List[typing.Tuple[int, ScenarioConfig]] = []
@@ -182,14 +189,8 @@ def run_many(
         else:
             misses.append((index, config))
 
-    if max_workers is not None and max_workers < 2:
-        parallel = False
     if parallel and len(misses) > 1:
-        workers = (
-            max_workers
-            if max_workers is not None
-            else os.cpu_count() or 1
-        )
+        workers = max_workers or os.cpu_count() or 1
         # Stable-sort misses so configs sharing a deployment sit next
         # to each other (then in input order); contiguous chunks then
         # maximize each worker's placement-cache reuse.
@@ -237,6 +238,43 @@ def run_many(
     return ordered, CacheStats(hits=hits, misses=len(misses))
 
 
+#: A study's cell label: an algorithm name, an (algorithm, x) pair, ...
+Label = typing.TypeVar("Label", bound=typing.Hashable)
+
+
+def run_grid(
+    labelled: typing.Sequence[typing.Tuple[Label, ScenarioConfig]],
+    store: typing.Optional["RunStore"] = None,
+    max_workers: typing.Optional[int] = None,
+    progress: typing.Optional[typing.Callable[[str], None]] = None,
+) -> typing.Tuple[typing.Dict[Label, typing.List[RunReport]], CacheStats]:
+    """Run the configs of *labelled* as one batch, grouped by label.
+
+    The one entry point every study runs its grid through.  Configs
+    run in the given order — in-process, unless *max_workers* asks for
+    more than one worker process — consulting and feeding *store*
+    (see :func:`run_many`).  Returns each label's reports in input
+    order, labels in first-seen order, plus the store hit/miss split.
+    """
+    reports, cache = run_many(
+        [config for _, config in labelled],
+        parallel=max_workers is not None and max_workers > 1,
+        max_workers=max_workers,
+        store=store,
+        progress=progress,
+    )
+    groups: typing.Dict[Label, typing.List[RunReport]] = {}
+    for (label, _), report in zip(labelled, reports):
+        groups.setdefault(label, []).append(report)
+    return groups, cache
+
+
+def mean_metric(reports: typing.Iterable[RunReport], metric: str) -> float:
+    """Mean of attribute *metric* over *reports*, skipping NaNs (NaN
+    when none is finite): how every figure averages its replicates."""
+    return mean_of([getattr(report, metric) for report in reports])
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class SweepPoint:
     """One (algorithm, robot count) grid point with its replicates."""
@@ -253,7 +291,7 @@ class SweepPoint:
 
     def mean(self, metric: str) -> float:
         """Mean of attribute *metric* over the replicates."""
-        return self.stat(metric).mean
+        return mean_metric(self.reports, metric)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -303,7 +341,6 @@ def sweep(
     algorithms: typing.Sequence[str],
     robot_counts: typing.Sequence[int],
     seeds: typing.Sequence[int] = (1,),
-    parallel: bool = True,
     progress: typing.Optional[typing.Callable[[str], None]] = None,
     store: typing.Optional["RunStore"] = None,
     max_workers: typing.Optional[int] = None,
@@ -316,8 +353,6 @@ def sweep(
     algorithms, robot_counts, seeds:
         The grid.  Each cell uses the paper's §4.1 parameters with
         *overrides* applied (e.g. ``sim_time_s=16_000`` to shorten runs).
-    parallel:
-        Fan runs out over a process pool (runs are independent).
     progress:
         Optional callback invoked with a human-readable line as each run
         finishes (or is served from the store).
@@ -326,45 +361,25 @@ def sweep(
         loaded without simulating; executed cells are persisted as they
         complete, making interrupted sweeps resumable.
     max_workers:
-        Process-pool width for the parallel path (``None`` lets the
-        executor pick; ``1`` forces serial execution).
+        Worker processes for uncached runs; ``None`` or ``1`` runs
+        them in-process (see :func:`run_grid`).
     """
-    configs: typing.List[ScenarioConfig] = []
-    for algorithm in algorithms:
-        for robot_count in robot_counts:
-            for seed in seeds:
-                configs.append(
-                    paper_scenario(
-                        algorithm, robot_count, seed=seed, **overrides
-                    )
-                )
-
-    ordered, cache = run_many(
-        configs,
-        parallel=parallel,
-        max_workers=max_workers,
+    groups, cache = run_grid(
+        [
+            (
+                (algorithm, robot_count),
+                paper_scenario(algorithm, robot_count, seed=seed, **overrides),
+            )
+            for algorithm in algorithms
+            for robot_count in robot_counts
+            for seed in seeds
+        ],
         store=store,
+        max_workers=max_workers,
         progress=progress,
     )
-
-    # Group reports in one pass keyed on (algorithm, robot_count); the
-    # grid is rebuilt in sweep order below, so a full rescan per cell
-    # (O(grid²)) is never needed.
-    groups: typing.Dict[
-        typing.Tuple[str, int], typing.List[RunReport]
-    ] = {}
-    for config, report in zip(configs, ordered):
-        groups.setdefault(
-            (config.algorithm, config.robot_count), []
-        ).append(report)
-
-    points = [
-        SweepPoint(
-            algorithm=algorithm,
-            robot_count=robot_count,
-            reports=tuple(groups.get((algorithm, robot_count), ())),
-        )
-        for algorithm in algorithms
-        for robot_count in robot_counts
-    ]
-    return SweepResult(points=tuple(points), cache=cache)
+    points = tuple(
+        SweepPoint(algorithm, robot_count, tuple(reports))
+        for (algorithm, robot_count), reports in groups.items()
+    )
+    return SweepResult(points=points, cache=cache)

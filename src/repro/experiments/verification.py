@@ -19,7 +19,7 @@ import typing
 
 from repro.deploy.scenario import Algorithm, DetectionMode, paper_scenario
 from repro.experiments.figures import ClaimCheck, FigureResult
-from repro.experiments.runner import SweepPoint, SweepResult, run_many
+from repro.experiments.runner import mean_metric, run_grid
 from repro.faults.script import FaultEvent, FaultKind
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard only
@@ -68,7 +68,6 @@ def figure_verification(
     robot_count: int = 4,
     seeds: typing.Sequence[int] = (1, 2),
     sim_time_s: float = 4_000.0,
-    parallel: bool = True,
     store: typing.Optional["RunStore"] = None,
     max_workers: typing.Optional[int] = None,
     **overrides: typing.Any,
@@ -82,67 +81,43 @@ def figure_verification(
     than it saves.
     """
     campaign = default_network_campaign(sim_time_s)
-    configs = []
-    cells = []
-    for algorithm in _ALGORITHMS:
-        for verify in (False, True):
-            for seed in seeds:
-                configs.append(
-                    paper_scenario(
-                        algorithm,
-                        robot_count,
-                        seed=seed,
-                        sim_time_s=sim_time_s,
-                        detection_mode=DetectionMode.BEACON,
-                        fault_script=campaign,
-                        verify_failures=verify,
-                        **overrides,
-                    )
-                )
-                cells.append((algorithm, verify))
-
-    ordered, cache = run_many(
-        configs,
-        parallel=parallel,
-        max_workers=max_workers,
+    groups, cache = run_grid(
+        [
+            (
+                (algorithm, verify),
+                paper_scenario(
+                    algorithm,
+                    robot_count,
+                    seed=seed,
+                    sim_time_s=sim_time_s,
+                    detection_mode=DetectionMode.BEACON,
+                    fault_script=campaign,
+                    verify_failures=verify,
+                    **overrides,
+                ),
+            )
+            for algorithm in _ALGORITHMS
+            for verify in (False, True)
+            for seed in seeds
+        ],
         store=store,
+        max_workers=max_workers,
     )
-
-    groups: typing.Dict[typing.Tuple[str, bool], list] = {}
-    for cell, report in zip(cells, ordered):
-        groups.setdefault(cell, []).append(report)
-
-    points = tuple(
-        SweepPoint(
-            algorithm=algorithm,
-            robot_count=int(verify),
-            reports=tuple(groups[(algorithm, verify)]),
-        )
-        for algorithm in _ALGORITHMS
-        for verify in (False, True)
-    )
-    result = SweepResult(points=points, cache=cache)
-
     series = {
         algorithm: tuple(
-            result.point(algorithm, int(verify)).mean("false_dispatches")
+            mean_metric(groups[(algorithm, verify)], "false_dispatches")
             for verify in (False, True)
         )
         for algorithm in _ALGORITHMS
     }
-
-    unverified = [
-        report
-        for (algorithm, verify), reports in groups.items()
-        if not verify
-        for report in reports
-    ]
-    verified = [
-        report
-        for (algorithm, verify), reports in groups.items()
-        if verify
-        for report in reports
-    ]
+    unverified, verified = (
+        [
+            report
+            for algorithm in _ALGORITHMS
+            for report in groups[(algorithm, verify)]
+        ]
+        for verify in (False, True)
+    )
     baseline_replaces_alive = sum(r.false_replacements for r in unverified)
     verified_replaces_alive = sum(r.false_replacements for r in verified)
     verified_aborts = sum(r.aborted_replacements for r in verified)
@@ -184,6 +159,6 @@ def figure_verification(
         x_values=(0, 1),
         series=series,
         claims=claims,
-        sweep_result=result,
+        cache=cache,
         x_label="failure verification (0=off, 1=on)",
     )

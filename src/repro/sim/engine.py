@@ -81,7 +81,6 @@ class Simulator:
         self._now = float(start_time)
         self._queue: list = []
         self._seq = 0
-        self._active_process: typing.Optional[Process] = None
         self._processed_events = 0
 
     # ------------------------------------------------------------------
@@ -91,11 +90,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> typing.Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
 
     @property
     def processed_events(self) -> int:

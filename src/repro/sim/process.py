@@ -120,7 +120,6 @@ class Process(Event):
             # A stale wakeup (e.g. an interrupt raced with termination).
             return
 
-        self.sim._active_process = self
         try:
             while True:
                 if event._ok:
@@ -167,8 +166,6 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - must surface any error
             self._target = None
             self.fail(exc)
-        finally:
-            self.sim._active_process = None
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "finished"

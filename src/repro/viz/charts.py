@@ -2,8 +2,9 @@
 
 Renders a :class:`~repro.experiments.FigureResult` (or any x → series
 mapping) as an SVG line chart in the style of the paper's matplotlib
-figures: x axis = number of maintenance robots, one marked line per
-series, a legend, and a y axis starting at zero like the originals.
+figures: the figure's own x axis (robot count for the paper's figures),
+one marked line per series, a legend, and a y axis starting at zero
+like the originals.
 """
 
 from __future__ import annotations
@@ -196,6 +197,6 @@ def figure_to_svg(figure: typing.Any, y_label: str = "") -> str:
         list(figure.x_values),
         {name: list(values) for name, values in figure.series.items()},
         title=figure.figure,
-        x_label="number of maintenance robots",
+        x_label=figure.x_label,
         y_label=y_label,
     )

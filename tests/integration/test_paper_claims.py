@@ -37,7 +37,6 @@ def figures():
         Algorithm.ALL,
         robot_counts=(4, 9),
         seeds=(1,),
-        parallel=False,
         **SCALE,
     )
     return {

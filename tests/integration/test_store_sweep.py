@@ -20,7 +20,6 @@ GRID = dict(
     algorithms=(Algorithm.FIXED, Algorithm.CENTRALIZED),
     robot_counts=(4,),
     seeds=(1, 2),
-    parallel=False,
     **FAST,
 )
 
@@ -96,7 +95,6 @@ class TestPlacementCacheIdentity:
             algorithms=(Algorithm.FIXED, Algorithm.CENTRALIZED),
             robot_counts=(4,),
             seeds=(1,),
-            parallel=False,
             **FAST,
         )
         reset_placement_cache()
@@ -164,7 +162,7 @@ class TestResumableSweep:
 class TestParallelSweep:
     def test_parallel_path_feeds_the_store(self, tmp_path):
         store = RunStore(tmp_path)
-        grid = dict(GRID, parallel=True, max_workers=2)
+        grid = dict(GRID, max_workers=2)
         first = sweep(store=store, **grid)
         assert first.cache.misses == 4
         assert len(store.digests()) == 4

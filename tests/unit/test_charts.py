@@ -1,5 +1,6 @@
 """Unit tests for the SVG line-chart renderer."""
 
+import types
 import xml.etree.ElementTree as ElementTree
 
 import pytest
@@ -80,7 +81,6 @@ class TestFigureToSvg:
             (Algorithm.FIXED, Algorithm.DYNAMIC, Algorithm.CENTRALIZED),
             robot_counts=(4,),
             seeds=(1,),
-            parallel=False,
             sim_time_s=2_000.0,
             sensors_per_robot=25,
             placement="grid",
@@ -91,3 +91,16 @@ class TestFigureToSvg:
         svg = figure_to_svg(figure, y_label="m per failure")
         ElementTree.fromstring(svg)
         assert "Figure 2" in svg
+
+    def test_x_axis_uses_the_figure_label(self):
+        from repro.viz import figure_to_svg
+
+        figure = types.SimpleNamespace(
+            figure="Resilience",
+            x_values=(2000, 8000),
+            series={"fixed": (0.5, 0.1)},
+            x_label="robot MTBF (s)",
+        )
+        svg = figure_to_svg(figure, y_label="unrepaired failure fraction")
+        assert "robot MTBF (s)" in svg
+        assert "maintenance robots" not in svg

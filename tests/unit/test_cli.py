@@ -121,6 +121,15 @@ class TestCommands:
         for algorithm in ("centralized", "fixed", "dynamic"):
             assert algorithm in out
 
+    def test_figure_degraded_rejects_loss(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setitem(
+            cli._FIGURES, "degraded", lambda **kwargs: calls.append(kwargs)
+        )
+        assert main(["figure", "degraded", "--loss", "0.3"]) == 2
+        assert "--loss" in capsys.readouterr().err
+        assert calls == []
+
     @pytest.mark.parametrize("holds, exit_code", [(True, 0), (False, 1)])
     def test_ablate_exit_code_follows_claims(
         self, holds, exit_code, capsys, monkeypatch

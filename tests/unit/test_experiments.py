@@ -93,7 +93,6 @@ class TestSweep:
             (Algorithm.CENTRALIZED, Algorithm.FIXED),
             robot_counts=(4,),
             seeds=(1, 2),
-            parallel=False,
             **FAST,
         )
 
@@ -129,7 +128,6 @@ class TestFigureGenerators:
             (Algorithm.FIXED, Algorithm.DYNAMIC, Algorithm.CENTRALIZED),
             robot_counts=(4,),
             seeds=(1,),
-            parallel=False,
             **FAST,
         )
         figure = figure2_motion_overhead(

@@ -22,7 +22,6 @@ def tiny_sweep():
         (Algorithm.FIXED, Algorithm.DYNAMIC, Algorithm.CENTRALIZED),
         robot_counts=(4,),
         seeds=(1,),
-        parallel=False,
         **FAST,
     )
 
