@@ -206,8 +206,9 @@ class ScenarioRuntime:
         # initialization location broadcasts ("all the sensors broadcast
         # their locations to their one-hop neighbors"), whose messages
         # are still emitted in initialize() for accounting.
+        long_range = self._long_range_nodes()
         for node in self.channel.nodes():
-            self._seed_node_neighbors(node, bidirectional=False)
+            self._seed_node_neighbors(node, long_range, bidirectional=False)
 
     def _create_sensor(self, node_id: NodeId, position: Point) -> SensorNode:
         sensor = SensorNode(
@@ -225,34 +226,57 @@ class ScenarioRuntime:
         self.sensors[node_id] = sensor
         return sensor
 
+    def _long_range_nodes(self) -> typing.Dict[NodeId, NetworkNode]:
+        """The live robots and manager, by id: the only nodes heard
+        beyond the sensor range."""
+        return {
+            node.node_id: node
+            for node in [*self.robots.values(), self.manager]
+            if node is not None and self.channel.has_node(node.node_id)
+        }
+
     def _seed_node_neighbors(
-        self, node: NetworkNode, bidirectional: bool
+        self,
+        node: NetworkNode,
+        long_range: typing.Dict[NodeId, NetworkNode],
+        bidirectional: bool,
     ) -> None:
         """Fill neighbour tables by radio reachability.
 
         A node ``u`` appears in ``v``'s table iff ``v`` can hear ``u``,
-        i.e. the distance is within *u's* (the sender's) range.
+        i.e. the distance is within *u's* (the sender's) range.  Only
+        the *long_range* nodes are heard beyond the sensor range, so the
+        other candidates come from a probe at the sensor range (or the
+        node's own, when it is heard too) plus 1 m.  The margin keeps
+        the probe's squared test a superset of the ``hypot`` cutoffs
+        below, which decide.
         """
-        now = self.sim.now
-        probe_range = max(node.radio.range_m, robot_radio().range_m)
-        others = self.channel.nodes_within(
-            node.position, probe_range, exclude=node.node_id
-        )
+        short_range = sensor_radio().range_m
+        if bidirectional:
+            short_range = max(short_range, node.radio.range_m)
+        candidates = {
+            other.node_id: other
+            for other in self.channel.nodes_within(
+                node.position, short_range + 1.0
+            )
+        }
+        candidates.update(long_range)
+        del candidates[node.node_id]
         # Point.distance_to's math.hypot, inlined: this loop is most of
         # a run's setup.  hypot is exact under operand negation, so the
         # reachability cutoffs below see the same values either way.
         x = node.position.x
         y = node.position.y
-        for other in others:
+        for other in candidates.values():
             position = other.position
             distance = hypot(position.x - x, position.y - y)
             if distance <= other.radio.range_m:
                 node.neighbor_table.upsert(
-                    other.node_id, other.position, other.kind, now
+                    other.node_id, other.position, other.kind
                 )
             if bidirectional and distance <= node.radio.range_m:
                 other.neighbor_table.upsert(
-                    node.node_id, node.position, node.kind, now
+                    node.node_id, node.position, node.kind
                 )
 
     # ------------------------------------------------------------------
@@ -424,7 +448,9 @@ class ScenarioRuntime:
 
         # Administrative bootstrap mirroring the broadcast/beacon
         # exchange quoted above (messages emitted below for accounting).
-        self._seed_node_neighbors(sensor, bidirectional=True)
+        self._seed_node_neighbors(
+            sensor, self._long_range_nodes(), bidirectional=True
+        )
         self.coordination.seed_replacement(sensor)
         sensor.send_broadcast(
             Category.INITIALIZATION,

@@ -116,7 +116,7 @@ class SensorNode(NetworkNode):
                 # state, so the position must not be attributed to the
                 # origin.)
                 self.neighbor_table.upsert(
-                    origin_id, payload.position, payload.kind, self.sim.now
+                    origin_id, payload.position, payload.kind
                 )
             if payload.seq > self._flood_seen.get(origin_id, -1):
                 self._accept_flood(packet, payload)
@@ -488,9 +488,7 @@ class SensorNode(NetworkNode):
         self._pending_reports.pop(node_id, None)
         self._suspicions.pop(node_id, None)
         self._last_beacon[node_id] = self.sim.now
-        self.neighbor_table.upsert(
-            node_id, position, "sensor", self.sim.now
-        )
+        self.neighbor_table.upsert(node_id, position, "sensor")
         if self.runtime.guardian_of.get(node_id) == self.node_id:
             self.accept_guardee(node_id, position)
 
@@ -575,7 +573,7 @@ class SensorNode(NetworkNode):
         entry = self.neighbor_table.get(flood.origin_id)
         if entry is not None:
             self.neighbor_table.upsert(
-                flood.origin_id, flood.position, flood.kind, self.sim.now
+                flood.origin_id, flood.position, flood.kind
             )
         self.runtime.coordination.on_flood_learned(self, flood)
 

@@ -9,8 +9,7 @@ A :class:`NodeAnnouncement` is the common payload of beacons, the
 initialization location broadcasts, and robot location updates — any
 frame that tells receivers "node X of kind K is (or will be) at P".
 Receiving nodes update their neighbour tables from announcements
-automatically (see :meth:`repro.net.node.NetworkNode.handle_frame`
-integration below).
+automatically (see :meth:`repro.net.channel.Channel._deliver`).
 """
 
 from __future__ import annotations

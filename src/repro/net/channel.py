@@ -27,7 +27,7 @@ import operator
 import typing
 
 from repro.geometry.point import Point
-from repro.net.frames import Frame, NodeId
+from repro.net.frames import Frame, NodeAnnouncement, NodeId, Packet
 from repro.net.spatial import SpatialGrid
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -500,9 +500,22 @@ class Channel:
         sender_id: NodeId,
         sender_position: Point,
     ) -> None:
+        """Hand *frame* to every receiver still alive, in id order.
+
+        A broadcast skips the MAC: any directly heard announcement
+        (beacon, init broadcast, robot location update) refreshes the
+        receiver's neighbour table, then the application hook runs.  A
+        unicast frame goes through :meth:`NetworkNode.handle_frame`.
+        """
         nodes = self._nodes
         tracer = self.tracer
         tracing = tracer.active
+        # The MAC only broadcasts frames that carry a packet.
+        packet = typing.cast(Packet, frame.packet)
+        broadcast = frame.is_broadcast
+        announcement = None
+        if broadcast and type(packet.payload) is NodeAnnouncement:
+            announcement = packet.payload
         delivered = 0
         for receiver_id in receiver_ids:
             receiver = nodes.get(receiver_id)
@@ -517,7 +530,18 @@ class Channel:
                     sender=sender_id,
                     frame=frame,
                 )
-            receiver.handle_frame(frame, sender_id, sender_position)
+            if not broadcast:
+                receiver.handle_frame(frame, sender_id, sender_position)
+                continue
+            if announcement is not None:
+                receiver.neighbor_table.upsert(
+                    announcement.node_id,
+                    announcement.position,
+                    announcement.kind,
+                )
+            receiver.on_broadcast_received(
+                packet, sender_id, sender_position
+            )
         self.stats.frames_delivered += delivered
 
     def __repr__(self) -> str:

@@ -1,10 +1,12 @@
 """Per-node neighbour tables.
 
 Geographic forwarding is purely local: each node keeps a table of one-hop
-neighbours (id, position, kind, freshness) learned from initialization
-broadcasts and periodic beacons, and forwards packets to the neighbour
-geographically closest to the destination (paper §4.2).  Entries expire
-when beacons stop arriving, which is also how guardians detect failures.
+neighbours (id, position, kind) learned from initialization broadcasts,
+beacons and robot floods, and forwards packets to the neighbour
+geographically closest to the destination (paper §4.2).  The table keeps
+no timestamps: a sensor's last-heard record is
+``SensorNode._last_beacon``, from which guardians detect failures and
+``SensorNode._watch_loop`` prunes silent neighbours.
 """
 
 from __future__ import annotations
@@ -25,17 +27,13 @@ class NeighborEntry:
     node_id: NodeId
     position: Point
     kind: str
-    last_heard: float
 
     def __repr__(self) -> str:
-        return (
-            f"<Neighbor {self.node_id} ({self.kind}) at {self.position!r} "
-            f"heard={self.last_heard:.1f}>"
-        )
+        return f"<Neighbor {self.node_id} ({self.kind}) at {self.position!r}>"
 
 
 class NeighborTable:
-    """A mutable map of one-hop neighbours with freshness tracking."""
+    """A mutable map of one-hop neighbours, by id."""
 
     def __init__(self) -> None:
         self._entries: typing.Dict[NodeId, NeighborEntry] = {}
@@ -43,41 +41,18 @@ class NeighborTable:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def upsert(
-        self,
-        node_id: NodeId,
-        position: Point,
-        kind: str,
-        time: float,
-    ) -> NeighborEntry:
+    def upsert(self, node_id: NodeId, position: Point, kind: str) -> None:
         """Insert or refresh a neighbour record."""
         entry = self._entries.get(node_id)
         if entry is None:
-            entry = NeighborEntry(node_id, position, kind, time)
-            self._entries[node_id] = entry
+            self._entries[node_id] = NeighborEntry(node_id, position, kind)
         else:
             entry.position = position
             entry.kind = kind
-            entry.last_heard = max(entry.last_heard, time)
-        return entry
 
     def remove(self, node_id: NodeId) -> bool:
         """Forget a neighbour; returns True if it was present."""
         return self._entries.pop(node_id, None) is not None
-
-    def expire_older_than(self, deadline: float) -> typing.List[NodeId]:
-        """Drop entries last heard strictly before *deadline*.
-
-        Returns the removed ids (sorted, for determinism).
-        """
-        stale = sorted(
-            node_id
-            for node_id, entry in self._entries.items()
-            if entry.last_heard < deadline
-        )
-        for node_id in stale:
-            del self._entries[node_id]
-        return stale
 
     def clear(self) -> None:
         """Forget all neighbours."""

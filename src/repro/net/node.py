@@ -12,13 +12,7 @@ import typing
 
 from repro.geometry.point import Point
 from repro.net.channel import Channel
-from repro.net.frames import (
-    BROADCAST,
-    Frame,
-    NodeAnnouncement,
-    NodeId,
-    Packet,
-)
+from repro.net.frames import BROADCAST, Frame, NodeId, Packet
 from repro.net.mac import Mac, MacConfig
 from repro.net.neighbors import NeighborTable
 from repro.net.radio import RadioConfig
@@ -133,31 +127,17 @@ class NetworkNode:
     def handle_frame(
         self, frame: Frame, sender_id: NodeId, sender_position: Point
     ) -> None:
-        """Link-layer entry point, called by the channel on delivery."""
+        """Unicast link-layer entry point: the MAC, then the router.
+
+        The channel hands broadcasts straight to the neighbour table and
+        :meth:`on_broadcast_received`; they never need the MAC.
+        """
         if not self.alive:
             return
-        # The MAC only consumes acks and acknowledges unicast frames, so
-        # a broadcast (never an ack) skips it.
-        if frame.link_destination != BROADCAST and self.mac.handle_incoming(
-            frame, sender_id
-        ) is None:
+        if self.mac.handle_incoming(frame, sender_id) is None:
             return  # Consumed at the link layer (an ack).
         packet = frame.packet
-        if packet is None:
-            return
-        if packet.is_broadcast:
-            # Any directly heard announcement (beacon, init broadcast,
-            # robot location update) refreshes the neighbour table.
-            payload = packet.payload
-            if type(payload) is NodeAnnouncement:
-                self.neighbor_table.upsert(
-                    payload.node_id,
-                    payload.position,
-                    payload.kind,
-                    self.sim.now,
-                )
-            self.on_broadcast_received(packet, sender_id, sender_position)
-        else:
+        if packet is not None:
             self.router.handle(packet, previous_position=sender_position)
 
     def on_link_failure(self, frame: Frame) -> None:

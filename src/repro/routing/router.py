@@ -155,10 +155,10 @@ class GeographicRouter:
         assert destination_location is not None
 
         # Destination shortcut: hand over directly when it is in range
-        # (with slack and a freshness bound for destinations that may
-        # have moved since their last announcement).
+        # (with slack for destinations that may have moved since their
+        # last announcement).
         direct = table.get(packet.destination)
-        if direct is not None and self._shortcut_usable(direct):
+        if direct is not None and self._reachable(direct):
             self._transmit(packet, direct.node_id)
             return
 
@@ -298,14 +298,6 @@ class GeographicRouter:
         """
         distance = self.node.position.distance_to(entry.position)
         if entry.kind == "sensor":
-            return distance <= self.node.radio.range_m
-        return distance <= self.node.radio.range_m - self.shortcut_slack_m
-
-    def _shortcut_usable(self, entry: NeighborEntry) -> bool:
-        """May the packet be handed directly to this destination entry?"""
-        distance = self.node.position.distance_to(entry.position)
-        if entry.kind == "sensor":
-            # Static node at an exact recorded position.
             return distance <= self.node.radio.range_m
         return distance <= self.node.radio.range_m - self.shortcut_slack_m
 

@@ -64,7 +64,7 @@ class TestGabrielPlanarity:
         graph.add_nodes_from(range(len(points)))
         for i, origin in enumerate(points):
             entries = [
-                NeighborEntry(f"{j}", p, "sensor", 0.0)
+                NeighborEntry(f"{j}", p, "sensor")
                 for j, p in enumerate(points)
                 if j != i and p.distance_to(origin) <= radius
             ]
@@ -86,7 +86,7 @@ class TestGabrielPlanarity:
         gabriel.add_nodes_from(range(len(points)))
         for i, origin in enumerate(points):
             entries = [
-                NeighborEntry(f"{j}", p, "sensor", 0.0)
+                NeighborEntry(f"{j}", p, "sensor")
                 for j, p in enumerate(points)
                 if j != i and p.distance_to(origin) <= radius
             ]

@@ -2,14 +2,16 @@
 
 import heapq
 import random
+from math import hypot
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import ScenarioRuntime
+from repro.deploy import Algorithm, PlacementStyle, paper_scenario
 from repro.geometry import Point
 from repro.net import (
     Channel,
-    NeighborTable,
     NetworkNode,
     RadioConfig,
     SpatialGrid,
@@ -121,32 +123,86 @@ class TestSpatialGridProperties:
         assert dict(grid.items()) == final
 
 
-class TestNeighborTableProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=20),  # id bucket
-                points,
-                st.floats(min_value=0.0, max_value=100.0),
-            ),
-            min_size=0,
-            max_size=50,
-        ),
-        st.floats(min_value=0.0, max_value=100.0),
+def heard_by(node, nodes):
+    """The ids of *nodes* whose radio reaches *node* (brute force)."""
+    x = node.position.x
+    y = node.position.y
+    return sorted(
+        other.node_id
+        for other in nodes
+        if other is not node
+        and hypot(other.position.x - x, other.position.y - y)
+        <= other.radio.range_m
     )
-    def test_expiry_keeps_exactly_fresh_entries(self, updates, deadline):
-        table = NeighborTable()
-        latest = {}
-        for id_bucket, position, time in updates:
-            name = f"n{id_bucket:02d}"
-            table.upsert(name, position, "sensor", time)
-            latest[name] = max(latest.get(name, 0.0), time)
-        table.expire_older_than(deadline)
-        expected = sorted(
-            name for name, time in latest.items() if time >= deadline
+
+
+# A replacement site one sensor range (63 m) from a sensor exercises the
+# boundary-inclusive cutoff.
+offsets = st.one_of(
+    st.sampled_from([(63.0, 0.0), (0.0, -63.0), (-63.0, 0.0)]),
+    st.tuples(
+        st.floats(min_value=-120.0, max_value=120.0),
+        st.floats(min_value=-120.0, max_value=120.0),
+    ),
+)
+
+
+class TestNeighborSeedingProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        placement=st.sampled_from(PlacementStyle.ALL),
+        sensors_per_robot=st.integers(min_value=25, max_value=40),
+        anchor=st.integers(min_value=0, max_value=10**6),
+        offset=offsets,
+        step=st.tuples(
+            st.floats(min_value=-80.0, max_value=80.0),
+            st.floats(min_value=-80.0, max_value=80.0),
+        ),
+    )
+    def test_seeded_tables_match_the_all_pairs_rule(
+        self, seed, placement, sensors_per_robot, anchor, offset, step
+    ):
+        config = paper_scenario(
+            Algorithm.CENTRALIZED,
+            4,
+            seed=seed,
+            placement=placement,
+            sensors_per_robot=sensors_per_robot,
         )
-        assert table.ids() == expected
+        runtime = ScenarioRuntime(config)
+        nodes = runtime.channel.nodes()
+        assert runtime.manager in nodes
+        for node in nodes:
+            assert node.neighbor_table.ids() == heard_by(node, nodes)
+
+        # A replacement seeded after one robot moved into the mobile
+        # layer near its site and another robot died.
+        sensors = runtime.sensors_sorted()
+        base = sensors[anchor % len(sensors)].position
+        site = Point(base.x + offset[0], base.y + offset[1])
+        robots = runtime.robots_sorted()
+        moved, dead = robots[0], robots[-1]
+        moved.move_to(Point(site.x + step[0], site.y + step[1]))
+        dead.mark_down(permanent=True)
+        replacement = runtime._create_sensor("sensor-r00001", site)
+        runtime._seed_node_neighbors(
+            replacement, runtime._long_range_nodes(), bidirectional=True
+        )
+
+        live = runtime.channel.nodes()
+        assert dead not in live
+        assert replacement.neighbor_table.ids() == heard_by(
+            replacement, live
+        )
+        for node in live + [dead]:
+            if node is not replacement:
+                heard = hypot(
+                    site.x - node.position.x, site.y - node.position.y
+                ) <= replacement.radio.range_m
+                assert (replacement.node_id in node.neighbor_table) == (
+                    heard and node is not dead
+                )
 
 
 # A 7 m lattice puts some node pairs exactly on a radio range (63 m is

@@ -57,7 +57,7 @@ class TestPlanarizationProperties:
     def test_rng_subset_of_gabriel(self, positions):
         origin = Point(0.0, 0.0)
         entries = [
-            NeighborEntry(f"n{i:02d}", p, "sensor", 0.0)
+            NeighborEntry(f"n{i:02d}", p, "sensor")
             for i, p in enumerate(positions)
             if p.distance_to(origin) > 1e-9
         ]
@@ -72,7 +72,7 @@ class TestPlanarizationProperties:
         for position in positions:
             if position.distance_to(origin) < 1e-9:
                 continue
-            entries = [NeighborEntry("only", position, "sensor", 0.0)]
+            entries = [NeighborEntry("only", position, "sensor")]
             assert len(gabriel_neighbors(origin, entries)) == 1
             assert len(rng_neighbors(origin, entries)) == 1
 
@@ -86,7 +86,7 @@ class TestPlanarizationProperties:
         neighbor_sets = {}
         for i, origin in enumerate(points):
             entries = [
-                NeighborEntry(ids[j], p, "sensor", 0.0)
+                NeighborEntry(ids[j], p, "sensor")
                 for j, p in enumerate(points)
                 if j != i and p.distance_to(origin) <= 70.0
             ]
@@ -126,7 +126,7 @@ class TestDeliveryProperties:
             for b in nodes:
                 if a is not b and a.position.distance_to(b.position) <= radio:
                     a.neighbor_table.upsert(
-                        b.node_id, b.position, b.kind, 0.0
+                        b.node_id, b.position, b.kind
                     )
 
         picker = random.Random(seed)

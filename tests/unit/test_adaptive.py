@@ -200,7 +200,7 @@ class TestAdaptiveKnobs:
         runtime.sim._now = 10 * silence  # noqa: SLF001 - direct clock set
         for peer in runtime.sensors_sorted()[1:4]:
             sensor.neighbor_table.upsert(
-                peer.node_id, peer.position, "sensor", 0.0
+                peer.node_id, peer.position, "sensor"
             )
             sensor._last_beacon[peer.node_id] = 0.0
         assert sensor.stale_neighbor_fraction(silence) == 1.0

@@ -117,33 +117,28 @@ class TestSensorBehaviour:
         )
 
     @staticmethod
-    def _flood_frame(robot, seq, position=Point(1, 1), source=None):
-        from repro.net import BROADCAST, Frame, Packet
+    def _flood_packet(robot, seq, position=Point(1, 1), source=None):
+        from repro.net import BROADCAST, Packet
 
         flood = FloodMessage(
             origin_id=robot.node_id, position=position, kind="robot", seq=seq
         )
-        packet = Packet(
+        return Packet(
             source=source or robot.node_id,
             destination=BROADCAST,
             category=Category.LOCATION_UPDATE,
             payload=flood,
-        )
-        return Frame(
-            sender=packet.source,
-            link_destination=BROADCAST,
-            packet=packet,
-            size_bits=packet.size_bits,
         )
 
     def test_flood_dedup_by_sequence(self):
         runtime = tiny_runtime(algorithm=Algorithm.DYNAMIC)
         sensor = runtime.sensors_sorted()[0]
         robot = runtime.robots_sorted()[0]
-        frame = self._flood_frame(robot, seq=100)
+        packet = self._flood_packet(robot, seq=100)
         before = sensor.mac.queue_depth
-        sensor.handle_frame(frame, robot.node_id, robot.position)
-        sensor.handle_frame(frame, robot.node_id, robot.position)  # duplicate
+        hear = sensor.on_broadcast_received
+        hear(packet, robot.node_id, robot.position)
+        hear(packet, robot.node_id, robot.position)  # duplicate
         # Only one relay was queued for the duplicate pair.
         assert sensor.mac.queue_depth <= before + 1
         assert sensor.known_robots[robot.node_id] == (Point(1, 1), 100)
@@ -154,16 +149,15 @@ class TestSensorBehaviour:
         robot = runtime.robots_sorted()[0]
         relay = runtime.sensors_sorted()[1]
         # First copy relayed by a sensor, then the robot's own copy late.
-        relayed = self._flood_frame(robot, seq=100, source=relay.node_id)
-        sensor.handle_frame(relayed, relay.node_id, relay.position)
+        relayed = self._flood_packet(robot, seq=100, source=relay.node_id)
+        sensor.on_broadcast_received(relayed, relay.node_id, relay.position)
         sensor.neighbor_table.remove(robot.node_id)
         runtime.sim.run(until=3.0)
-        direct = self._flood_frame(robot, seq=100)
-        sensor.handle_frame(direct, robot.node_id, robot.position)
+        direct = self._flood_packet(robot, seq=100)
+        sensor.on_broadcast_received(direct, robot.node_id, robot.position)
         entry = sensor.neighbor_table.get(robot.node_id)
         assert entry is not None
         assert entry.position == Point(1, 1)
-        assert entry.last_heard == runtime.sim.now
 
     def test_relay_predicate_runs_once_per_fresh_flood(self, monkeypatch):
         from repro.core.knowledge import RobotKnowledge
@@ -190,8 +184,8 @@ class TestSensorBehaviour:
         monkeypatch.setattr(strategy, "should_relay_flood", relay)
         monkeypatch.setattr(RobotKnowledge, "nearest_two", nearest_two)
         for seq in (100, 100, 101, 100, 101):
-            frame = self._flood_frame(robot, seq=seq)
-            sensor.handle_frame(frame, robot.node_id, robot.position)
+            packet = self._flood_packet(robot, seq=seq)
+            sensor.on_broadcast_received(packet, robot.node_id, robot.position)
         assert calls == [100, 101]
         # One knowledge-table scan per fresh flood serves both the
         # myrobot refresh and the relay predicate.

@@ -52,7 +52,7 @@ class TestArqExhaustion:
             streams,
             routing_stats=stats,
         )
-        sender.neighbor_table.upsert("dst", Point(10, 0), "sensor", 0.0)
+        sender.neighbor_table.upsert("dst", Point(10, 0), "sensor")
         packet = Packet(
             source="src",
             destination="dst",
@@ -101,7 +101,7 @@ class TestArqExhaustion:
             streams,
             routing_stats=stats,
         )
-        sender.neighbor_table.upsert("dst", Point(10, 0), "sensor", 0.0)
+        sender.neighbor_table.upsert("dst", Point(10, 0), "sensor")
         packet = Packet(
             source="src",
             destination="dst",

@@ -9,14 +9,16 @@ from repro.net import (
     Category,
     Channel,
     Frame,
+    Mac,
     NetworkNode,
+    NodeAnnouncement,
     Packet,
     RadioConfig,
     robot_radio,
     sensor_radio,
 )
 from repro.routing import RoutingStats
-from repro.sim import RandomStreams, Simulator
+from repro.sim import RandomStreams, Simulator, Tracer
 
 
 class Recorder(NetworkNode):
@@ -41,10 +43,10 @@ class Recorder(NetworkNode):
         super().on_link_failure(frame)
 
 
-def build(positions, radio=None, loss=0.0, seed=0):
+def build(positions, radio=None, loss=0.0, seed=0, tracer=None):
     sim = Simulator()
     streams = RandomStreams(seed)
-    channel = Channel(sim, streams)
+    channel = Channel(sim, streams, tracer=tracer)
     stats = RoutingStats()
     nodes = []
     for index, position in enumerate(positions):
@@ -142,7 +144,7 @@ class TestDelivery:
         sim, channel, nodes = build([Point(0, 0), Point(30, 0)])
         # Hand-craft a unicast to a node that is too far away.
         nodes[0].neighbor_table.upsert(
-            "phantom", Point(10, 0), "sensor", 0.0
+            "phantom", Point(10, 0), "sensor"
         )
         packet = Packet(
             source="n00",
@@ -243,6 +245,99 @@ class TestReceiverIndex:
             channel.node_moved(robot)
 
 
+def broadcast_frame(sender, payload):
+    packet = Packet(
+        source=sender.node_id,
+        destination=BROADCAST,
+        category=Category.BEACON,
+        payload=payload,
+    )
+    return Frame(
+        sender=sender.node_id, link_destination=BROADCAST, packet=packet
+    )
+
+
+class TestDeliveryPath:
+    def test_announcement_refreshes_the_table_before_the_hook(self):
+        sim, channel, nodes = build([Point(0, 0), Point(10, 0)])
+        receiver = nodes[1]
+        receiver.neighbor_table.upsert("n00", Point(40, 40), "sensor")
+        seen = []
+
+        def hook(packet, sender_id, sender_position):
+            seen.append(receiver.neighbor_table.get(sender_id).position)
+
+        receiver.on_broadcast_received = hook
+        announcement = NodeAnnouncement("n00", Point(0, 0), "sensor")
+        channel.transmit(nodes[0], broadcast_frame(nodes[0], announcement))
+        sim.run(until=1.0)
+        assert seen == [Point(0, 0)]
+
+    def test_receiver_dying_in_flight_is_skipped(self):
+        tracer = Tracer()
+        rx = []
+        tracer.subscribe("rx", rx.append)
+        sim, channel, nodes = build(
+            [Point(0, 0), Point(10, 0), Point(20, 0)], tracer=tracer
+        )
+        channel.transmit(nodes[0], broadcast_frame(nodes[0], "x"))
+        nodes[1].die()
+        sim.run(until=1.0)
+        assert nodes[1].broadcasts == []
+        assert len(nodes[2].broadcasts) == 1
+        assert [record["receiver"] for record in rx] == ["n02"]
+        assert channel.stats.frames_delivered == 1
+
+    def test_rx_records_precede_each_hook_in_id_order(self):
+        log = []
+        tracer = Tracer()
+        tracer.subscribe(
+            "rx", lambda record: log.append(("rx", record["receiver"]))
+        )
+        # Listed out of id order in space: the receiver set is id-sorted.
+        sim, channel, nodes = build(
+            [Point(0, 0), Point(30, 0), Point(-10, 0), Point(5, 5)],
+            tracer=tracer,
+        )
+        for node in nodes[1:]:
+            node.on_broadcast_received = (
+                lambda packet, sender_id, position, node_id=node.node_id:
+                log.append(("hook", node_id))
+            )
+        channel.transmit(nodes[0], broadcast_frame(nodes[0], "x"))
+        sim.run(until=1.0)
+        assert log == [
+            (step, node_id)
+            for node_id in ("n01", "n02", "n03")
+            for step in ("rx", "hook")
+        ]
+
+    def test_lossy_unicast_goes_through_the_mac(self, monkeypatch):
+        incoming = []
+        inner = Mac.handle_incoming
+
+        def handle_incoming(mac, frame, sender_id):
+            incoming.append((mac.node.node_id, frame.is_ack))
+            return inner(mac, frame, sender_id)
+
+        monkeypatch.setattr(Mac, "handle_incoming", handle_incoming)
+        sim, channel, nodes = build(
+            [Point(0, 0), Point(10, 0)], loss=0.1, seed=0
+        )
+        packet = Packet(
+            source="n00",
+            destination="n01",
+            category=Category.DATA,
+            dest_location=Point(10, 0),
+        )
+        nodes[0].mac.send_packet(packet, "n01")
+        sim.run(until=5.0)
+        assert nodes[1].delivered == [packet]
+        assert ("n01", False) in incoming  # the data frame, acked
+        assert ("n00", True) in incoming  # the ack, consumed
+        assert nodes[0].mac._pending_acks == {}
+
+
 class TestLossAndArq:
     def test_lossless_by_default_no_acks(self):
         sim, channel, nodes = build([Point(0, 0), Point(10, 0)])
@@ -260,7 +355,7 @@ class TestLossAndArq:
             category=Category.DATA,
             dest_location=Point(10, 0),
         )
-        nodes[0].neighbor_table.upsert("n01", Point(10, 0), "sensor", 0.0)
+        nodes[0].neighbor_table.upsert("n01", Point(10, 0), "sensor")
         nodes[0].mac.send_packet(packet, "n01")
         sim.run(until=5.0)
         # Delivered despite loss (possibly after retransmissions).
@@ -297,7 +392,7 @@ class TestLossAndArq:
             category=Category.FAILURE_REPORT,
             dest_location=Point(10, 0),
         )
-        nodes[0].neighbor_table.upsert("n01", Point(10, 0), "sensor", 0.0)
+        nodes[0].neighbor_table.upsert("n01", Point(10, 0), "sensor")
         nodes[0].mac.send_packet(packet, "n01")
         sim.run(until=30.0)
         assert len(nodes[1].delivered) == 1
@@ -312,7 +407,7 @@ class TestLossAndArq:
         sim, channel, nodes = build(
             [Point(0, 0), Point(10, 0)], loss=0.2, seed=1
         )
-        nodes[0].neighbor_table.upsert("n01", Point(10, 0), "sensor", 0.0)
+        nodes[0].neighbor_table.upsert("n01", Point(10, 0), "sensor")
         nodes[1].die()
         packet = Packet(
             source="n00",

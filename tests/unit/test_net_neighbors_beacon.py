@@ -18,9 +18,9 @@ import pytest
 class TestNeighborTable:
     def make(self):
         table = NeighborTable()
-        table.upsert("a", Point(0, 0), "sensor", 1.0)
-        table.upsert("b", Point(10, 0), "sensor", 2.0)
-        table.upsert("r", Point(5, 5), "robot", 3.0)
+        table.upsert("a", Point(0, 0), "sensor")
+        table.upsert("b", Point(10, 0), "sensor")
+        table.upsert("r", Point(5, 5), "robot")
         return table
 
     def test_upsert_and_get(self):
@@ -31,27 +31,17 @@ class TestNeighborTable:
 
     def test_upsert_refreshes(self):
         table = self.make()
-        table.upsert("a", Point(1, 1), "sensor", 9.0)
+        table.upsert("a", Point(1, 1), "robot")
         entry = table.get("a")
         assert entry.position == Point(1, 1)
-        assert entry.last_heard == 9.0
-
-    def test_upsert_keeps_latest_timestamp(self):
-        table = self.make()
-        table.upsert("a", Point(1, 1), "sensor", 0.5)  # older time
-        assert table.get("a").last_heard == 1.0
+        assert entry.kind == "robot"
+        assert len(table) == 3
 
     def test_remove(self):
         table = self.make()
         assert table.remove("a")
         assert not table.remove("a")
         assert "a" not in table
-
-    def test_expire_older_than(self):
-        table = self.make()
-        removed = table.expire_older_than(2.5)
-        assert removed == ["a", "b"]
-        assert table.ids() == ["r"]
 
     def test_entries_sorted_by_id(self):
         table = self.make()

@@ -24,7 +24,7 @@ from repro.sim import RandomStreams, Simulator
 
 def entries_of(points):
     return [
-        NeighborEntry(f"n{i:02d}", p, "sensor", 0.0)
+        NeighborEntry(f"n{i:02d}", p, "sensor")
         for i, p in enumerate(points)
     ]
 
@@ -110,7 +110,7 @@ def build_network(points, radio_range=63.0, seed=0):
     for a in nodes:
         for b in nodes:
             if a is not b and a.position.distance_to(b.position) <= radio_range:
-                a.neighbor_table.upsert(b.node_id, b.position, b.kind, 0.0)
+                a.neighbor_table.upsert(b.node_id, b.position, b.kind)
     return sim, stats, nodes
 
 
