@@ -14,46 +14,21 @@ Quickstart::
 
     report = run_scenario(paper_scenario(Algorithm.DYNAMIC, robot_count=4))
     print("\\n".join(report.summary_lines()))
+
+The root re-exports only the names callers import from it; everything
+else is imported from its subpackage.
 """
 
-from repro.core import (
-    CentralManagerNode,
-    RobotNode,
-    ScenarioRuntime,
-    SensorNode,
-    run_scenario,
-)
-from repro.deploy import (
-    Algorithm,
-    DetectionMode,
-    DispatchPolicy,
-    PAPER_ROBOT_COUNTS,
-    PartitionStyle,
-    PlacementStyle,
-    ScenarioConfig,
-    paper_scenario,
-)
-from repro.metrics import MetricsCollector, RunReport, SummaryStats, summarize
+from repro.core import ScenarioRuntime, run_scenario
+from repro.deploy import Algorithm, DispatchPolicy, paper_scenario
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Algorithm",
     "DispatchPolicy",
-    "CentralManagerNode",
-    "DetectionMode",
-    "MetricsCollector",
-    "PAPER_ROBOT_COUNTS",
-    "PartitionStyle",
-    "PlacementStyle",
-    "RobotNode",
-    "RunReport",
-    "ScenarioConfig",
     "ScenarioRuntime",
-    "SensorNode",
-    "SummaryStats",
     "__version__",
     "paper_scenario",
     "run_scenario",
-    "summarize",
 ]

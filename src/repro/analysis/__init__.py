@@ -1,35 +1,16 @@
-"""Analysis layer: coverage, energy accounting, and closed-form theory."""
+"""Analysis layer: coverage, energy accounting, and closed-form theory.
 
-from repro.analysis.coverage import (
-    CoverageSample,
-    CoverageTracker,
-    DEFAULT_SENSING_RADIUS_M,
-    coverage_fraction,
-)
+Hole tracking and the closed-form theory are imported from their
+submodules (:mod:`repro.analysis.holes`, :mod:`repro.analysis.theory`).
+"""
+
+from repro.analysis.coverage import CoverageTracker, coverage_fraction
 from repro.analysis.energy import EnergyModel, EnergyReport, energy_report
-from repro.analysis.holes import CoverageGap, HoleTracker, worst_gap
-from repro.analysis.theory import (
-    expected_greedy_hops,
-    expected_update_transmissions,
-    mean_distance_to_center,
-    mean_distance_uniform_square,
-    mean_nearest_robot_distance,
-)
 
 __all__ = [
-    "CoverageGap",
-    "CoverageSample",
     "CoverageTracker",
-    "DEFAULT_SENSING_RADIUS_M",
     "EnergyModel",
     "EnergyReport",
-    "HoleTracker",
     "coverage_fraction",
     "energy_report",
-    "worst_gap",
-    "expected_greedy_hops",
-    "expected_update_transmissions",
-    "mean_distance_to_center",
-    "mean_distance_uniform_square",
-    "mean_nearest_robot_distance",
 ]

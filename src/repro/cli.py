@@ -46,6 +46,7 @@ from repro.experiments.ablations import (
 from repro.deploy.scenario import (
     Algorithm,
     DispatchPolicy,
+    MISSED_BEACONS_FOR_FAILURE,
     PAPER_ROBOT_COUNTS,
     paper_scenario,
 )
@@ -1100,10 +1101,7 @@ def _command_params(_args: argparse.Namespace) -> int:
         ["sensor lifetime", f"Exp({config.mean_lifetime_s:.0f} s)"],
         ["simulation time", f"{config.sim_time_s:.0f} s"],
         ["beacon period", f"{config.beacon_period_s:.0f} s"],
-        [
-            "failure after",
-            f"{config.missed_beacons_for_failure} missed beacons",
-        ],
+        ["failure after", f"{MISSED_BEACONS_FOR_FAILURE} missed beacons"],
         ["update threshold", f"{config.update_threshold_m:.0f} m"],
         ["sensor radio", "63 m @ 11 Mbps"],
         ["robot/manager radio", "250 m @ 11 Mbps"],

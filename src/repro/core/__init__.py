@@ -7,13 +7,11 @@ Strategies, messages and repair tasks are imported from their
 submodules.
 """
 
-from repro.core.manager import CentralManagerNode
 from repro.core.robot import RobotNode
 from repro.core.runtime import ScenarioRuntime, run_scenario
 from repro.core.sensor import SensorNode
 
 __all__ = [
-    "CentralManagerNode",
     "RobotNode",
     "ScenarioRuntime",
     "SensorNode",

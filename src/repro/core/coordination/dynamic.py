@@ -27,6 +27,13 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["DynamicStrategy"]
 
+#: A sensor relays a robot's location update when its distance to the
+#: announced position is within this margin of its distance to the
+#: closest *other* robot it knows — i.e. the moving robot's Voronoi cell
+#: plus a boundary band of sensors that may need to switch (paper §3.3).
+#: Wider bands mean fresher knowledge but more transmissions.
+RELAY_MARGIN_M = 15.0
+
 
 class DynamicStrategy(CoordinationStrategy):
     """Voronoi-implicit partition; sensors track the closest robot."""
@@ -125,7 +132,7 @@ class DynamicStrategy(CoordinationStrategy):
         distance_to_other = sensor.position.distance_to(closest_other[1])
         return (
             distance_to_origin
-            <= distance_to_other + self.config.dynamic_relay_margin_m
+            <= distance_to_other + RELAY_MARGIN_M
         )
 
     def on_flood_learned(

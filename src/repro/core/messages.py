@@ -219,7 +219,7 @@ class BacklogClaim:
     ``reply_to_id`` addresses the auctioneer (the desk host in
     centralized mode, the overloaded robot itself in the distributed
     algorithms); the helper answers with :class:`BacklogAccept` or
-    stays silent (silence times out after ``coop_claim_timeout_s``).
+    stays silent (silence times out after ``COOP_CLAIM_TIMEOUT_S``).
     """
 
     failed_id: NodeId

@@ -41,6 +41,7 @@ from repro.core.messages import (
     ReplacementRequest,
 )
 from repro.deploy.scenario import DispatchPolicy
+from repro.faults.adaptive import COOP_BACKLOG_THRESHOLD
 from repro.geometry.point import Point
 from repro.net.frames import Category, NodeAnnouncement, NodeId, Packet
 from repro.net.node import NetworkNode
@@ -337,8 +338,7 @@ class RobotNode(NetworkNode):
             return False
         if self.runtime.already_repaired(claim.failed_id):
             return False
-        threshold = self.runtime.config.coop_backlog_threshold
-        if self.queue_length >= threshold:
+        if self.queue_length >= COOP_BACKLOG_THRESHOLD:
             return False
         if not self._accept_failure(claim.failed_id):
             return False

@@ -28,6 +28,7 @@ from repro.core.messages import (
     SuspicionQuery,
     SuspicionVote,
 )
+from repro.deploy.scenario import MISSED_BEACONS_FOR_FAILURE
 from repro.geometry.point import Point, nearest
 from repro.net.frames import Category, NodeAnnouncement, NodeId, Packet
 from repro.net.node import NetworkNode
@@ -394,9 +395,8 @@ class SensorNode(NetworkNode):
         last = self._last_beacon.get(query.suspect_id)
         if last is None:
             return  # Never heard of the suspect: abstain.
-        config = self.runtime.config
         timeout_s = (
-            config.missed_beacons_for_failure * config.beacon_period_s
+            MISSED_BEACONS_FOR_FAILURE * self.runtime.config.beacon_period_s
         )
         self.send_routed(
             query.guardian_id,
@@ -504,9 +504,7 @@ class SensorNode(NetworkNode):
 
     def _watch_loop(self) -> typing.Generator:
         period = self.runtime.config.beacon_period_s
-        timeout_s = (
-            self.runtime.config.missed_beacons_for_failure * period
-        )
+        timeout_s = MISSED_BEACONS_FOR_FAILURE * period
         while self.alive:
             yield self.sim.timeout(period)
             if not self.alive:

@@ -1,11 +1,9 @@
 """Deployment: placement, lifetimes/failures, and scenario configs."""
 
 from repro.deploy.failure import (
-    DEFAULT_MEAN_LIFETIME_S,
     ExponentialLifetime,
     FailureProcess,
     FixedLifetime,
-    LifetimeDistribution,
     WeibullLifetime,
 )
 from repro.deploy.placement import (
@@ -14,11 +12,7 @@ from repro.deploy.placement import (
     jittered_grid_positions,
     uniform_random_positions,
 )
-from repro.deploy.placement_cache import (
-    placement_key,
-    reset_placement_cache,
-    sensor_positions_for,
-)
+from repro.deploy.placement_cache import reset_placement_cache
 from repro.deploy.scenario import (
     Algorithm,
     DetectionMode,
@@ -32,13 +26,11 @@ from repro.deploy.scenario import (
 
 __all__ = [
     "Algorithm",
-    "DEFAULT_MEAN_LIFETIME_S",
     "DetectionMode",
     "DispatchPolicy",
     "ExponentialLifetime",
     "FailureProcess",
     "FixedLifetime",
-    "LifetimeDistribution",
     "PAPER_ROBOT_COUNTS",
     "PartitionStyle",
     "PlacementStyle",
@@ -48,8 +40,6 @@ __all__ = [
     "is_connected",
     "jittered_grid_positions",
     "paper_scenario",
-    "placement_key",
     "reset_placement_cache",
-    "sensor_positions_for",
     "uniform_random_positions",
 ]

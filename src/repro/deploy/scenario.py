@@ -28,11 +28,17 @@ __all__ = [
     "PartitionStyle",
     "ScenarioConfig",
     "paper_scenario",
+    "AREA_PER_ROBOT_M2",
+    "MISSED_BEACONS_FOR_FAILURE",
     "PAPER_ROBOT_COUNTS",
 ]
 
 #: Robot counts evaluated in the paper's figures (§4.3.1).
 PAPER_ROBOT_COUNTS = (4, 9, 16)
+#: Average field area per robot: 200 m × 200 m (§4.1 item 1).
+AREA_PER_ROBOT_M2 = 200.0 * 200.0
+#: Silent beacon periods before a guardian declares failure (§4.2).
+MISSED_BEACONS_FOR_FAILURE = 3
 
 
 class Algorithm:
@@ -122,7 +128,6 @@ class ScenarioConfig:
     seed: int = 0
 
     # --- scaling rules (paper §4.1 items 1, 3) ------------------------
-    area_per_robot_m2: float = 200.0 * 200.0
     sensors_per_robot: int = 50
 
     # --- kinematics & lifetimes (items 2, 6, 7) -----------------------
@@ -132,7 +137,6 @@ class ScenarioConfig:
 
     # --- protocol timers (item 8, §4.2) -------------------------------
     beacon_period_s: float = 10.0
-    missed_beacons_for_failure: int = 3
     update_threshold_m: float = 20.0
 
     # --- modelling switches --------------------------------------------
@@ -140,13 +144,6 @@ class ScenarioConfig:
     placement: str = PlacementStyle.UNIFORM
     partition: str = PartitionStyle.SQUARE
     loss_rate: float = 0.0
-    #: Dynamic algorithm: a sensor relays a robot's location update when
-    #: its distance to the announced position is within this margin of
-    #: its distance to the closest *other* robot it knows — i.e. the
-    #: moving robot's Voronoi cell plus a boundary band of sensors that
-    #: may need to switch (paper §3.3).  Wider bands mean fresher
-    #: knowledge but more transmissions.
-    dynamic_relay_margin_m: float = 15.0
     #: Use a connected-dominating-set relay subset for location-update
     #: floods (the paper's "more efficient broadcast schemes" future work).
     efficient_broadcast: bool = False
@@ -244,16 +241,6 @@ class ScenarioConfig:
     #: active jam disks so they stay reachable for abort/verification
     #: messages while en route.
     jam_aware: bool = False
-    #: Observation window of the adaptive loss estimator (seconds).
-    adaptation_window_s: float = 120.0
-    #: Upper bound for the widened verification quorum.
-    adaptive_quorum_max: int = 4
-    #: Queue length above which a robot starts auctioning backlog.
-    coop_backlog_threshold: int = 2
-    #: Patience per auction candidate before moving on (bounded claim).
-    coop_claim_timeout_s: float = 60.0
-    #: Clearance kept outside a jam disk when planning detours.
-    jam_detour_margin_m: float = 10.0
 
     def __post_init__(self) -> None:
         if self.algorithm not in Algorithm.ALL:
@@ -268,10 +255,16 @@ class ScenarioConfig:
             raise ValueError(f"unknown partition: {self.partition!r}")
         if self.robot_count < 1:
             raise ValueError(f"need at least one robot: {self.robot_count}")
+        if self.sensors_per_robot < 1:
+            raise ValueError(
+                f"need at least one sensor per robot: {self.sensors_per_robot}"
+            )
         # Float checks are written so NaN fails them (every comparison
         # with NaN is false).
-        if not self.sim_time_s > 0:
-            raise ValueError(f"non-positive sim time: {self.sim_time_s}")
+        if not 0 < self.sim_time_s < math.inf:
+            raise ValueError(
+                f"sim time must be positive and finite: {self.sim_time_s}"
+            )
         if not self.robot_speed_mps > 0:
             raise ValueError(
                 f"robot speed must be positive: {self.robot_speed_mps}"
@@ -391,31 +384,6 @@ class ScenarioConfig:
                 "adaptive_verify scales the verification ladder and "
                 "requires verify_failures=True"
             )
-        if not self.adaptation_window_s > 0:
-            raise ValueError(
-                "adaptation window must be positive: "
-                f"{self.adaptation_window_s}"
-            )
-        if self.adaptive_quorum_max < 1:
-            raise ValueError(
-                "adaptive quorum cap must be >= 1: "
-                f"{self.adaptive_quorum_max}"
-            )
-        if self.coop_backlog_threshold < 1:
-            raise ValueError(
-                "cooperative backlog threshold must be >= 1: "
-                f"{self.coop_backlog_threshold}"
-            )
-        if not self.coop_claim_timeout_s > 0:
-            raise ValueError(
-                "cooperative claim timeout must be positive: "
-                f"{self.coop_claim_timeout_s}"
-            )
-        if not self.jam_detour_margin_m >= 0:
-            raise ValueError(
-                "jam detour margin must be non-negative: "
-                f"{self.jam_detour_margin_m}"
-            )
 
     # ------------------------------------------------------------------
     # Derived geometry
@@ -423,7 +391,7 @@ class ScenarioConfig:
     @property
     def area_side_m(self) -> float:
         """Side of the square field: ``sqrt(robots · area_per_robot)``."""
-        return math.sqrt(self.robot_count * self.area_per_robot_m2)
+        return math.sqrt(self.robot_count * AREA_PER_ROBOT_M2)
 
     @property
     def bounds(self) -> Rect:
@@ -439,11 +407,11 @@ class ScenarioConfig:
     def detection_delay_bounds(self) -> typing.Tuple[float, float]:
         """(min, max) failure-detection latency implied by beaconing.
 
-        A guardian declares failure after ``missed_beacons_for_failure``
+        A guardian declares failure after :data:`MISSED_BEACONS_FOR_FAILURE`
         silent periods; depending on the phase of the guardee's last
         beacon the latency falls in ``[k·p, (k+1)·p)``.
         """
-        k = self.missed_beacons_for_failure
+        k = MISSED_BEACONS_FOR_FAILURE
         p = self.beacon_period_s
         return (k * p, (k + 1) * p)
 

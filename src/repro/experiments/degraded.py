@@ -44,9 +44,9 @@ def default_degraded_campaign(
     Sized for a ``robot_count=4`` field: three of the four robots break
     down within 100 s of each other early in the run and stay down for
     a quarter of it, so the survivor inherits (via re-dispatch) a
-    backlog well over any reasonable ``coop_backlog_threshold``; the
-    jam disk covers the field centre for most of the outage, blinding
-    receivers inside it and obstructing cross-field repair legs.
+    backlog well over ``COOP_BACKLOG_THRESHOLD``; the jam disk covers
+    the field centre for most of the outage, blinding receivers inside
+    it and obstructing cross-field repair legs.
     """
     outage_start = sim_time_s / 10
     outage_duration = sim_time_s / 4

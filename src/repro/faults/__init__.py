@@ -11,24 +11,15 @@ functions of the :class:`~repro.deploy.ScenarioConfig` plus the seed:
   (:class:`ExponentialFaultModel`) driven by named
   :class:`~repro.sim.rng.RandomStreams`.
 
-:class:`FaultInjector` turns both into simulator events;
-:class:`ResilienceService` is the self-healing counterpart — heartbeats,
-failure declaration, manager failover, and repair reconciliation.
+:class:`~repro.faults.injector.FaultInjector` turns both into simulator
+events; :class:`~repro.faults.recovery.ResilienceService` is the
+self-healing counterpart — heartbeats, failure declaration, manager
+failover, and repair reconciliation.  The root re-exports only the
+fault-script and fault-model names callers import from it; the
+runtime services are imported from their submodules.
 """
 
-from repro.faults.adaptive import (
-    AdaptiveVerification,
-    CoopRepairService,
-    JamAwarePlanner,
-)
-from repro.faults.injector import FaultInjector
 from repro.faults.model import ExponentialFaultModel
-from repro.faults.network import (
-    FaultRegion,
-    NetworkFaultField,
-    NetworkFaultService,
-)
-from repro.faults.recovery import ResilienceService
 from repro.faults.script import (
     FaultEvent,
     FaultKind,
@@ -38,21 +29,11 @@ from repro.faults.script import (
     parse_fault_script,
     resolve_downtime,
 )
-from repro.faults.verify import ProbeCoordinator
 
 __all__ = [
-    "AdaptiveVerification",
-    "CoopRepairService",
     "ExponentialFaultModel",
     "FaultEvent",
-    "FaultInjector",
     "FaultKind",
-    "FaultRegion",
-    "JamAwarePlanner",
-    "NetworkFaultField",
-    "NetworkFaultService",
-    "ProbeCoordinator",
-    "ResilienceService",
     "dump_fault_script",
     "load_fault_script",
     "normalize_fault_script",

@@ -18,7 +18,7 @@ non-adaptive simulator:
   beacon peers) widens the quorum locally even when the global
   channel looks clean.
 * :class:`CoopRepairService` (``coop_repair``) — when a robot's
-  pending-repair backlog exceeds ``coop_backlog_threshold`` (e.g.
+  pending-repair backlog exceeds :data:`COOP_BACKLOG_THRESHOLD` (e.g.
   after an outage window dumped re-dispatched work on the survivors),
   the surplus item is auctioned to an under-loaded peer through a
   bounded claim protocol over ordinary routed messages
@@ -54,6 +54,7 @@ from repro.core.messages import (
     BacklogRelease,
     FailureNotice,
 )
+from repro.deploy.scenario import MISSED_BEACONS_FOR_FAILURE
 from repro.faults.script import FaultKind
 from repro.geometry.detour import plan_route
 from repro.geometry.point import Point, by_distance
@@ -85,6 +86,16 @@ LEVEL_WIDE = "wide"
 TIGHT_BELOW = 0.02
 #: Observed drop fraction above which the channel counts as jammed.
 WIDE_ABOVE = 0.15
+#: Observation window of the adaptive loss estimator (seconds).
+ADAPTATION_WINDOW_S = 120.0
+#: Upper bound for the widened verification quorum.
+ADAPTIVE_QUORUM_MAX = 4
+#: Queue length above which a robot starts auctioning backlog.
+COOP_BACKLOG_THRESHOLD = 2
+#: Patience per auction candidate before moving on (bounded claim).
+COOP_CLAIM_TIMEOUT_S = 60.0
+#: Clearance kept outside a jam disk when planning detours.
+JAM_DETOUR_MARGIN_M = 10.0
 
 #: Multiplier applied to the suspicion timeout and probe deadline.
 TIMEOUT_FACTOR = {LEVEL_TIGHT: 0.5, LEVEL_NORMAL: 1.0, LEVEL_WIDE: 2.0}
@@ -127,7 +138,7 @@ class AdaptiveVerification:
         # periods and other window-aligned machinery; its dedicated
         # stream keeps every other subsystem's draws untouched.
         rng = self.runtime.streams.stream("adaptive.observe")
-        window = self.config.adaptation_window_s
+        window = ADAPTATION_WINDOW_S
         yield self.runtime.sim.timeout(rng.uniform(0.0, window))
         while True:
             yield self.runtime.sim.timeout(window)
@@ -176,21 +187,20 @@ class AdaptiveVerification:
         that has itself stopped hearing most of its beacon peers is
         probably sitting inside a jam the global ratio has diluted, so
         it demands one more corroborating vote.  Clamped to
-        ``[1, adaptive_quorum_max]`` and recorded to the run report's
+        ``[1, ADAPTIVE_QUORUM_MAX]`` and recorded to the run report's
         quorum histogram.
         """
         quorum = self.config.verification_quorum + QUORUM_DELTA[self.level]
         if sensor is not None:
             silence = (
-                self.config.missed_beacons_for_failure
-                * self.config.beacon_period_s
+                MISSED_BEACONS_FOR_FAILURE * self.config.beacon_period_s
             )
             if (
                 sensor.stale_neighbor_fraction(silence)
                 > _STALE_NEIGHBOR_FRACTION
             ):
                 quorum += 1
-        quorum = max(1, min(self.config.adaptive_quorum_max, quorum))
+        quorum = max(1, min(ADAPTIVE_QUORUM_MAX, quorum))
         self.runtime.metrics.record_adaptive_quorum(quorum)
         return quorum
 
@@ -237,7 +247,6 @@ class CoopRepairService:
 
     def __init__(self, runtime: "ScenarioRuntime") -> None:
         self.runtime = runtime
-        self.config = runtime.config
         #: failed_id -> live auction.
         self._auctions: typing.Dict[NodeId, _Auction] = {}
         #: origin robot -> failed_id it currently has on offer (one
@@ -256,7 +265,7 @@ class CoopRepairService:
         from the recovery hook — never from a global poll.
         """
         self._update_episode(robot)
-        if robot.queue_length <= self.config.coop_backlog_threshold:
+        if robot.queue_length <= COOP_BACKLOG_THRESHOLD:
             return
         if not robot.alive or robot.down:
             return
@@ -323,7 +332,7 @@ class CoopRepairService:
 
     def _update_episode(self, robot: "RobotNode") -> None:
         now = self.runtime.sim.now
-        if robot.queue_length > self.config.coop_backlog_threshold:
+        if robot.queue_length > COOP_BACKLOG_THRESHOLD:
             self._episode_start.setdefault(robot.node_id, now)
             return
         start = self._episode_start.pop(robot.node_id, None)
@@ -362,7 +371,7 @@ class CoopRepairService:
         # A lost offer (or a desk with no spare helpers) must not wedge
         # the origin forever: clear the flag after the whole auction
         # could have run, so the next local queue event can retry.
-        budget = self.config.coop_claim_timeout_s * (_MAX_CANDIDATES + 1)
+        budget = COOP_CLAIM_TIMEOUT_S * (_MAX_CANDIDATES + 1)
         origin_id = robot.node_id
         self.runtime.sim.call_in(
             budget, lambda: self._offer_expired(origin_id, failed_id)
@@ -447,7 +456,7 @@ class CoopRepairService:
             if origin_load > 0:
                 if load >= origin_load:
                     continue
-            elif load > self.config.coop_backlog_threshold:
+            elif load > COOP_BACKLOG_THRESHOLD:
                 continue
             candidates.append((robot_id, robot_position))
         candidates = by_distance(offer.failed_position, candidates)[
@@ -495,7 +504,7 @@ class CoopRepairService:
         failed_id = auction.failed_id
         token = auction.token
         self.runtime.sim.call_in(
-            self.config.coop_claim_timeout_s,
+            COOP_CLAIM_TIMEOUT_S,
             lambda: self._claim_deadline(failed_id, token),
         )
 
@@ -667,7 +676,6 @@ class JamAwarePlanner:
 
     def __init__(self, runtime: "ScenarioRuntime") -> None:
         self.runtime = runtime
-        self.margin = runtime.config.jam_detour_margin_m
 
     def jam_disks(self) -> typing.Tuple[typing.Tuple[Point, float], ...]:
         """Active jam/degrade regions as ``(center, radius)`` disks."""
@@ -689,4 +697,4 @@ class JamAwarePlanner:
         disks = self.jam_disks()
         if not disks:
             return (target,)
-        return plan_route(start, target, disks, margin=self.margin)
+        return plan_route(start, target, disks, margin=JAM_DETOUR_MARGIN_M)

@@ -9,7 +9,6 @@ is :mod:`repro.geometry.detour`.  This package re-exports only the
 names callers outside it import from here.
 """
 
-from repro.geometry.detour import segment_distance_to_point
 from repro.geometry.partition import SquarePartition, StaggeredPartition
 from repro.geometry.point import Point, centroid_of, midpoint
 from repro.geometry.polygon import ConvexPolygon, HalfPlane, Rect
@@ -24,7 +23,6 @@ __all__ = [
     "StaggeredPartition",
     "centroid_of",
     "midpoint",
-    "segment_distance_to_point",
     "voronoi_cell",
     "voronoi_cells",
 ]

@@ -20,62 +20,27 @@ Programmatic use::
 Command line: ``repro-lint src/`` or ``python -m repro.lint src/``.
 """
 
-from repro.lint.config import DEFAULT_CONFIG, LintConfig, load_config
+from repro.lint.config import DEFAULT_CONFIG
 from repro.lint.engine import (
     PARSE_ERROR_ID,
-    Suppressions,
-    iter_python_files,
     lint_file,
     lint_paths,
     lint_source,
 )
-from repro.lint.project import (
-    ModuleInfo,
-    ProjectContext,
-    build_project,
-    module_name_for_path,
-)
-from repro.lint.registry import (
-    FileContext,
-    ProjectRule,
-    Rule,
-    Violation,
-    all_rules,
-    file_rules,
-    get_rule,
-    project_rules,
-    register,
-    rule_ids,
-)
-from repro.lint.reporters import render_json, render_sarif, render_text
+from repro.lint.project import module_name_for_path
+from repro.lint.registry import get_rule, rule_ids
+from repro.lint.reporters import render_sarif
 from repro.lint.cli import main
 
 __all__ = [
     "DEFAULT_CONFIG",
-    "FileContext",
-    "LintConfig",
-    "ModuleInfo",
     "PARSE_ERROR_ID",
-    "ProjectContext",
-    "ProjectRule",
-    "Rule",
-    "Suppressions",
-    "Violation",
-    "all_rules",
-    "build_project",
-    "file_rules",
     "get_rule",
-    "iter_python_files",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_config",
     "main",
     "module_name_for_path",
-    "project_rules",
-    "register",
-    "render_json",
     "render_sarif",
-    "render_text",
     "rule_ids",
 ]

@@ -107,7 +107,8 @@ DEFAULT_SCHEDULE_CALLBACK_SLOTS: typing.Mapping[str, int] = {
 }
 
 #: Unit suffix vocabulary for R10.  Longest suffix wins, so
-#: ``area_per_robot_m2`` reads as square metres, not metres.
+#: ``area_m2`` (see :mod:`repro.analysis.theory`) reads as square
+#: metres, not metres.
 DEFAULT_UNIT_SUFFIXES: typing.Mapping[str, str] = {
     "_s": "s",
     "_m": "m",

@@ -6,16 +6,10 @@ from repro.metrics.aggregate import (
     mean_of,
     summarize,
 )
-from repro.metrics.collector import (
-    FailureRecord,
-    FalseDispatchRecord,
-    MetricsCollector,
-    RunReport,
-)
+from repro.metrics.collector import FailureRecord, MetricsCollector, RunReport
 
 __all__ = [
     "FailureRecord",
-    "FalseDispatchRecord",
     "MetricsCollector",
     "RunReport",
     "SummaryStats",

@@ -18,6 +18,7 @@ import dataclasses
 import typing
 
 from repro.geometry.point import Point
+from repro.metrics.aggregate import mean_of
 from repro.net.channel import Channel
 from repro.net.frames import Category
 from repro.routing.stats import RoutingStats
@@ -412,8 +413,8 @@ class MetricsCollector:
             detected=sum(1 for r in records if r.detect_time is not None),
             reported=sum(1 for r in records if r.report_time is not None),
             repaired=len(repaired),
-            mean_travel_distance=_mean(travel),
-            mean_repair_latency=_mean(latencies),
+            mean_travel_distance=mean_of(travel),
+            mean_repair_latency=mean_of(latencies),
             mean_report_hops=routing.mean_hops(Category.FAILURE_REPORT),
             mean_request_hops=routing.mean_hops(Category.REPAIR_REQUEST),
             update_transmissions_per_failure=update_tx / denominator,
@@ -430,7 +431,7 @@ class MetricsCollector:
                 for f in self._robot_faults
                 if f.recover_time is not None
             ),
-            mean_fault_detection_latency_s=_mean(
+            mean_fault_detection_latency_s=mean_of(
                 [f.detect_time - f.time for f in detected_faults]
             ),
             redispatches=sum(r.redispatches for r in records),
@@ -451,13 +452,13 @@ class MetricsCollector:
             wasted_travel_m=sum(
                 d.wasted_m for d in self._false_dispatches
             ),
-            mean_verification_latency_s=_mean(
+            mean_verification_latency_s=mean_of(
                 self._verification_latencies
             ),
             coop_offers=self.coop_offers,
             coop_claims=self.coop_claims,
             backlog_episodes=len(self._backlog_drains),
-            mean_backlog_drain_s=_mean(self._backlog_drains),
+            mean_backlog_drain_s=mean_of(self._backlog_drains),
             reroutes=self.reroutes,
             reroute_detour_m=self.reroute_detour_m,
             adaptive_quorum_histogram={
@@ -639,8 +640,3 @@ class RunReport:
             )
         return cls(**dict(data))
 
-
-def _mean(values: typing.Sequence[float]) -> float:
-    if not values:
-        return float("nan")
-    return sum(values) / len(values)

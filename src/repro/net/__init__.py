@@ -3,59 +3,39 @@
 Unit-disk radios with the paper's per-class ranges (sensors 63 m,
 robots/manager 250 m), a shared broadcast channel with per-category
 transmission accounting, per-node MAC serialisation with jitter and
-optional ARQ, neighbour tables, and periodic beaconing.
+optional ARQ, neighbour tables, and periodic beaconing.  The root
+re-exports only the names callers import from it; constants such as
+the radio ranges and frame sizes live in their submodules.
 """
 
-from repro.net.beacon import (
-    BeaconService,
-    DEFAULT_BEACON_PERIOD_S,
-)
-from repro.net.channel import Channel, ChannelStats
+from repro.net.beacon import BeaconService
+from repro.net.channel import Channel
 from repro.net.frames import (
-    ACK_SIZE_BITS,
     BROADCAST,
     Category,
-    DEFAULT_PACKET_SIZE_BITS,
     Frame,
     NodeAnnouncement,
-    NodeId,
     Packet,
 )
-from repro.net.mac import Mac, MacConfig
+from repro.net.mac import Mac
 from repro.net.neighbors import NeighborEntry, NeighborTable
 from repro.net.node import NetworkNode
-from repro.net.radio import (
-    NOMINAL_BITRATE_BPS,
-    ROBOT_RANGE_M,
-    RadioConfig,
-    SENSOR_RANGE_M,
-    robot_radio,
-    sensor_radio,
-)
+from repro.net.radio import RadioConfig, robot_radio, sensor_radio
 from repro.net.spatial import SpatialGrid
 
 __all__ = [
-    "ACK_SIZE_BITS",
     "BROADCAST",
     "BeaconService",
     "Category",
     "Channel",
-    "ChannelStats",
-    "DEFAULT_BEACON_PERIOD_S",
-    "DEFAULT_PACKET_SIZE_BITS",
     "Frame",
     "Mac",
-    "MacConfig",
-    "NOMINAL_BITRATE_BPS",
     "NeighborEntry",
     "NeighborTable",
     "NetworkNode",
     "NodeAnnouncement",
-    "NodeId",
     "Packet",
-    "ROBOT_RANGE_M",
     "RadioConfig",
-    "SENSOR_RANGE_M",
     "SpatialGrid",
     "robot_radio",
     "sensor_radio",

@@ -1,14 +1,13 @@
-"""Geographic routing: greedy + face recovery over planar subgraphs."""
+"""Geographic routing: greedy + face recovery over planar subgraphs.
+
+The router itself is :class:`repro.routing.router.GeographicRouter`.
+"""
 
 from repro.routing.planar import gabriel_neighbors, rng_neighbors
-from repro.routing.router import GREEDY, PERIMETER, GeographicRouter
 from repro.routing.stats import DropReason, RoutingStats
 
 __all__ = [
     "DropReason",
-    "GREEDY",
-    "GeographicRouter",
-    "PERIMETER",
     "RoutingStats",
     "gabriel_neighbors",
     "rng_neighbors",

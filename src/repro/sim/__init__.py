@@ -2,51 +2,22 @@
 
 A from-scratch replacement for the role GloMoSim plays in the paper: a
 deterministic event queue, generator-based processes, named random streams,
-and structured tracing.  See :class:`repro.sim.engine.Simulator`.
+and structured tracing.  See :class:`repro.sim.engine.Simulator`.  The
+root re-exports only the names callers import from it; events,
+processes and priorities are imported from their submodules.
 """
 
-from repro.sim.engine import (
-    PRIORITY_NORMAL,
-    PRIORITY_URGENT,
-    TIME_EPSILON,
-    Simulator,
-    StopSimulation,
-    times_equal,
-)
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    Event,
-    Interrupt,
-    PENDING,
-    SimulationError,
-    Timeout,
-)
-from repro.sim.process import Process
-from repro.sim.rng import RandomStream, RandomStreams, derive_seed
-from repro.sim.trace import RecordingSink, TraceRecord, Tracer
+from repro.sim.engine import Simulator
+from repro.sim.events import Interrupt, SimulationError
+from repro.sim.rng import RandomStreams, derive_seed
+from repro.sim.trace import RecordingSink, Tracer
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "Event",
     "Interrupt",
-    "PENDING",
-    "PRIORITY_NORMAL",
-    "PRIORITY_URGENT",
-    "Process",
-    "RandomStream",
     "RandomStreams",
     "RecordingSink",
     "SimulationError",
     "Simulator",
-    "StopSimulation",
-    "TIME_EPSILON",
-    "Timeout",
-    "TraceRecord",
     "Tracer",
     "derive_seed",
-    "times_equal",
 ]

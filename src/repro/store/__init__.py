@@ -17,7 +17,6 @@ from repro.store.codec import (
     JobStatus,
     StoreDecodeError,
     StoreEntry,
-    StoreSchemaError,
     decode_entry,
     encode_entry,
     reports_equivalent,
@@ -30,16 +29,13 @@ from repro.store.keys import (
 from repro.store.store import (
     ENV_VAR,
     ROOT_ENV_VAR,
-    GcReport,
     JobStore,
     RunStore,
-    VerifyReport,
     default_root,
 )
 
 __all__ = [
     "ENV_VAR",
-    "GcReport",
     "JOB_SCHEMA_VERSION",
     "JobRecord",
     "JobStatus",
@@ -49,8 +45,6 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "StoreDecodeError",
     "StoreEntry",
-    "StoreSchemaError",
-    "VerifyReport",
     "canonical_json",
     "config_digest",
     "decode_entry",

@@ -30,7 +30,10 @@ __all__ = ["STORE_SCHEMA_VERSION", "canonical_json", "config_digest"]
 #: 3: network-fault config fields (jam rate/radius/duration, network
 #: fault-script kinds, verification knobs) and the false-dispatch /
 #: verification metric family in RunReport.
-STORE_SCHEMA_VERSION = 3
+#: 4: eight fixed model values (area per robot, missed beacons, relay
+#: margin, the adaptive window/quorum cap, coop backlog/claim timeout,
+#: jam detour margin) left the config for module constants.
+STORE_SCHEMA_VERSION = 4
 
 
 def canonical_json(value: typing.Any) -> str:

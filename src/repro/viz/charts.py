@@ -1,6 +1,6 @@
 """Dependency-free SVG line charts for the regenerated figures.
 
-Renders a :class:`~repro.experiments.FigureResult` (or any x → series
+Renders a :class:`~repro.experiments.figures.FigureResult` (or any x → series
 mapping) as an SVG line chart in the style of the paper's matplotlib
 figures: the figure's own x axis (robot count for the paper's figures),
 one marked line per series, a legend, and a y axis starting at zero
@@ -192,7 +192,7 @@ def _marker(index: int, x: float, y: float, color: str) -> str:
 
 
 def figure_to_svg(figure: typing.Any, y_label: str = "") -> str:
-    """Render a :class:`~repro.experiments.FigureResult` as a chart."""
+    """Render a :class:`~repro.experiments.figures.FigureResult` as a chart."""
     return line_chart_svg(
         list(figure.x_values),
         {name: list(values) for name, values in figure.series.items()},

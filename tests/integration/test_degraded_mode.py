@@ -16,6 +16,7 @@ from repro.core.robot import RepairTask
 from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, DetectionMode, paper_scenario
 from repro.experiments.degraded import default_degraded_campaign
+from repro.faults.adaptive import JAM_DETOUR_MARGIN_M
 from repro.geometry.detour import (
     plan_route,
     polyline_length,
@@ -117,7 +118,7 @@ class TestAbortedRerouteWastedTravel:
         )
         runtime = ScenarioRuntime(config)
         runtime.initialize()
-        margin = config.jam_detour_margin_m
+        margin = JAM_DETOUR_MARGIN_M
         center = Point(200.0, 200.0)
         radius = 90.0
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro import Algorithm, ScenarioRuntime, paper_scenario
 from repro.deploy import DetectionMode
+from repro.deploy.scenario import MISSED_BEACONS_FOR_FAILURE
 from repro.net import Category
 
 SMALL = dict(
@@ -65,7 +66,7 @@ class TestBeaconMode:
     def test_detection_latency_within_beacon_window(self, beacon_run):
         runtime, _report = beacon_run
         period = runtime.config.beacon_period_s
-        misses = runtime.config.missed_beacons_for_failure
+        misses = MISSED_BEACONS_FOR_FAILURE
         for record in runtime.metrics.records():
             if record.detect_time is None:
                 continue

@@ -6,8 +6,13 @@ import math
 import pytest
 
 from repro.core.runtime import ScenarioRuntime
-from repro.deploy.scenario import Algorithm, paper_scenario
+from repro.deploy.scenario import (
+    Algorithm,
+    MISSED_BEACONS_FOR_FAILURE,
+    paper_scenario,
+)
 from repro.faults.adaptive import (
+    ADAPTIVE_QUORUM_MAX,
     LEVEL_NORMAL,
     LEVEL_TIGHT,
     LEVEL_WIDE,
@@ -181,20 +186,16 @@ class TestAdaptiveKnobs:
         assert runtime.verification_quorum_for(sensor) == 3
 
     def test_quorum_clamped_to_adaptive_maximum(self):
-        runtime = build_runtime(
-            verification_quorum=3, adaptive_quorum_max=3
-        )
+        runtime = build_runtime(verification_quorum=ADAPTIVE_QUORUM_MAX)
         runtime.adaptive.level = LEVEL_WIDE
         sensor = runtime.sensors_sorted()[0]
-        assert runtime.verification_quorum_for(sensor) == 3
+        assert runtime.verification_quorum_for(sensor) == ADAPTIVE_QUORUM_MAX
 
     def test_stale_neighborhood_widens_quorum_locally(self):
         runtime = build_runtime(verification_quorum=2)
         config = runtime.config
         sensor = runtime.sensors_sorted()[0]
-        silence = (
-            config.missed_beacons_for_failure * config.beacon_period_s
-        )
+        silence = MISSED_BEACONS_FOR_FAILURE * config.beacon_period_s
         # Every tracked peer last heard longer ago than the silence
         # window: the guardian sits inside an interference pocket.
         runtime.sim._now = 10 * silence  # noqa: SLF001 - direct clock set

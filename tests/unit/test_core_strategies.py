@@ -9,6 +9,7 @@ from repro.core.coordination import (
     FixedStrategy,
     strategy_for,
 )
+from repro.core.coordination.dynamic import RELAY_MARGIN_M
 from repro.core.messages import FloodMessage
 from repro.deploy import Algorithm, PartitionStyle, paper_scenario
 from repro.geometry import Point
@@ -205,7 +206,7 @@ class TestDynamicPolicy:
         runtime = runtime_for(Algorithm.DYNAMIC)
         strategy = runtime.coordination
         sensor = runtime.sensors_sorted()[0]
-        margin = runtime.config.dynamic_relay_margin_m
+        margin = RELAY_MARGIN_M
         near_flood = FloodMessage(
             origin_id="robot-77",
             position=sensor.position,

@@ -214,6 +214,9 @@ class TestScenarioConfig:
         "field, value",
         [
             ("sim_time_s", math.nan),
+            ("sim_time_s", math.inf),
+            ("sensors_per_robot", 0),
+            ("sensors_per_robot", -5),
             ("heartbeat_period_s", math.nan),
             ("robot_downtime_s", math.nan),
             ("verification_timeout_s", math.nan),

@@ -1,12 +1,13 @@
 """Smoke checks for the example scripts.
 
-Full example runs take minutes, so tests only verify each script
-compiles, documents itself, and exposes a ``main`` entry point.  The
-examples themselves are exercised manually / in CI pipelines that allow
-longer budgets.
+Running every example takes about half a minute, so tests only verify
+each script compiles, documents itself, exposes a ``main`` entry point
+and imports names that exist.  The CI ``examples`` job runs all of
+them end to end.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -44,3 +45,10 @@ class TestEveryExample:
                     # Examples must not reach into private modules.
                     for part in node.module.split("."):
                         assert not part.startswith("_"), script.name
+                    # Compiling alone misses a dropped re-export: each
+                    # imported name must resolve on its module.
+                    module = importlib.import_module(node.module)
+                    for alias in node.names:
+                        assert hasattr(module, alias.name), (
+                            f"{script.name}: {node.module}.{alias.name}"
+                        )

@@ -1,5 +1,8 @@
 """Unit tests for the NetworkNode base class surface."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 from repro import __version__
@@ -101,7 +104,17 @@ class TestPackageSurface:
         assert __version__ == "1.0.0"
 
     def test_public_api_importable(self):
+        # Every package root's __all__ must resolve: a re-export that
+        # was trimmed from the imports but left in __all__ fails here.
         import repro
 
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        roots = ["repro"] + sorted(
+            f"repro.{info.name}"
+            for info in pkgutil.iter_modules(repro.__path__)
+            if info.ispkg
+        )
+        assert len(roots) > 10
+        for root in roots:
+            package = importlib.import_module(root)
+            for name in package.__all__:
+                assert hasattr(package, name), f"{root}.{name}"

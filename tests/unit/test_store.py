@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.deploy import Algorithm, paper_scenario
+from repro.deploy import Algorithm, ScenarioConfig, paper_scenario
 from repro.geometry import Point
 from repro.metrics import FailureRecord, RunReport, SummaryStats, summarize
 from repro.store import (
@@ -278,48 +278,78 @@ class TestRunStore:
         assert store.resolve_prefix("zzzz") == []
 
 
-class TestSchemaV3Migration:
-    """Schema 2 -> 3 bump: network-fault config fields and the
-    false-dispatch metric family changed digests and entry payloads."""
+#: The eight ScenarioConfig fields schema 3 carried and schema 4 turned
+#: into module constants, with the values every schema-3 entry held.
+REMOVED_IN_V4 = {
+    "area_per_robot_m2": 40_000.0,
+    "missed_beacons_for_failure": 3,
+    "dynamic_relay_margin_m": 15.0,
+    "adaptation_window_s": 120.0,
+    "adaptive_quorum_max": 4,
+    "coop_backlog_threshold": 2,
+    "coop_claim_timeout_s": 60.0,
+    "jam_detour_margin_m": 10.0,
+}
 
-    def test_current_schema_is_v3(self):
-        assert STORE_SCHEMA_VERSION == 3
 
-    def _put_v2_entry(self, store, monkeypatch):
-        """Write an entry exactly as a schema-2 build would have."""
-        monkeypatch.setattr(store_keys, "STORE_SCHEMA_VERSION", 2)
+class TestSchemaV4Migration:
+    """Schema 3 -> 4 bump: eight fixed model values left the config, so
+    schema-3 entries carry config fields the current schema rejects."""
+
+    def test_current_schema_is_v4(self):
+        assert STORE_SCHEMA_VERSION == 4
+
+    def _put_v3_entry(self, store, monkeypatch):
+        """Write an entry exactly as a schema-3 build would have."""
+        to_json_dict = ScenarioConfig.to_json_dict
+        monkeypatch.setattr(store_keys, "STORE_SCHEMA_VERSION", 3)
+        monkeypatch.setattr(
+            ScenarioConfig,
+            "to_json_dict",
+            lambda config: {**to_json_dict(config), **REMOVED_IN_V4},
+        )
         digest = store.put(CONFIG, make_report())
         monkeypatch.undo()
+        with open(store.object_path(digest), encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert document["schema"] == 3
+        assert REMOVED_IN_V4.items() <= document["config"].items()
         return digest
 
-    def test_v2_entries_are_skipped_not_read(self, tmp_path, monkeypatch):
+    def test_v3_entries_are_skipped_not_read(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path)
-        v2 = self._put_v2_entry(store, monkeypatch)
-        # A v3 lookup of the same config misses: the digest preimage
-        # includes the schema version, so v2 results are never reused.
+        v3 = self._put_v3_entry(store, monkeypatch)
+        # A v4 lookup of the same config misses: the digest preimage
+        # includes the schema version, so v3 results are never reused.
         assert store.get(CONFIG) is None
-        assert store.put(CONFIG, make_report()) != v2
+        assert store.put(CONFIG, make_report()) != v3
 
-    def test_v2_entries_survive_verify(self, tmp_path, monkeypatch):
+    def test_v3_entries_survive_verify(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path)
-        self._put_v2_entry(store, monkeypatch)
+        self._put_v3_entry(store, monkeypatch)
         store.put(CONFIG, make_report())
         outcome = store.verify()
         assert outcome.passed
         assert outcome.ok == 1  # the current-schema entry
-        assert len(outcome.stale) == 1  # the v2 entry, not corrupt
+        assert len(outcome.stale) == 1  # the v3 entry, not corrupt
         assert not outcome.corrupt
 
-    def test_gc_drops_v2_entries(self, tmp_path, monkeypatch):
+    def test_gc_drops_v3_entries(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path)
-        self._put_v2_entry(store, monkeypatch)
+        self._put_v3_entry(store, monkeypatch)
         current = store.put(CONFIG, make_report())
         outcome = store.gc()
         assert outcome.removed_stale == 1
         assert outcome.kept == 1
         assert os.path.exists(store.object_path(current))
 
-    def test_v3_report_round_trips_verification_metrics(self, tmp_path):
+    @pytest.mark.parametrize("field", sorted(REMOVED_IN_V4))
+    def test_removed_fields_are_rejected(self, field):
+        data = {**CONFIG.to_json_dict(), field: REMOVED_IN_V4[field]}
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig.from_json_dict(data)
+
+    def test_report_round_trips_verification_metrics(self, tmp_path):
         store = RunStore(tmp_path)
         report = make_report(
             suspicions=12,
