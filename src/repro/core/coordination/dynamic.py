@@ -121,8 +121,8 @@ class DynamicStrategy(CoordinationStrategy):
         # For an obituary the announced position is the *subject*'s, so
         # the scope is the dead robot's cell (plus the margin band) and
         # the subject is the robot to exclude from "closest other".
-        # On a fresh flood this reuses the table scan that
-        # on_flood_learned's myrobot refresh just made.
+        # Both this and on_flood_learned's myrobot refresh read the
+        # knowledge table's kept nearest pair.
         excluded = (
             flood.subject if flood.subject is not None else flood.origin_id
         )

@@ -1,13 +1,21 @@
-"""Robot-knowledge table for sensors, scanned as prebuilt rows.
+"""Robot-knowledge table for sensors, with a kept nearest-robot answer.
 
 Every sensor tracks the robots it has learned about from floods as
 ``robot_id -> (position, seq)``.  The dominant query on that table is
 :meth:`RobotKnowledge.closest` — on every fresh location-update flood
 the dynamic algorithm asks it for the closest robot (myrobot) and then
 for the closest robot other than the flood's origin (the relay
-predicate), which makes it the single hottest geometry loop in a
-dynamic-algorithm run.  Both answers come from one scan
-(:meth:`RobotKnowledge.nearest_two`), kept until the table changes.
+predicate).  Both answers are read off one kept pair: the nearest known
+robot and the runner-up, with their squared distances.
+
+Sensors never move, so the table takes its owner's position at
+construction and keeps that pair current as the table changes, the way
+the paper's dynamic algorithm has a sensor compare each announced robot
+with its current myrobot (§3.3): a changed row is slotted into the
+pair by one distance and a few comparisons.  The table is scanned again
+only when the pair cannot be revised from the changed row alone — the
+nearest robot or the runner-up moved farther away (a third robot may now
+rank above it), or one of the two was popped.
 
 :class:`RobotKnowledge` keeps two synchronized views:
 
@@ -15,20 +23,19 @@ dynamic-algorithm run.  Both answers come from one scan
   (``[]``/``get``/``pop``/``update``/``items``) the strategies and the
   router's location-hint path already use;
 * ``_rows`` — prebuilt ``(robot_id, x, y, (robot_id, position))`` rows
-  scanned by :meth:`nearest_two`.  Iterating existing row tuples beats
-  zipping parallel coordinate arrays in CPython (list iteration yields
-  the tuples with no per-element allocation), and the trailing pair is
-  the query's *result* tuple, built once per update instead of once per
-  query — the same layout :class:`~repro.net.spatial.SpatialGrid` uses
-  for its cell buckets.
+  for the rescan.  Iterating existing row tuples beats zipping parallel
+  coordinate arrays in CPython, and the trailing pair is the query's
+  *result* tuple, built once per update instead of once per query — the
+  same layout :class:`~repro.net.spatial.SpatialGrid` uses for its cell
+  buckets.
 
 Mutations keep the rows in step incrementally (append on first sight,
 in-place overwrite on update, swap-remove on obituary), so the table
 never rebuilds.  Row order is *not* insertion order after a removal,
-which is safe because the scan selects lexicographic minima of
-``(d2, robot_id)`` — the same scan-order-independent result as the
-scalar dict loop it replaces, float op for float op (``dx = px - x;
-dy = py - y; dx*dx + dy*dy``, strict ``<`` update with an id
+which is safe because both the rescan and the revision select
+lexicographic minima of ``(d2, robot_id)`` — the same order-independent
+result as the scalar dict loop they replace, float op for float op
+(``dx = px - x; dy = py - y; dx*dx + dy*dy``, strict ``<`` with an id
 tie-break).
 """
 
@@ -50,31 +57,53 @@ _Pair = typing.Tuple[NodeId, Point]
 _MaybePair = typing.Optional[_Pair]
 
 #: One scan row: ``(robot_id, x, y, (robot_id, position))`` — flattened
-#: coordinates for the inner loop plus the prebuilt result pair.
+#: coordinates for the distance plus the prebuilt result pair.
 _Row = typing.Tuple[NodeId, float, float, _Pair]
+
+_INF = float("inf")
 
 
 class RobotKnowledge:
-    """``robot_id -> (position, seq)`` with a prebuilt-row nearest query."""
+    """``robot_id -> (position, seq)`` with the nearest two kept current.
 
-    __slots__ = ("_entries", "_slots", "_rows", "_nearest")
+    *position* is the owner's (fixed) location, the point every answer
+    is measured from.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = (
+        "_px",
+        "_py",
+        "_entries",
+        "_slots",
+        "_rows",
+        "_best",
+        "_best_d2",
+        "_second",
+        "_second_d2",
+        "_stale",
+    )
+
+    def __init__(self, position: Point) -> None:
+        self._px = position.x
+        self._py = position.y
         self._entries: typing.Dict[NodeId, Entry] = {}
         #: robot_id -> index into ``_rows``.
         self._slots: typing.Dict[NodeId, int] = {}
         self._rows: typing.List[_Row] = []
-        #: The last :meth:`nearest_two` answer as ``(px, py, nearest,
-        #: runner_up)``; every mutation clears it.
-        self._nearest: typing.Optional[
-            typing.Tuple[float, float, _MaybePair, _MaybePair]
-        ] = None
+        #: The kept answer: nearest robot and runner-up with their
+        #: squared distances; meaningless while ``_stale`` is set.
+        self._best: _MaybePair = None
+        self._best_d2 = _INF
+        self._second: _MaybePair = None
+        self._second_d2 = _INF
+        #: Set when a change left the kept answer unknown; the next
+        #: query rescans the rows.
+        self._stale = False
 
     # ------------------------------------------------------------------
     # Dict-shaped mutation / lookup API
     # ------------------------------------------------------------------
     def __setitem__(self, robot_id: NodeId, entry: Entry) -> None:
-        self._nearest = None
         self._entries[robot_id] = entry
         position = entry[0]
         row = (robot_id, position.x, position.y, (robot_id, position))
@@ -84,6 +113,7 @@ class RobotKnowledge:
             self._rows.append(row)
         else:
             self._rows[slot] = row
+        self._revise(robot_id, row)
 
     def __getitem__(self, robot_id: NodeId) -> Entry:
         return self._entries[robot_id]
@@ -100,7 +130,6 @@ class RobotKnowledge:
         entry = self._entries.pop(robot_id, None)
         if entry is None:
             return default
-        self._nearest = None
         slot = self._slots.pop(robot_id)
         rows = self._rows
         last = len(rows) - 1
@@ -109,6 +138,7 @@ class RobotKnowledge:
             rows[slot] = moved
             self._slots[moved[0]] = slot
         del rows[last]
+        self._revise(robot_id, None)
         return entry
 
     def update(
@@ -142,30 +172,76 @@ class RobotKnowledge:
         return f"RobotKnowledge({self._entries!r})"
 
     # ------------------------------------------------------------------
-    # The hot query
+    # The kept answer
     # ------------------------------------------------------------------
-    def nearest_two(
-        self, px: float, py: float
-    ) -> typing.Tuple[_MaybePair, _MaybePair]:
-        """The known robot nearest to ``(px, py)`` and the runner-up.
+    def _revise(
+        self, robot_id: NodeId, row: typing.Optional[_Row]
+    ) -> None:
+        """Fold *robot_id*'s new *row* (None: its removal) into the
+        kept nearest pair, or mark the pair stale when the row alone
+        cannot decide it.
 
-        Both are minima over ``(d2, id)``: squared distances via
-        ``dx*dx + dy*dy``, strict ``<`` update, and on exact distance
-        ties the smaller robot id wins — the scalar reference of the
-        original ``closest_known_robot`` dict loop, so the rows'
-        swap-remove ordering cannot change either result.  The pairs
-        are the rows' prebuilt tuples.  The answer is kept until the
-        table changes, so a repeated query at the same point (the
-        dynamic algorithm's myrobot refresh, then its relay predicate,
-        on every fresh flood) scans the table once.
+        Every comparison is the rescan's ``(d2, id)`` test, so the
+        revised pair is exactly what a rescan would return.
         """
-        memo = self._nearest
-        if memo is not None and memo[0] == px and memo[1] == py:
-            return memo[2], memo[3]
+        if self._stale:
+            return
+        best = self._best
+        second = self._second
+        if row is None:
+            # Popping either of the pair leaves the runner-up unknown;
+            # popping any other robot leaves the pair as it is.
+            if (best is not None and best[0] == robot_id) or (
+                second is not None and second[0] == robot_id
+            ):
+                self._stale = True
+            return
+        _, x, y, pair = row
+        dx = self._px - x
+        dy = self._py - y
+        d2 = dx * dx + dy * dy
+        best_d2 = self._best_d2
+        second_d2 = self._second_d2
+        if best is not None and best[0] == robot_id:
+            if d2 < second_d2 or (
+                d2 == second_d2
+                and second is not None
+                and robot_id < second[0]
+            ):
+                self._best = pair
+                self._best_d2 = d2
+            else:
+                # Behind the runner-up now: the new runner-up may be
+                # any robot.
+                self._stale = True
+        elif d2 < best_d2 or (
+            d2 == best_d2 and best is not None and robot_id < best[0]
+        ):
+            self._second = best
+            self._second_d2 = best_d2
+            self._best = pair
+            self._best_d2 = d2
+        elif second is not None and second[0] == robot_id:
+            if d2 <= second_d2:
+                # No farther than before, so still ahead of the rest.
+                self._second = pair
+                self._second_d2 = d2
+            else:
+                self._stale = True
+        elif d2 < second_d2 or (
+            d2 == second_d2 and second is not None and robot_id < second[0]
+        ):
+            self._second = pair
+            self._second_d2 = d2
+
+    def _rescan(self) -> None:
+        """Recompute the kept pair from every row."""
+        px = self._px
+        py = self._py
         best_pair: _MaybePair = None
-        best_d2 = float("inf")
+        best_d2 = _INF
         second_pair: _MaybePair = None
-        second_d2 = float("inf")
+        second_d2 = _INF
         for robot_id, x, y, pair in self._rows:
             dx = px - x
             dy = py - y
@@ -186,21 +262,38 @@ class RobotKnowledge:
             ):
                 second_pair = pair
                 second_d2 = d2
-        self._nearest = (px, py, best_pair, second_pair)
-        return best_pair, second_pair
+        self._best = best_pair
+        self._best_d2 = best_d2
+        self._second = second_pair
+        self._second_d2 = second_d2
+        self._stale = False
 
-    def closest(
-        self,
-        px: float,
-        py: float,
-        exclude: typing.Optional[NodeId] = None,
-    ) -> _MaybePair:
-        """The known robot nearest to ``(px, py)`` other than *exclude*.
+    # ------------------------------------------------------------------
+    # The hot query
+    # ------------------------------------------------------------------
+    def nearest_two(self) -> typing.Tuple[_MaybePair, _MaybePair]:
+        """The known robot nearest to the owner and the runner-up.
 
-        Read off :meth:`nearest_two`: the runner-up is the nearest
-        robot once the nearest one is excluded.
+        Both are minima over ``(d2, id)``: squared distances via
+        ``dx*dx + dy*dy``, strict ``<`` update, and on exact distance
+        ties the smaller robot id wins — the scalar reference of the
+        original ``closest_known_robot`` dict loop, so the rows'
+        swap-remove ordering cannot change either result.  The pairs
+        are the rows' prebuilt tuples.
         """
-        best, runner_up = self.nearest_two(px, py)
+        if self._stale:
+            self._rescan()
+        return self._best, self._second
+
+    def closest(self, exclude: typing.Optional[NodeId] = None) -> _MaybePair:
+        """The known robot nearest to the owner other than *exclude*.
+
+        Read off the kept pair: the runner-up is the nearest robot once
+        the nearest one is excluded.
+        """
+        if self._stale:
+            self._rescan()
+        best = self._best
         if best is not None and best[0] == exclude:
-            return runner_up
+            return self._second
         return best

@@ -78,9 +78,9 @@ class SensorNode(NetworkNode):
         self.manager_position: typing.Optional[Point] = None
 
         #: Robot positions learned from floods: id -> (position, seq),
-        #: held as prebuilt rows so the closest-robot query (the dynamic
-        #: algorithm's relay predicate) scans without attribute loads.
-        self.known_robots = RobotKnowledge()
+        #: with the nearest and runner-up robot to this sensor kept
+        #: current for the closest-robot query (myrobot, relay predicate).
+        self.known_robots = RobotKnowledge(self.position)
         #: Fixed-algorithm subarea index of this sensor (None otherwise).
         self.subarea: typing.Optional[int] = None
 
@@ -584,13 +584,11 @@ class SensorNode(NetworkNode):
         """The robot with the smallest known distance to this sensor,
         other than *exclude*.
 
-        Delegates to the knowledge table's row scan — the same
-        squared-distance float ops and ``(d2, id)`` tie-break as the
-        dict loop this method used to run, without the per-robot
-        ``Point`` method calls.
+        Read off the knowledge table's kept nearest pair, which it keeps
+        current per change by the ``(d2, id)`` rule: squared distances
+        from this sensor's position, ties to the smaller robot id.
         """
-        position = self.position
-        return self.known_robots.closest(position.x, position.y, exclude)
+        return self.known_robots.closest(exclude)
 
     def location_hint(
         self, node_id: NodeId

@@ -91,6 +91,18 @@ DEFAULT_EPOCH_SPECS: typing.Mapping[
         "caches": ("_receiver_cache",),
         "invalidators": ("_drop_receivers_near",),
     },
+    # A sensor's kept nearest-robot pair is revised per table change.
+    "RobotKnowledge": {
+        "mutated": ("_entries", "_slots", "_rows"),
+        "caches": (
+            "_best",
+            "_best_d2",
+            "_second",
+            "_second_d2",
+            "_stale",
+        ),
+        "invalidators": ("_revise",),
+    },
 }
 
 #: Calls whose results are shared cache entries (R6): the

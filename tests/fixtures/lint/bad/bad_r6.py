@@ -1,7 +1,8 @@
 """R6 true positive: guarded state drifts out of sync with its caches.
 
 ``Channel.unregister`` removes a node from the static grid without
-dropping the receiver sets it was part of.
+dropping the receiver sets it was part of, and ``RobotKnowledge.pop``
+removes a robot without revising the kept nearest pair.
 """
 
 
@@ -23,3 +24,19 @@ class Channel:
     def receivers_of(self, sender_id: int, receivers: list) -> list:
         self._receiver_cache[sender_id] = receivers
         return receivers
+
+
+class RobotKnowledge:
+    def __init__(self) -> None:
+        self._entries = {}
+        self._best = None
+
+    def __setitem__(self, robot_id: str, entry: tuple) -> None:
+        self._entries[robot_id] = entry
+        self._revise(robot_id, entry)
+
+    def pop(self, robot_id: str) -> tuple:
+        return self._entries.pop(robot_id)
+
+    def _revise(self, robot_id: str, entry: tuple) -> None:
+        self._best = (robot_id, entry)

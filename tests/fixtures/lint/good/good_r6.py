@@ -3,7 +3,8 @@
 ``_leave`` never calls the invalidator itself, but both of its callers
 do — the fixpoint in R6 accepts that split.  Filling the receiver cache
 needs no check, because every change to the grid reaches the
-invalidator.
+invalidator.  ``RobotKnowledge`` revises its kept nearest pair on every
+set and pop; ``update`` only sets through ``__setitem__``.
 """
 
 
@@ -33,3 +34,28 @@ class Channel:
     def receivers_of(self, sender_id: int, receivers: list) -> list:
         self._receiver_cache[sender_id] = receivers
         return receivers
+
+
+class RobotKnowledge:
+    def __init__(self) -> None:
+        self._entries = {}
+        self._best = None
+
+    def __setitem__(self, robot_id: str, entry: tuple) -> None:
+        self._entries[robot_id] = entry
+        self._revise(robot_id, entry)
+
+    def pop(self, robot_id: str) -> tuple:
+        entry = self._entries.pop(robot_id)
+        self._revise(robot_id, None)
+        return entry
+
+    def update(self, other: dict) -> None:
+        for robot_id, entry in sorted(other.items()):
+            self[robot_id] = entry
+
+    def _revise(self, robot_id: str, entry: object) -> None:
+        if entry is not None:
+            self._best = (robot_id, entry)
+        elif self._best is not None and self._best[0] == robot_id:
+            self._best = None

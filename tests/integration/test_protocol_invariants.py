@@ -138,3 +138,49 @@ class TestPopulationConservation:
         report = runtime.run()
         unrepaired = report.failures - report.repaired
         assert len(runtime.sensors) + unrepaired == config.sensor_count
+
+
+def _nearest_known(sensor):
+    """A scalar ``(d2, id)`` scan of the sensor's robot knowledge."""
+    best = None
+    position = sensor.position
+    for robot_id in sorted(sensor.known_robots):
+        known = sensor.known_robots[robot_id][0]
+        dx = position.x - known.x
+        dy = position.y - known.y
+        key = (dx * dx + dy * dy, robot_id)
+        if best is None or key < best[0]:
+            best = (key, (robot_id, known))
+    return (None, None) if best is None else best[1]
+
+
+class TestDynamicMyrobot:
+    @pytest.mark.parametrize("robot_mtbf_s", (None, 1_500.0))
+    def test_myrobot_is_the_nearest_known_robot(self, robot_mtbf_s):
+        # Paper §3.3: a dynamic sensor reports to the closest robot it
+        # knows of.  Robot faults add obituaries, which pop robots from
+        # the sensors' knowledge.
+        config = paper_scenario(
+            Algorithm.DYNAMIC,
+            9,
+            seed=1,
+            sim_time_s=2_000.0,
+            mean_lifetime_s=1_500.0,
+            robot_mtbf_s=robot_mtbf_s,
+        )
+        runtime = ScenarioRuntime(config)
+        runtime.initialize()
+        samples = 0
+        mismatches = []
+        for step in range(1, 21):
+            now = 100.0 * step
+            runtime.sim.run(until=now)
+            for sensor in runtime.sensors_sorted():
+                if not sensor.alive:
+                    continue
+                samples += 1
+                held = (sensor.myrobot_id, sensor.myrobot_position)
+                if held != _nearest_known(sensor):
+                    mismatches.append((now, sensor.node_id, held))
+        assert samples > 5_000
+        assert mismatches == []

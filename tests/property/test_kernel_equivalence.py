@@ -49,11 +49,25 @@ def _scalar_closest(table, px, py, exclude):
     return best
 
 
-def _knowledge(table):
-    knowledge = RobotKnowledge()
+def _knowledge(table, px, py):
+    knowledge = RobotKnowledge(Point(px, py))
     for robot_id, (x, y, seq) in table.items():
         knowledge[robot_id] = (Point(x, y), seq)
     return knowledge
+
+
+#: One table change: set a robot's position, pop it, or update from a
+#: mapping of several robots at once.
+_positions = st.tuples(tie_coords, tie_coords)
+_operations = st.one_of(
+    st.tuples(st.just("set"), robot_ids, _positions),
+    st.tuples(st.just("pop"), robot_ids, st.none()),
+    st.tuples(
+        st.just("update"),
+        st.none(),
+        st.dictionaries(robot_ids, _positions, max_size=3),
+    ),
+)
 
 
 class TestRobotKnowledgeClosest:
@@ -69,8 +83,8 @@ class TestRobotKnowledgeClosest:
     def test_closest_matches_scalar_dict_loop(
         self, table, px, py, exclude
     ):
-        knowledge = _knowledge(table)
-        assert knowledge.closest(px, py, exclude) == _scalar_closest(
+        knowledge = _knowledge(table, px, py)
+        assert knowledge.closest(exclude) == _scalar_closest(
             table, px, py, exclude
         )
 
@@ -84,48 +98,60 @@ class TestRobotKnowledgeClosest:
         tie_coords,
     )
     def test_nearest_two_matches_scalar_reference(self, table, px, py):
-        # The fused scan's runner-up is the scalar minimum once the
+        # The kept pair's runner-up is the scalar minimum once the
         # nearest robot is excluded, ties included.
-        knowledge = _knowledge(table)
+        knowledge = _knowledge(table, px, py)
         nearest = _scalar_closest(table, px, py, None)
         runner_up = (
             None
             if nearest is None
             else _scalar_closest(table, px, py, nearest[0])
         )
-        assert knowledge.nearest_two(px, py) == (nearest, runner_up)
+        assert knowledge.nearest_two() == (nearest, runner_up)
 
     @given(
         st.dictionaries(
             robot_ids,
             st.tuples(tie_coords, tie_coords, st.integers(0, 99)),
-            min_size=1,
             max_size=8,
         ),
-        st.lists(
-            st.tuples(robot_ids, st.one_of(st.none(), st.tuples(
-                tie_coords, tie_coords
-            ))),
-            max_size=6,
-        ),
+        st.lists(_operations, max_size=20),
         tie_coords,
         tie_coords,
     )
-    def test_answer_follows_table_changes(self, table, changes, px, py):
-        # Every set or pop invalidates the kept answer.
-        knowledge = _knowledge(table)
+    def test_answer_follows_table_changes(
+        self, table, operations, px, py
+    ):
+        # The pair revised per change equals a full scalar scan after
+        # every operation: few coordinates make ties common, and the
+        # nearest robot or the runner-up often moves away or is popped.
+        knowledge = _knowledge(table, px, py)
         table = dict(table)
-        for robot_id, position in changes:
-            knowledge.nearest_two(px, py)
-            if position is None:
+        for kind, robot_id, argument in operations:
+            if kind == "set":
+                knowledge[robot_id] = (Point(*argument), 0)
+                table[robot_id] = (*argument, 0)
+            elif kind == "pop":
                 knowledge.pop(robot_id)
                 table.pop(robot_id, None)
             else:
-                knowledge[robot_id] = (Point(*position), 0)
-                table[robot_id] = (*position, 0)
-            assert knowledge.closest(px, py) == _scalar_closest(
-                table, px, py, None
+                knowledge.update(
+                    {rid: (Point(*xy), 0) for rid, xy in argument.items()}
+                )
+                table.update(
+                    {rid: (*xy, 0) for rid, xy in argument.items()}
+                )
+            nearest = _scalar_closest(table, px, py, None)
+            runner_up = (
+                None
+                if nearest is None
+                else _scalar_closest(table, px, py, nearest[0])
             )
+            assert knowledge.nearest_two() == (nearest, runner_up)
+            for exclude in [None, *sorted(table)]:
+                assert knowledge.closest(exclude) == _scalar_closest(
+                    table, px, py, exclude
+                )
 
 
 class TestNearestRule:

@@ -167,29 +167,38 @@ class TestSensorBehaviour:
         robot = runtime.robots_sorted()[0]
         strategy = runtime.coordination
         calls = []
+        queries = []
         scans = []
         inner_relay = strategy.should_relay_flood
-        inner_nearest_two = RobotKnowledge.nearest_two
+        inner_closest = RobotKnowledge.closest
 
         def relay(node, flood):
             calls.append(flood.seq)
             return inner_relay(node, flood)
 
-        def nearest_two(knowledge, px, py):
-            kept = knowledge._nearest
-            if kept is None or kept[:2] != (px, py):
-                scans.append((px, py))
-            return inner_nearest_two(knowledge, px, py)
+        def closest(knowledge, exclude=None):
+            # A query that finds the kept pair stale rescans the table.
+            queries.append(exclude)
+            if knowledge._stale:
+                scans.append(exclude)
+            return inner_closest(knowledge, exclude)
 
         monkeypatch.setattr(strategy, "should_relay_flood", relay)
-        monkeypatch.setattr(RobotKnowledge, "nearest_two", nearest_two)
-        for seq in (100, 100, 101, 100, 101):
-            packet = self._flood_packet(robot, seq=seq)
+        monkeypatch.setattr(RobotKnowledge, "closest", closest)
+        near, far = Point(1, 1), Point(400, 400)
+        floods = ((100, near), (100, near), (101, near), (100, near),
+                  (101, near), (102, far))
+        for seq, position in floods:
+            packet = self._flood_packet(robot, seq=seq, position=position)
             sensor.on_broadcast_received(packet, robot.node_id, robot.position)
-        assert calls == [100, 101]
-        # One knowledge-table scan per fresh flood serves both the
-        # myrobot refresh and the relay predicate.
-        assert len(scans) == 2
+        assert calls == [100, 101, 102]
+        # Each fresh flood asks twice: the myrobot refresh, then the
+        # relay predicate excluding the origin.
+        assert queries == [None, robot.node_id] * 3
+        # Moving closer revises the kept pair in place.  Moving behind
+        # the runner-up costs one rescan, made by the myrobot refresh
+        # and reused by the relay predicate.
+        assert scans == [None]
 
     def test_sensor_location_hint_serves_known_robots(self):
         runtime = tiny_runtime(algorithm=Algorithm.DYNAMIC)
