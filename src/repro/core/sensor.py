@@ -526,9 +526,14 @@ class SensorNode(NetworkNode):
                     self.select_guardian(exclude=(old,))
             # Prune stale *sensor* entries so greedy forwarding does not
             # aim at corpses.  Robot entries are refreshed by floods, not
-            # beacons, so they are exempt.
-            for entry in self.neighbor_table.of_kind("sensor"):
-                if now - self._last_beacon.get(entry.node_id, 0.0) > timeout_s:
+            # beacons, so they are exempt.  A removal replaces the kept
+            # rows instead of mutating them, so this loop may remove.
+            for entry in self.neighbor_table.entries():
+                if (
+                    entry.kind == "sensor"
+                    and now - self._last_beacon.get(entry.node_id, 0.0)
+                    > timeout_s
+                ):
                     self.neighbor_table.remove(entry.node_id)
 
     # ------------------------------------------------------------------

@@ -103,12 +103,18 @@ DEFAULT_EPOCH_SPECS: typing.Mapping[
         ),
         "invalidators": ("_revise",),
     },
+    # A node's id-sorted neighbour rows are dropped per insert/removal.
+    "NeighborTable": {
+        "mutated": ("_entries",),
+        "caches": ("_rows",),
+        "invalidators": ("_drop_rows",),
+    },
 }
 
 #: Calls whose results are shared cache entries (R6): the
 #: returned list must be treated as read-only, so mutating it in place
 #: (``.append``/``.sort``/...) corrupts every later cache hit.
-DEFAULT_SHARED_RESULT_CALLS = frozenset({"receivers_of"})
+DEFAULT_SHARED_RESULT_CALLS = frozenset({"entries", "receivers_of"})
 
 #: Scheduling sinks that accept a callback/process, and the positional
 #: slot it occupies — the seeds of R8's reachability walk.

@@ -7,7 +7,7 @@ replays) true through hot-path rewrites:
 * **R6** — cache integrity: mutations of the channel's static layer
   drop the receiver sets they affect, nobody reaches into another
   module's guarded private state, and nobody mutates a shared cached
-  receiver list in place.
+  list (receivers, neighbour rows) in place.
 * **R7** — trace-guard discipline: every ``tracer.emit`` call sits
   under a ``tracer.active`` guard (directly or via a hoisted flag).
 * **R8** — sim-race detector: event handlers reachable from the
@@ -133,7 +133,8 @@ class EpochCacheIntegrity(ProjectRule):
         "Methods mutating guarded state (the Channel's static grid) "
         "must call an invalidator (directly or via every caller); "
         "guarded private fields are owned by their defining module; "
-        "and shared cached result lists (receivers_of) are read-only."
+        "and shared cached result lists (receivers_of, entries) are "
+        "read-only."
     )
 
     def check_project(

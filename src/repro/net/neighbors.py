@@ -33,10 +33,18 @@ class NeighborEntry:
 
 
 class NeighborTable:
-    """A mutable map of one-hop neighbours, by id."""
+    """A mutable map of one-hop neighbours, by id.
+
+    The id-sorted entry list is kept in ``_rows`` until an insert,
+    ``remove`` or ``clear`` drops it; refreshing an entry mutates it in
+    place and keeps the list.  A kept list is never mutated: a change
+    replaces it, so a list handed out earlier stays valid and callers
+    may remove entries while iterating it.
+    """
 
     def __init__(self) -> None:
         self._entries: typing.Dict[NodeId, NeighborEntry] = {}
+        self._rows: typing.Optional[typing.List[NeighborEntry]] = None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -46,17 +54,25 @@ class NeighborTable:
         entry = self._entries.get(node_id)
         if entry is None:
             self._entries[node_id] = NeighborEntry(node_id, position, kind)
+            self._drop_rows()
         else:
             entry.position = position
             entry.kind = kind
 
     def remove(self, node_id: NodeId) -> bool:
         """Forget a neighbour; returns True if it was present."""
-        return self._entries.pop(node_id, None) is not None
+        if self._entries.pop(node_id, None) is None:
+            return False
+        self._drop_rows()
+        return True
 
     def clear(self) -> None:
         """Forget all neighbours."""
         self._entries.clear()
+        self._drop_rows()
+
+    def _drop_rows(self) -> None:
+        self._rows = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -72,8 +88,16 @@ class NeighborTable:
         return len(self._entries)
 
     def entries(self) -> typing.List[NeighborEntry]:
-        """All entries in id-sorted (deterministic) order."""
-        return [self._entries[nid] for nid in sorted(self._entries)]
+        """All entries in id-sorted (deterministic) order.
+
+        The list is shared until the next change: read it, never
+        mutate it.
+        """
+        rows = self._rows
+        if rows is None:
+            entries = self._entries
+            rows = self._rows = [entries[nid] for nid in sorted(entries)]
+        return rows
 
     def ids(self) -> typing.List[NodeId]:
         """All neighbour ids, sorted."""

@@ -162,24 +162,48 @@ class GeographicRouter:
             self._transmit(packet, direct.node_id)
             return
 
-        # Candidate next hops must be inside *this node's* transmission
-        # range — the neighbour table may contain nodes heard over a
-        # longer asymmetric link (a robot's 250 m announcement reaches
-        # sensors that cannot answer with their 63 m radio).  The
+        # Greedy choice, in one pass over the id-sorted rows: the
+        # reachable neighbour closest to the destination, first (lowest
+        # id) on ties.  Candidates must be inside *this node's*
+        # transmission range — the neighbour table may contain nodes
+        # heard over a longer asymmetric link (a robot's 250 m
+        # announcement reaches sensors that cannot answer with their
+        # 63 m radio); the test repeats _reachable's float ops.  The
         # destination's own (possibly stale) entry is excluded too:
         # forwarding "to it" is exactly what the shortcut above declined.
-        entries = [
-            entry
-            for entry in table.entries()
-            if entry.node_id != packet.destination
-            and self._reachable(entry)
-        ]
-        if not entries:
+        origin = self.node.position
+        ox = origin.x
+        oy = origin.y
+        tx = destination_location.x
+        ty = destination_location.y
+        sensor_range_m = self.node.radio.range_m
+        mobile_range_m = sensor_range_m - self.shortcut_slack_m
+        destination = packet.destination
+        hypot = math.hypot
+        best: typing.Optional[NeighborEntry] = None
+        best_d2 = 0.0
+        for entry in table.entries():
+            if entry.node_id == destination:
+                continue
+            position = entry.position
+            ex = position.x
+            ey = position.y
+            if hypot(ox - ex, oy - ey) > (
+                sensor_range_m if entry.kind == "sensor" else mobile_range_m
+            ):
+                continue
+            dx = ex - tx
+            dy = ey - ty
+            d2 = dx * dx + dy * dy
+            if best is None or d2 < best_d2:
+                best = entry
+                best_d2 = d2
+        if best is None:
             self._drop(packet, DropReason.NO_NEIGHBORS)
             return
 
         state = packet.routing_state
-        my_distance = self.node.position.distance_to(destination_location)
+        my_distance = origin.distance_to(destination_location)
 
         if state.get("mode") == PERIMETER:
             # GPSR recovery exit rule: resume greedy once strictly closer
@@ -191,13 +215,6 @@ class GeographicRouter:
                 return
 
         # Greedy mode.
-        best = min(
-            entries,
-            key=lambda e: (
-                e.position.squared_distance_to(destination_location),
-                e.node_id,
-            ),
-        )
         if best.position.distance_to(destination_location) < my_distance:
             self._transmit(packet, best.node_id)
             return
@@ -294,7 +311,9 @@ class GeographicRouter:
         """Can this node's own radio reach the neighbour where recorded?
 
         Mobile neighbours get the update-threshold slack deducted, since
-        they may have moved since their last announcement.
+        they may have moved since their last announcement.  The greedy
+        loop in ``_forward`` repeats these float ops inline; change both
+        together.
         """
         distance = self.node.position.distance_to(entry.position)
         if entry.kind == "sensor":

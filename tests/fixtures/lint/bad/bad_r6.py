@@ -1,8 +1,10 @@
 """R6 true positive: guarded state drifts out of sync with its caches.
 
 ``Channel.unregister`` removes a node from the static grid without
-dropping the receiver sets it was part of, and ``RobotKnowledge.pop``
-removes a robot without revising the kept nearest pair.
+dropping the receiver sets it was part of, ``RobotKnowledge.pop``
+removes a robot without revising the kept nearest pair, and
+``NeighborTable.upsert`` inserts a neighbour without dropping the kept
+id-sorted rows.
 """
 
 
@@ -40,3 +42,19 @@ class RobotKnowledge:
 
     def _revise(self, robot_id: str, entry: tuple) -> None:
         self._best = (robot_id, entry)
+
+
+class NeighborTable:
+    def __init__(self) -> None:
+        self._entries = {}
+        self._rows = None
+
+    def upsert(self, node_id: str, entry: list) -> None:
+        known = self._entries.get(node_id)
+        if known is None:
+            self._entries[node_id] = entry
+        else:
+            known[:] = entry
+
+    def _drop_rows(self) -> None:
+        self._rows = None

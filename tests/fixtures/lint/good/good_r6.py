@@ -5,6 +5,8 @@ do — the fixpoint in R6 accepts that split.  Filling the receiver cache
 needs no check, because every change to the grid reaches the
 invalidator.  ``RobotKnowledge`` revises its kept nearest pair on every
 set and pop; ``update`` only sets through ``__setitem__``.
+``NeighborTable`` drops its kept rows on every insert and removal; a
+refresh mutates the entry, not the table, so it keeps them.
 """
 
 
@@ -59,3 +61,29 @@ class RobotKnowledge:
             self._best = (robot_id, entry)
         elif self._best is not None and self._best[0] == robot_id:
             self._best = None
+
+
+class NeighborTable:
+    def __init__(self) -> None:
+        self._entries = {}
+        self._rows = None
+
+    def upsert(self, node_id: str, entry: list) -> None:
+        known = self._entries.get(node_id)
+        if known is None:
+            self._entries[node_id] = entry
+            self._drop_rows()
+        else:
+            known[:] = entry
+
+    def remove(self, node_id: str) -> None:
+        if self._entries.pop(node_id, None) is not None:
+            self._drop_rows()
+
+    def _drop_rows(self) -> None:
+        self._rows = None
+
+    def entries(self) -> list:
+        if self._rows is None:
+            self._rows = [self._entries[k] for k in sorted(self._entries)]
+        return self._rows

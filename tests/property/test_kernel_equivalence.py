@@ -5,9 +5,11 @@
 :func:`~repro.geometry.point.nearest` (with ``by_distance``) is the one
 ``(squared distance, id)`` rule every other nearest-node choice uses.  Both must pick *exactly* what the plain dict loop below
 picks, ties included — that is what keeps the pinned trace-hash
-baselines unchanged.  These properties therefore assert ``==``, never
-``math.isclose``: one reordered subtraction would break a baseline, so
-an approximate test would be testing the wrong contract.
+baselines unchanged.  The router's one-pass greedy step is held to the
+candidate-list rule it replaced the same way.  These properties
+therefore assert ``==``, never ``math.isclose``: one reordered
+subtraction would break a baseline, so an approximate test would be
+testing the wrong contract.
 """
 
 from hypothesis import given
@@ -16,6 +18,9 @@ from hypothesis import strategies as st
 from repro.core.knowledge import RobotKnowledge
 from repro.geometry import Point
 from repro.geometry.point import by_distance, nearest
+from repro.net import Category, NeighborTable, Packet, RadioConfig
+from repro.routing import DropReason, RoutingStats
+from repro.routing.router import GeographicRouter
 
 coords = st.floats(
     min_value=-1e6,
@@ -185,3 +190,98 @@ class TestNearestRule:
         for candidates in (pairs, shuffled):
             assert nearest(point, candidates) == first
             assert by_distance(point, candidates)[:2] == expected
+
+
+class _ForwardingNode:
+    """The parts of a network node the router reads, at the origin,
+    recording the one outcome of a forwarding step."""
+
+    node_id = "self"
+    position = Point(0.0, 0.0)
+
+    def __init__(self, table, range_m):
+        self.neighbor_table = table
+        self.radio = RadioConfig(range_m=range_m)
+        self.mac = self
+        self.outcome = None
+
+    def location_hint(self, node_id):
+        return None
+
+    def send_packet(self, packet, next_hop):
+        self.outcome = ("sent", next_hop)
+
+    def on_packet_dropped(self, packet, reason):
+        self.outcome = ("dropped", reason)
+
+
+def _candidate_list_outcome(router, packet):
+    """The greedy step as it was: filter with ``_reachable``, exclude
+    the destination, then ``min`` by ``(d2, id)``."""
+    table = router.node.neighbor_table
+    target = packet.dest_location
+    direct = table.get(packet.destination)
+    if direct is not None and router._reachable(direct):
+        return ("sent", direct.node_id)
+    entries = [
+        entry
+        for entry in table.entries()
+        if entry.node_id != packet.destination and router._reachable(entry)
+    ]
+    if not entries:
+        return ("dropped", DropReason.NO_NEIGHBORS)
+    best = min(
+        entries,
+        key=lambda e: (e.position.squared_distance_to(target), e.node_id),
+    )
+    if best.position.distance_to(target) < router.node.position.distance_to(
+        target
+    ):
+        return ("sent", best.node_id)
+    return ("dropped", DropReason.DEAD_END)
+
+
+#: Radio range 10 m and robot slack 3 m around a node at the origin:
+#: (6, 8) and (10, 0) sit exactly at range, robots at (8, 0) or (5, 5)
+#: sit inside the slack band, and symmetric offsets make ties common.
+_RANGE_M = 10.0
+_offsets = st.sampled_from([-10.0, -8.0, -6.0, -5.0, 0.0, 5.0, 6.0, 8.0, 10.0])
+_targets = st.sampled_from([-20.0, -10.0, 0.0, 10.0, 20.0])
+_node_ids = st.sampled_from([f"n{i}" for i in range(6)])
+_neighbours = st.dictionaries(
+    _node_ids,
+    st.tuples(_offsets, _offsets, st.sampled_from(["sensor", "robot"])),
+    max_size=6,
+)
+
+
+class TestGreedyNextHop:
+    @given(
+        _neighbours,
+        _node_ids,
+        _targets,
+        _targets,
+        st.sampled_from([0.0, 3.0]),
+    )
+    def test_one_pass_matches_candidate_list(
+        self, neighbours, destination, tx, ty, slack_m
+    ):
+        # Greedy mode with face routing off: the one-pass choice (or the
+        # NO_NEIGHBORS drop) must equal the old rule's, ties included.
+        table = NeighborTable()
+        for node_id, (x, y, kind) in neighbours.items():
+            table.upsert(node_id, Point(x, y), kind)
+        node = _ForwardingNode(table, _RANGE_M)
+        router = GeographicRouter(
+            node, RoutingStats(), use_face_routing=False
+        )
+        router.shortcut_slack_m = slack_m
+        packet = Packet(
+            source=node.node_id,
+            destination=destination,
+            category=Category.DATA,
+            dest_location=Point(tx, ty),
+        )
+        expected = _candidate_list_outcome(router, packet)
+        router.handle(packet, previous_position=None)
+        assert node.outcome == expected

@@ -1,5 +1,7 @@
 """Unit tests for neighbour tables and the beacon service."""
 
+import random
+
 from repro.geometry import Point
 from repro.net import (
     BeaconService,
@@ -55,6 +57,43 @@ class TestNeighborTable:
         table = self.make()
         table.clear()
         assert len(table) == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kept_rows_match_a_fresh_rebuild(self, seed):
+        # Random inserts, refreshes, removals and clears.  After every
+        # step the kept rows equal an id-sorted rebuild, and a list
+        # handed out before the step still holds what it held.
+        rng = random.Random(seed)
+        table = NeighborTable()
+        node_ids = [f"n{i}" for i in range(8)]
+        for _ in range(300):
+            before = table.entries()
+            held = list(before)
+            roll = rng.random()
+            node_id = rng.choice(node_ids)
+            refresh = roll < 0.6 and node_id in table
+            if roll < 0.6:
+                table.upsert(
+                    node_id,
+                    Point(rng.randint(0, 9), rng.randint(0, 9)),
+                    rng.choice(["sensor", "robot"]),
+                )
+            elif roll < 0.95:
+                table.remove(node_id)
+            else:
+                table.clear()
+            assert len(before) == len(held)
+            assert all(a is b for a, b in zip(before, held))
+            rebuilt = [table.get(nid) for nid in sorted(table.ids())]
+            rows = table.entries()
+            assert len(rows) == len(rebuilt)
+            assert all(a is b for a, b in zip(rows, rebuilt))
+            if refresh:
+                assert table.entries() is before
+            for kind in ("sensor", "robot"):
+                assert table.of_kind(kind) == [
+                    e for e in rebuilt if e.kind == kind
+                ]
 
 
 class TestBeaconService:
