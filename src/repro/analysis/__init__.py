@@ -1,7 +1,7 @@
 """Analysis layer: coverage, energy accounting, and closed-form theory.
 
-Hole tracking and the closed-form theory are imported from their
-submodules (:mod:`repro.analysis.holes`, :mod:`repro.analysis.theory`).
+The closed-form theory is imported from its submodule
+(:mod:`repro.analysis.theory`).
 """
 
 from repro.analysis.coverage import CoverageTracker, coverage_fraction

@@ -42,7 +42,7 @@ from repro.core.runtime import ScenarioRuntime
 from repro.deploy.placement_cache import placement_key
 from repro.deploy.scenario import ScenarioConfig, paper_scenario
 from repro.net.radio import sensor_radio
-from repro.metrics.aggregate import SummaryStats, mean_of, summarize
+from repro.metrics.aggregate import mean_of
 from repro.metrics.collector import RunReport
 from repro.store.provenance import perf_clock
 
@@ -282,12 +282,6 @@ class SweepPoint:
     algorithm: str
     robot_count: int
     reports: typing.Tuple[RunReport, ...]
-
-    def stat(self, metric: str) -> SummaryStats:
-        """Summary of attribute *metric* over the replicates."""
-        return summarize(
-            [getattr(report, metric) for report in self.reports]
-        )
 
     def mean(self, metric: str) -> float:
         """Mean of attribute *metric* over the replicates."""

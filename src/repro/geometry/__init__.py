@@ -10,7 +10,7 @@ names callers outside it import from here.
 """
 
 from repro.geometry.partition import SquarePartition, StaggeredPartition
-from repro.geometry.point import Point, centroid_of, midpoint
+from repro.geometry.point import Point, midpoint
 from repro.geometry.polygon import ConvexPolygon, HalfPlane, Rect
 from repro.geometry.voronoi import voronoi_cell, voronoi_cells
 
@@ -21,7 +21,6 @@ __all__ = [
     "Rect",
     "SquarePartition",
     "StaggeredPartition",
-    "centroid_of",
     "midpoint",
     "voronoi_cell",
     "voronoi_cells",

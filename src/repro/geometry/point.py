@@ -11,7 +11,7 @@ import dataclasses
 import math
 import typing
 
-__all__ = ["Point", "by_distance", "centroid_of", "midpoint", "nearest"]
+__all__ = ["Point", "by_distance", "midpoint", "nearest"]
 
 #: A candidate's id: a node id, or an index for anonymous sites.
 _Id = typing.TypeVar("_Id", str, int)
@@ -33,17 +33,6 @@ class Point:
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
 
-    def __mul__(self, scalar: float) -> "Point":
-        return Point(self.x * scalar, self.y * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float) -> "Point":
-        return Point(self.x / scalar, self.y / scalar)
-
-    def __neg__(self) -> "Point":
-        return Point(-self.x, -self.y)
-
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
@@ -57,10 +46,6 @@ class Point:
         dy = self.y - other.y
         return dx * dx + dy * dy
 
-    def norm(self) -> float:
-        """Length of this point viewed as a vector from the origin."""
-        return math.hypot(self.x, self.y)
-
     def dot(self, other: "Point") -> float:
         """Dot product with *other* (both viewed as vectors)."""
         return self.x * other.x + self.y * other.y
@@ -68,23 +53,6 @@ class Point:
     def cross(self, other: "Point") -> float:
         """Z-component of the cross product (signed parallelogram area)."""
         return self.x * other.y - self.y * other.x
-
-    def normalized(self) -> "Point":
-        """Unit vector in this direction.
-
-        Raises
-        ------
-        ValueError
-            For the zero vector.
-        """
-        length = self.norm()
-        if length == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return Point(self.x / length, self.y / length)
-
-    def angle_to(self, other: "Point") -> float:
-        """Angle of the vector from self to other, in radians (-pi, pi]."""
-        return math.atan2(other.y - self.y, other.x - self.x)
 
     # ------------------------------------------------------------------
     # Interpolation & helpers
@@ -115,14 +83,6 @@ class Point:
         """True if within *tolerance* metres of *other*."""
         return self.distance_to(other) <= tolerance
 
-    def as_tuple(self) -> typing.Tuple[float, float]:
-        """The point as a plain ``(x, y)`` tuple."""
-        return (self.x, self.y)
-
-    def __iter__(self) -> typing.Iterator[float]:
-        yield self.x
-        yield self.y
-
     def __repr__(self) -> str:
         return f"Point({self.x:.6g}, {self.y:.6g})"
 
@@ -130,21 +90,6 @@ class Point:
 def midpoint(a: Point, b: Point) -> Point:
     """Midpoint of the segment *ab*."""
     return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-
-
-def centroid_of(points: typing.Sequence[Point]) -> Point:
-    """Arithmetic mean of *points*.
-
-    Raises
-    ------
-    ValueError
-        For an empty sequence.
-    """
-    if not points:
-        raise ValueError("centroid of an empty point set is undefined")
-    sx = sum(p.x for p in points)
-    sy = sum(p.y for p in points)
-    return Point(sx / len(points), sy / len(points))
 
 
 def nearest(

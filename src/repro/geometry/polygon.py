@@ -9,7 +9,6 @@ rectangle type used for deployment areas and fixed square subareas.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 
 from repro.geometry.point import Point
@@ -84,10 +83,6 @@ class Rect:
         """This rectangle as a :class:`ConvexPolygon`."""
         return ConvexPolygon(self.corners)
 
-    def diagonal(self) -> float:
-        """Length of the rectangle's diagonal."""
-        return math.hypot(self.width, self.height)
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class HalfPlane:
@@ -151,36 +146,6 @@ class ConvexPolygon:
             return 0.0
         return _signed_area(list(self.vertices))
 
-    @property
-    def centroid(self) -> Point:
-        """Area centroid.
-
-        Raises
-        ------
-        ValueError
-            For an empty polygon.
-        """
-        if self.is_empty:
-            raise ValueError("centroid of an empty polygon")
-        area_acc = 0.0
-        cx = 0.0
-        cy = 0.0
-        verts = self.vertices
-        for i, a in enumerate(verts):
-            b = verts[(i + 1) % len(verts)]
-            cross = a.cross(b)
-            area_acc += cross
-            cx += (a.x + b.x) * cross
-            cy += (a.y + b.y) * cross
-        if abs(area_acc) < _EPS:
-            # Degenerate (collinear) polygon: fall back to vertex mean.
-            n = len(verts)
-            return Point(
-                sum(v.x for v in verts) / n, sum(v.y for v in verts) / n
-            )
-        area_acc *= 0.5
-        return Point(cx / (6.0 * area_acc), cy / (6.0 * area_acc))
-
     def contains(self, point: Point, tolerance: float = _EPS) -> bool:
         """True if *point* is inside or on the boundary."""
         if self.is_empty:
@@ -217,28 +182,10 @@ class ConvexPolygon:
                 output.append(_halfplane_intersection(current, nxt, halfplane))
         return ConvexPolygon(_dedupe_ring(output))
 
-    def perimeter(self) -> float:
-        """Total boundary length (0 when empty)."""
-        if self.is_empty:
-            return 0.0
-        verts = self.vertices
-        return sum(
-            verts[i].distance_to(verts[(i + 1) % len(verts)])
-            for i in range(len(verts))
-        )
-
     def __repr__(self) -> str:
         if self.is_empty:
             return "ConvexPolygon(<empty>)"
         return f"ConvexPolygon({len(self.vertices)} vertices, area={self.area:.4g})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConvexPolygon):
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
 
 
 def _signed_area(vertices: typing.Sequence[Point]) -> float:

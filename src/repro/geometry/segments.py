@@ -11,25 +11,9 @@ import typing
 
 from repro.geometry.point import Point
 
-__all__ = ["orientation", "segments_intersect", "segment_intersection"]
+__all__ = ["segment_intersection"]
 
 _EPS = 1e-12
-
-
-def orientation(a: Point, b: Point, c: Point) -> float:
-    """Signed area orientation of the triple (a, b, c).
-
-    Positive for counter-clockwise, negative for clockwise, ~0 for
-    collinear.
-    """
-    return (b - a).cross(c - a)
-
-
-def segments_intersect(
-    p1: Point, p2: Point, p3: Point, p4: Point
-) -> bool:
-    """True if closed segments ``p1p2`` and ``p3p4`` intersect."""
-    return segment_intersection(p1, p2, p3, p4) is not None
 
 
 def segment_intersection(

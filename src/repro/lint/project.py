@@ -10,8 +10,7 @@ whole linted tree at once:
 * one :class:`ModuleInfo` per file — dotted module name, AST, source
   lines, resolved :class:`~repro.lint.rules.ImportTable`, suppressions;
 * a symbol table: every top-level class and function, with class
-  methods indexed for cross-module lookup;
-* an import graph between the linted modules.
+  methods indexed for cross-module lookup.
 
 Module names are derived from paths: the longest suffix that starts at
 a ``repro``/``src`` anchor becomes the dotted name, so the same tree
@@ -137,29 +136,6 @@ class ProjectContext:
     ) -> typing.List[typing.Tuple[ModuleInfo, ast.ClassDef]]:
         """Every project definition of *class_name* (usually 0 or 1)."""
         return self.classes.get(class_name, [])
-
-    def import_graph(self) -> typing.Dict[str, typing.Set[str]]:
-        """Edges ``importer -> imported`` restricted to linted modules.
-
-        An import binding ``repro.net.frames.Frame`` counts as an edge
-        to ``repro.net.frames`` when that module is part of the linted
-        tree (the binding's longest prefix that names a known module).
-        """
-        graph: typing.Dict[str, typing.Set[str]] = {}
-        known = set(self.by_name)
-        for module in self.modules:
-            if not module.name:
-                continue
-            edges = graph.setdefault(module.name, set())
-            for origin in module.imports.bindings.values():
-                parts = origin.split(".")
-                for end in range(len(parts), 0, -1):
-                    prefix = ".".join(parts[:end])
-                    if prefix in known:
-                        if prefix != module.name:
-                            edges.add(prefix)
-                        break
-        return graph
 
     def class_fields(
         self, class_node: ast.ClassDef, module: ModuleInfo

@@ -1,86 +1,15 @@
 """Aggregation of metrics across replicated runs.
 
-The figures average each point over several seeds.  This module provides
-the summary statistics (mean, sample standard deviation, normal-theory
-confidence half-width) without depending on scipy — the library stays
-dependency-free; tests cross-check against numpy where available.
+The figures average each point over several seeds; :func:`mean_of` is
+that average, skipping replicates whose metric is undefined (NaN).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import typing
 
-__all__ = ["SummaryStats", "summarize", "mean_of", "aggregate_reports"]
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class SummaryStats:
-    """Mean / spread summary of one metric over replicates."""
-
-    count: int
-    mean: float
-    stdev: float
-    minimum: float
-    maximum: float
-    #: Half-width of the ~95 % normal-approximation confidence interval.
-    ci95_halfwidth: float
-
-    def __str__(self) -> str:
-        return f"{self.mean:.2f} ± {self.ci95_halfwidth:.2f} (n={self.count})"
-
-    # ------------------------------------------------------------------
-    # Versioned JSON serialization (repro.store / bench results)
-    # ------------------------------------------------------------------
-    def to_json_dict(self) -> typing.Dict[str, typing.Any]:
-        """All fields as a JSON-native dict."""
-        return {
-            field.name: getattr(self, field.name)
-            for field in dataclasses.fields(self)
-        }
-
-    @classmethod
-    def from_json_dict(
-        cls, data: typing.Mapping[str, typing.Any]
-    ) -> "SummaryStats":
-        """Rebuild summary statistics from :meth:`to_json_dict` output."""
-        known = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown SummaryStats fields: {', '.join(unknown)}"
-            )
-        return cls(**dict(data))
-
-
-def summarize(values: typing.Sequence[float]) -> SummaryStats:
-    """Summary statistics of *values*, ignoring NaNs.
-
-    Raises
-    ------
-    ValueError
-        If no finite values remain.
-    """
-    finite = [v for v in values if not math.isnan(v)]
-    if not finite:
-        raise ValueError("no finite values to summarize")
-    n = len(finite)
-    mean = sum(finite) / n
-    if n > 1:
-        variance = sum((v - mean) ** 2 for v in finite) / (n - 1)
-        stdev = math.sqrt(variance)
-    else:
-        stdev = 0.0
-    halfwidth = 1.96 * stdev / math.sqrt(n) if n > 1 else 0.0
-    return SummaryStats(
-        count=n,
-        mean=mean,
-        stdev=stdev,
-        minimum=min(finite),
-        maximum=max(finite),
-        ci95_halfwidth=halfwidth,
-    )
+__all__ = ["mean_of"]
 
 
 def mean_of(values: typing.Sequence[float]) -> float:
@@ -89,11 +18,3 @@ def mean_of(values: typing.Sequence[float]) -> float:
     if not finite:
         return float("nan")
     return sum(finite) / len(finite)
-
-
-def aggregate_reports(
-    reports: typing.Sequence[typing.Any],
-    metric: str,
-) -> SummaryStats:
-    """Summarize attribute *metric* across :class:`RunReport` objects."""
-    return summarize([getattr(report, metric) for report in reports])

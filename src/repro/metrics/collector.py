@@ -275,10 +275,6 @@ class MetricsCollector:
             record.orphan_reason = reason
             record.orphan_time = time
 
-    def robot_faults(self) -> typing.List[RobotFaultRecord]:
-        """All robot fault records in occurrence order."""
-        return list(self._robot_faults)
-
     # ------------------------------------------------------------------
     # Recording: failure verification (network-fault extension)
     # ------------------------------------------------------------------
@@ -326,10 +322,6 @@ class MetricsCollector:
             )
         )
 
-    def false_dispatches(self) -> typing.List[FalseDispatchRecord]:
-        """All false-dispatch records in occurrence order."""
-        return list(self._false_dispatches)
-
     # ------------------------------------------------------------------
     # Recording: degraded-mode adaptation (adaptive extension)
     # ------------------------------------------------------------------
@@ -370,16 +362,6 @@ class MetricsCollector:
     def record_of(self, node_id: str) -> typing.Optional[FailureRecord]:
         """The record for one failed node, if any."""
         return self._records.get(node_id)
-
-    @property
-    def failures(self) -> int:
-        """Total deaths recorded."""
-        return len(self._records)
-
-    @property
-    def repaired(self) -> int:
-        """Failures with a completed replacement."""
-        return sum(1 for r in self._records.values() if r.repaired)
 
     def report(
         self,

@@ -3,12 +3,11 @@
 The router itself is :class:`repro.routing.router.GeographicRouter`.
 """
 
-from repro.routing.planar import gabriel_neighbors, rng_neighbors
+from repro.routing.planar import gabriel_neighbors
 from repro.routing.stats import DropReason, RoutingStats
 
 __all__ = [
     "DropReason",
     "RoutingStats",
     "gabriel_neighbors",
-    "rng_neighbors",
 ]

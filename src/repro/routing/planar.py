@@ -2,11 +2,9 @@
 
 Face routing only guarantees progress on a *planar* subgraph of the radio
 connectivity graph.  GPSR and GFG both planarize locally: each node keeps
-only those neighbour edges that pass the Gabriel graph (GG) or relative
-neighbourhood graph (RNG) test, computed from nothing but its own
-neighbour table.  Both filters provably preserve connectivity of the
-unit-disk graph and both are implemented here (the paper's routing layer
-follows GPSR, which defaults to GG).
+only those neighbour edges that pass the Gabriel graph (GG) test,
+computed from nothing but its own neighbour table.  The filter provably
+preserves connectivity of the unit-disk graph.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import typing
 from repro.geometry.point import Point, midpoint
 from repro.net.neighbors import NeighborEntry
 
-__all__ = ["gabriel_neighbors", "rng_neighbors"]
+__all__ = ["gabriel_neighbors"]
 
 _EPS = 1e-9
 
@@ -45,29 +43,3 @@ def gabriel_neighbors(
             kept.append(candidate)
     return kept
 
-
-def rng_neighbors(
-    origin: Point,
-    entries: typing.Sequence[NeighborEntry],
-) -> typing.List[NeighborEntry]:
-    """Neighbours retained by the relative neighbourhood graph test.
-
-    Edge ``(u, v)`` survives iff no witness ``w`` is strictly closer to
-    *both* endpoints than they are to each other (the "lune" test).  The
-    RNG is a subgraph of the Gabriel graph — sparser, still connected.
-    """
-    kept: typing.List[NeighborEntry] = []
-    for candidate in entries:
-        edge_d2 = origin.squared_distance_to(candidate.position)
-        blocked = False
-        for witness in entries:
-            if witness.node_id == candidate.node_id:
-                continue
-            du2 = witness.position.squared_distance_to(origin)
-            dv2 = witness.position.squared_distance_to(candidate.position)
-            if du2 < edge_d2 - _EPS and dv2 < edge_d2 - _EPS:
-                blocked = True
-                break
-        if not blocked:
-            kept.append(candidate)
-    return kept

@@ -1,15 +1,12 @@
-"""Visualisation: ASCII field maps and dependency-free SVG rendering."""
+"""Visualisation: dependency-free SVG rendering."""
 
-from repro.viz.ascii_map import AsciiMap, render_runtime
 from repro.viz.charts import figure_to_svg, line_chart_svg
 from repro.viz.svg import SvgCanvas, render_field_svg, trails_from_trace
 
 __all__ = [
-    "AsciiMap",
     "SvgCanvas",
     "figure_to_svg",
     "line_chart_svg",
     "render_field_svg",
-    "render_runtime",
     "trails_from_trace",
 ]

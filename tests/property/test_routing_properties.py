@@ -9,11 +9,7 @@ from repro.deploy import is_connected
 from repro.geometry import Point
 from repro.net import Category, Channel, NetworkNode, RadioConfig
 from repro.net.neighbors import NeighborEntry
-from repro.routing import (
-    RoutingStats,
-    gabriel_neighbors,
-    rng_neighbors,
-)
+from repro.routing import RoutingStats, gabriel_neighbors
 from repro.sim import RandomStreams, Simulator
 
 
@@ -54,16 +50,34 @@ entries_strategy = st.lists(
 class TestPlanarizationProperties:
     @settings(max_examples=60, deadline=None)
     @given(entries_strategy)
-    def test_rng_subset_of_gabriel(self, positions):
+    def test_gabriel_matches_disk_oracle(self, positions):
+        """An edge is kept iff no other entry lies strictly inside the
+        disk whose diameter is the edge (to within the same 1e-9)."""
         origin = Point(0.0, 0.0)
         entries = [
             NeighborEntry(f"n{i:02d}", p, "sensor")
             for i, p in enumerate(positions)
             if p.distance_to(origin) > 1e-9
         ]
-        gg = {e.node_id for e in gabriel_neighbors(origin, entries)}
-        rng_set = {e.node_id for e in rng_neighbors(origin, entries)}
-        assert rng_set <= gg
+
+        def witnessed(candidate):
+            cx = (origin.x + candidate.position.x) / 2.0
+            cy = (origin.y + candidate.position.y) / 2.0
+            ex = origin.x - candidate.position.x
+            ey = origin.y - candidate.position.y
+            radius_sq = (ex * ex + ey * ey) / 4.0
+            for other in entries:
+                if other is candidate:
+                    continue
+                dx = other.position.x - cx
+                dy = other.position.y - cy
+                if dx * dx + dy * dy < radius_sq - 1e-9:
+                    return True
+            return False
+
+        expected = [e.node_id for e in entries if not witnessed(e)]
+        kept = [e.node_id for e in gabriel_neighbors(origin, entries)]
+        assert kept == expected
 
     @settings(max_examples=60, deadline=None)
     @given(entries_strategy)
@@ -74,7 +88,6 @@ class TestPlanarizationProperties:
                 continue
             entries = [NeighborEntry("only", position, "sensor")]
             assert len(gabriel_neighbors(origin, entries)) == 1
-            assert len(rng_neighbors(origin, entries)) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

@@ -110,12 +110,6 @@ class TestSweep:
         with pytest.raises(KeyError):
             grid.point(Algorithm.DYNAMIC, 4)
 
-    def test_point_statistics(self, grid):
-        point = grid.point(Algorithm.CENTRALIZED, 4)
-        stats = point.stat("failures")
-        assert stats.count == 2
-        assert stats.mean == point.mean("failures")
-
     def test_series_extraction(self, grid):
         series = grid.series(Algorithm.FIXED, "failures", [4])
         assert len(series) == 1

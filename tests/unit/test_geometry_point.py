@@ -1,24 +1,14 @@
 """Unit tests for points and vectors."""
 
-import math
-
 import pytest
 
-from repro.geometry import Point, centroid_of, midpoint
+from repro.geometry import Point, midpoint
 
 
 class TestArithmetic:
     def test_addition_and_subtraction(self):
         assert Point(1, 2) + Point(3, 4) == Point(4, 6)
         assert Point(3, 4) - Point(1, 2) == Point(2, 2)
-
-    def test_scalar_multiplication(self):
-        assert Point(1, 2) * 3 == Point(3, 6)
-        assert 3 * Point(1, 2) == Point(3, 6)
-        assert Point(4, 6) / 2 == Point(2, 3)
-
-    def test_negation(self):
-        assert -Point(1, -2) == Point(-1, 2)
 
     def test_immutability(self):
         point = Point(1, 2)
@@ -33,27 +23,10 @@ class TestMetrics:
     def test_squared_distance(self):
         assert Point(0, 0).squared_distance_to(Point(3, 4)) == 25.0
 
-    def test_norm(self):
-        assert Point(3, 4).norm() == 5.0
-
     def test_dot_and_cross(self):
         assert Point(1, 0).dot(Point(0, 1)) == 0.0
         assert Point(1, 0).cross(Point(0, 1)) == 1.0
         assert Point(0, 1).cross(Point(1, 0)) == -1.0
-
-    def test_normalized(self):
-        unit = Point(3, 4).normalized()
-        assert math.isclose(unit.norm(), 1.0)
-
-    def test_normalize_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            Point(0, 0).normalized()
-
-    def test_angle_to(self):
-        assert Point(0, 0).angle_to(Point(1, 0)) == 0.0
-        assert math.isclose(
-            Point(0, 0).angle_to(Point(0, 1)), math.pi / 2
-        )
 
 
 class TestInterpolation:
@@ -83,16 +56,3 @@ class TestInterpolation:
 class TestHelpers:
     def test_midpoint(self):
         assert midpoint(Point(0, 0), Point(4, 6)) == Point(2, 3)
-
-    def test_centroid(self):
-        points = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
-        assert centroid_of(points) == Point(1, 1)
-
-    def test_centroid_empty_rejected(self):
-        with pytest.raises(ValueError):
-            centroid_of([])
-
-    def test_iteration_and_tuple(self):
-        x, y = Point(1.5, 2.5)
-        assert (x, y) == (1.5, 2.5)
-        assert Point(1.5, 2.5).as_tuple() == (1.5, 2.5)

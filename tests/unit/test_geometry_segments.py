@@ -1,22 +1,7 @@
 """Unit tests for segment intersection (face-routing support)."""
 
 from repro.geometry import Point
-from repro.geometry.segments import (
-    orientation,
-    segment_intersection,
-    segments_intersect,
-)
-
-
-class TestOrientation:
-    def test_counter_clockwise_positive(self):
-        assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) > 0
-
-    def test_clockwise_negative(self):
-        assert orientation(Point(0, 0), Point(0, 1), Point(1, 0)) < 0
-
-    def test_collinear_zero(self):
-        assert orientation(Point(0, 0), Point(1, 1), Point(2, 2)) == 0
+from repro.geometry.segments import segment_intersection
 
 
 class TestIntersection:
@@ -87,8 +72,3 @@ class TestIntersection:
             )
             is None
         )
-
-    def test_boolean_helper_agrees(self):
-        args = (Point(0, 0), Point(2, 2), Point(0, 2), Point(2, 0))
-        assert segments_intersect(*args)
-        assert segment_intersection(*args) is not None

@@ -93,7 +93,7 @@ class TestVoronoiCells:
         ]
         ours = voronoi_cells(sites, BOUNDS)
         # Oracle: Monte-Carlo ownership versus scipy's nearest-site KDTree.
-        tree = scipy_spatial.cKDTree([s.as_tuple() for s in sites])
+        tree = scipy_spatial.cKDTree([(s.x, s.y) for s in sites])
         hits = [0] * len(sites)
         samples = 4000
         for _ in range(samples):

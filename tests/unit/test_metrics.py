@@ -5,13 +5,7 @@ import math
 import pytest
 
 from repro.geometry import Point
-from repro.metrics import (
-    MetricsCollector,
-    SummaryStats,
-    aggregate_reports,
-    mean_of,
-    summarize,
-)
+from repro.metrics import MetricsCollector, mean_of
 from repro.net import Category, Channel
 from repro.routing import RoutingStats
 from repro.sim import RandomStreams, Simulator
@@ -130,52 +124,7 @@ class TestRunReport:
 
 
 class TestAggregation:
-    def test_summarize_basic(self):
-        stats = summarize([1.0, 2.0, 3.0, 4.0])
-        assert stats.mean == 2.5
-        assert stats.count == 4
-        assert stats.minimum == 1.0
-        assert stats.maximum == 4.0
-        assert stats.stdev == pytest.approx(1.29099, rel=1e-4)
-        assert stats.ci95_halfwidth > 0
-
-    def test_summarize_single_value(self):
-        stats = summarize([7.0])
-        assert stats.mean == 7.0
-        assert stats.stdev == 0.0
-        assert stats.ci95_halfwidth == 0.0
-
-    def test_summarize_ignores_nan(self):
-        stats = summarize([1.0, float("nan"), 3.0])
-        assert stats.count == 2
-        assert stats.mean == 2.0
-
-    def test_summarize_all_nan_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([float("nan")])
-
-    def test_summarize_matches_numpy(self):
-        numpy = pytest.importorskip("numpy")
-        values = [3.1, 4.1, 5.9, 2.6, 5.3]
-        stats = summarize(values)
-        assert stats.mean == pytest.approx(float(numpy.mean(values)))
-        assert stats.stdev == pytest.approx(
-            float(numpy.std(values, ddof=1))
-        )
-
     def test_mean_of(self):
         assert mean_of([1.0, 3.0]) == 2.0
         assert math.isnan(mean_of([]))
         assert math.isnan(mean_of([float("nan")]))
-
-    def test_aggregate_reports_by_attribute(self):
-        class Stub:
-            def __init__(self, value):
-                self.metric = value
-
-        stats = aggregate_reports([Stub(1.0), Stub(3.0)], "metric")
-        assert isinstance(stats, SummaryStats)
-        assert stats.mean == 2.0
-
-    def test_str_format(self):
-        assert "n=2" in str(summarize([1.0, 2.0]))

@@ -3,8 +3,6 @@
 import math
 import random
 
-import pytest
-
 from repro.geometry import Point
 from repro.net import (
     Category,
@@ -13,12 +11,7 @@ from repro.net import (
     NetworkNode,
     RadioConfig,
 )
-from repro.routing import (
-    DropReason,
-    RoutingStats,
-    gabriel_neighbors,
-    rng_neighbors,
-)
+from repro.routing import DropReason, RoutingStats, gabriel_neighbors
 from repro.sim import RandomStreams, Simulator
 
 
@@ -49,29 +42,8 @@ class TestPlanarization:
         kept = gabriel_neighbors(origin, entries)
         assert len(kept) == 2
 
-    def test_rng_is_subset_of_gabriel(self):
-        rng = random.Random(2)
-        origin = Point(0, 0)
-        entries = entries_of(
-            [
-                Point(rng.uniform(-50, 50), rng.uniform(-50, 50))
-                for _ in range(20)
-            ]
-        )
-        gg_ids = {e.node_id for e in gabriel_neighbors(origin, entries)}
-        rng_ids = {e.node_id for e in rng_neighbors(origin, entries)}
-        assert rng_ids <= gg_ids
-
-    def test_rng_lune_test(self):
-        origin = Point(0, 0)
-        # Witness closer to both endpoints than they are to each other.
-        entries = entries_of([Point(10, 0), Point(5, 2)])
-        kept = rng_neighbors(origin, entries)
-        assert [e.position for e in kept] == [Point(5, 2)]
-
     def test_empty_entries(self):
         assert gabriel_neighbors(Point(0, 0), []) == []
-        assert rng_neighbors(Point(0, 0), []) == []
 
 
 class Probe(NetworkNode):

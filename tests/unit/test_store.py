@@ -8,7 +8,7 @@ import pytest
 
 from repro.deploy import Algorithm, ScenarioConfig, paper_scenario
 from repro.geometry import Point
-from repro.metrics import FailureRecord, RunReport, SummaryStats, summarize
+from repro.metrics import FailureRecord, RunReport
 from repro.store import (
     RunStore,
     STORE_SCHEMA_VERSION,
@@ -121,12 +121,6 @@ class TestJsonRoundTrips:
         assert rebuilt == record
         assert rebuilt.position == Point(10.5, 20.25)
         assert rebuilt.replace_time is None
-
-    def test_summary_stats_round_trip(self):
-        stats = summarize([1.0, 2.0, 3.0])
-        text = json.dumps(stats.to_json_dict())
-        rebuilt = SummaryStats.from_json_dict(json.loads(text))
-        assert rebuilt == stats
 
     def test_reports_equivalent_is_nan_safe(self):
         assert reports_equivalent(make_report(), make_report())

@@ -1,4 +1,4 @@
-"""Unit tests for ASCII and SVG field rendering."""
+"""Unit tests for SVG field rendering."""
 
 import xml.etree.ElementTree as ElementTree
 
@@ -7,13 +7,7 @@ import pytest
 from repro import Algorithm, ScenarioRuntime, paper_scenario
 from repro.geometry import Point, Rect
 from repro.sim import RecordingSink, Tracer
-from repro.viz import (
-    AsciiMap,
-    SvgCanvas,
-    render_field_svg,
-    render_runtime,
-    trails_from_trace,
-)
+from repro.viz import SvgCanvas, render_field_svg, trails_from_trace
 
 
 @pytest.fixture(scope="module")
@@ -32,47 +26,6 @@ def small_runtime():
     runtime = ScenarioRuntime(config, tracer=tracer)
     runtime.run()
     return runtime, moves
-
-
-class TestAsciiMap:
-    def test_plot_and_render_shape(self):
-        canvas = AsciiMap(Rect.square(100.0), columns=10, rows=5)
-        canvas.plot(Point(5, 5), "a")       # bottom-left
-        canvas.plot(Point(95, 95), "b")     # top-right
-        text = canvas.render()
-        lines = text.splitlines()
-        assert len(lines) == 7  # 5 rows + 2 borders
-        assert all(len(line) == 12 for line in lines)
-        assert "a" in lines[-2]  # bottom row
-        assert "b" in lines[1]   # top row
-
-    def test_overwrite_false_keeps_existing(self):
-        canvas = AsciiMap(Rect.square(100.0), columns=4, rows=4)
-        canvas.plot(Point(50, 50), "R")
-        canvas.plot(Point(50, 50), ".", overwrite=False)
-        assert "R" in canvas.render()
-        assert "." not in canvas.render()
-
-    def test_out_of_bounds_points_clamped(self):
-        canvas = AsciiMap(Rect.square(100.0), columns=4, rows=4)
-        canvas.plot(Point(-50, 500), "x")
-        assert "x" in canvas.render()
-
-    def test_invalid_glyph_rejected(self):
-        canvas = AsciiMap(Rect.square(100.0))
-        with pytest.raises(ValueError):
-            canvas.plot(Point(0, 0), "ab")
-
-    def test_invalid_canvas_rejected(self):
-        with pytest.raises(ValueError):
-            AsciiMap(Rect.square(100.0), columns=0, rows=5)
-
-    def test_render_runtime_shows_all_roles(self, small_runtime):
-        runtime, _moves = small_runtime
-        text = render_runtime(runtime)
-        assert "." in text
-        assert "R" in text
-        assert "M" in text
 
 
 class TestSvg:
