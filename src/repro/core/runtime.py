@@ -336,9 +336,7 @@ class ScenarioRuntime:
             self.adaptive.start()
 
     def _start_beaconing(self, sensor: SensorNode) -> None:
-        service = BeaconService(
-            sensor, self.config.beacon_period_s, started=True
-        )
+        service = BeaconService(sensor, self.config.beacon_period_s)
         self._beacon_services[sensor.node_id] = service
         sensor.start_beacon_watch()
 

@@ -29,10 +29,11 @@ DEFAULT_BEACON_PERIOD_S = 10.0
 class BeaconService:
     """Drives periodic HELLO broadcasts for one node.
 
-    The first beacon goes out after a random phase within one period
-    (drawn from the node's ``beacon.<id>`` stream) so the network's
-    beacons de-synchronise, then strictly every ``period`` seconds until
-    the node dies.
+    Beaconing starts at construction (the scenario builder constructs
+    the service only after initialization).  The first beacon goes out
+    after a random phase within one period (drawn from the node's
+    ``beacon.<id>`` stream) so the network's beacons de-synchronise,
+    then strictly every ``period`` seconds until the node dies.
 
     Parameters
     ----------
@@ -40,39 +41,20 @@ class BeaconService:
         The beaconing node.
     period:
         Beacon interval in seconds.
-    started:
-        When False, :meth:`start` must be called explicitly (the
-        scenario builder starts beacons only after initialization).
     """
 
     def __init__(
         self,
         node: NetworkNode,
         period: float = DEFAULT_BEACON_PERIOD_S,
-        started: bool = False,
     ) -> None:
         if period <= 0:
             raise ValueError(f"non-positive beacon period: {period}")
         self.node = node
         self.period = period
         self.beacons_sent = 0
-        self._running = False
         self._rng = node.streams.stream(f"beacon.{node.node_id}")
-        if started:
-            self.start()
-
-    def start(self) -> None:
-        """Begin beaconing (idempotent)."""
-        if self._running:
-            return
-        self._running = True
-        self.node.sim.process(
-            self._beacon_loop(), name=f"beacon:{self.node.node_id}"
-        )
-
-    def stop(self) -> None:
-        """Stop beaconing after the current period elapses."""
-        self._running = False
+        node.sim.process(self._beacon_loop(), name=f"beacon:{node.node_id}")
 
     def beacon_now(self) -> None:
         """Send one immediate off-cycle beacon (verification extension).
@@ -96,7 +78,7 @@ class BeaconService:
     def _beacon_loop(self) -> typing.Generator:
         sim: Simulator = self.node.sim
         yield sim.timeout(self._rng.uniform(0.0, self.period))
-        while self._running and self.node.alive:
+        while self.node.alive:
             self.node.send_broadcast(
                 Category.BEACON,
                 NodeAnnouncement(
@@ -109,8 +91,7 @@ class BeaconService:
             yield sim.timeout(self.period)
 
     def __repr__(self) -> str:
-        state = "running" if self._running else "stopped"
         return (
             f"<BeaconService {self.node.node_id} period={self.period} "
-            f"{state} sent={self.beacons_sent}>"
+            f"sent={self.beacons_sent}>"
         )

@@ -8,12 +8,11 @@ processes and priorities are imported from their submodules.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Interrupt, SimulationError
+from repro.sim.events import SimulationError
 from repro.sim.rng import RandomStreams, derive_seed
 from repro.sim.trace import RecordingSink, Tracer
 
 __all__ = [
-    "Interrupt",
     "RandomStreams",
     "RecordingSink",
     "SimulationError",

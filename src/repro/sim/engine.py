@@ -19,19 +19,11 @@ Typical use::
 
 from __future__ import annotations
 
-import heapq
 import typing
 
 from heapq import heappop as _heappop, heappush as _heappush
 
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Callback,
-    Event,
-    SimulationError,
-    Timeout,
-)
+from repro.sim.events import AnyOf, Callback, Event, SimulationError
 from repro.sim.process import Process, ProcessGenerator
 
 __all__ = [
@@ -68,17 +60,15 @@ class StopSimulation(Exception):
     """Raised internally to halt :meth:`Simulator.run` at ``until``."""
 
 
+def _no_op() -> None:
+    """The callable of a bare timeout: waiting is all it does."""
+
+
 class Simulator:
-    """A deterministic discrete-event simulator.
+    """A deterministic discrete-event simulator whose clock starts at 0."""
 
-    Parameters
-    ----------
-    start_time:
-        Initial value of the simulation clock (seconds).  Defaults to 0.
-    """
-
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list = []
         self._seq = 0
         self._processed_events = 0
@@ -96,16 +86,6 @@ class Simulator:
         """Total number of events processed so far (a progress measure)."""
         return self._processed_events
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if queue is empty."""
-        while self._queue:
-            time, _priority, _seq, event = self._queue[0]
-            if event.callbacks is None:
-                heapq.heappop(self._queue)  # cancelled / already processed
-                continue
-            return time
-        return float("inf")
-
     # ------------------------------------------------------------------
     # Event factories
     # ------------------------------------------------------------------
@@ -113,9 +93,9 @@ class Simulator:
         """Create a fresh, untriggered :class:`Event`."""
         return Event(self)
 
-    def timeout(self, delay: float, value: typing.Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Callback:
         """Create an event that fires ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
+        return self.call_in(delay, _no_op)
 
     def process(
         self,
@@ -125,10 +105,6 @@ class Simulator:
         """Start a new :class:`Process` driving *generator*."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events: typing.Iterable[Event]) -> AllOf:
-        """Event firing once every event in *events* has fired."""
-        return AllOf(self, events)
-
     def any_of(self, events: typing.Iterable[Event]) -> AnyOf:
         """Event firing once any event in *events* has fired."""
         return AnyOf(self, events)
@@ -137,7 +113,7 @@ class Simulator:
         self,
         time: float,
         callback: typing.Callable[[], None],
-    ) -> Event:
+    ) -> Callback:
         """Schedule *callback* (no arguments) to run at absolute *time*."""
         if time < self._now:
             raise SimulationError(
@@ -149,18 +125,18 @@ class Simulator:
         self,
         delay: float,
         callback: typing.Callable[[], None],
-    ) -> Event:
+    ) -> Callback:
         """Schedule *callback* (no arguments) to run after *delay* seconds.
 
-        This is the kernel's fast path: plain callbacks account for most
-        of the event volume (MAC wakeups, channel deliveries, timers), so
-        they skip the full ``Timeout`` + ``add_callback`` machinery and
-        go onto the heap as a lightweight :class:`Callback` event.  The
-        returned event is cancellable via :meth:`cancel` and yieldable
-        from processes, exactly like a Timeout.
+        This is the kernel's fast path: callbacks, timeouts and process
+        starts make up most of the event volume (MAC wakeups, channel
+        deliveries, protocol timers), so each goes onto the heap as a
+        lightweight :class:`Callback` event that the run loop processes
+        inline.  The returned event is cancellable via :meth:`cancel` and
+        yieldable from processes.
         """
         if delay < 0:
-            raise ValueError(f"negative callback delay: {delay!r}")
+            raise ValueError(f"negative delay: {delay!r}")
         # Inlined Callback construction: __new__ + direct slot stores
         # skip the __init__ call frame on the kernel's hottest path.
         event = Callback.__new__(Callback)
@@ -170,7 +146,6 @@ class Simulator:
         event._ok = True
         event._fn = callback
         time = self._now + delay
-        event._scheduled_at = time
         seq = self._seq + 1
         self._seq = seq
         _heappush(self._queue, (time, PRIORITY_NORMAL, seq, event))
@@ -188,48 +163,15 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling internals
     # ------------------------------------------------------------------
-    def _enqueue(
-        self,
-        event: Event,
-        delay: float,
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
-        """Insert *event* into the queue ``delay`` seconds from now."""
-        time = self._now + delay
-        event._scheduled_at = time
+    def _enqueue(self, event: Event) -> None:
+        """Queue a just-triggered *event* for processing at the current time."""
         self._seq += 1
-        heapq.heappush(self._queue, (time, priority, self._seq, event))
+        _heappush(self._queue, (self._now, PRIORITY_NORMAL, self._seq, event))
 
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Process exactly one event.
-
-        Raises
-        ------
-        SimulationError
-            If the queue is empty.
-        """
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        while True:
-            if not self._queue:
-                return  # Only cancelled entries remained: nothing to do.
-            time, _priority, _seq, event = heapq.heappop(self._queue)
-            if event.callbacks is None:
-                continue  # cancelled
-            break
-        if time < self._now:  # pragma: no cover - heap invariant guard
-            raise SimulationError("event queue went backwards in time")
-        self._now = time
-        self._processed_events += 1
-        event._process()
-
-    def run(
-        self,
-        until: typing.Union[None, float, Event] = None,
-    ) -> typing.Any:
+    def run(self, until: typing.Optional[float] = None) -> None:
         """Run the simulation.
 
         Parameters
@@ -239,18 +181,8 @@ class Simulator:
             * a number — run until the clock reaches that time (events
               scheduled exactly at ``until`` are *not* processed; the
               clock is left at ``until``).
-            * an :class:`Event` — run until that event is processed and
-              return its value (re-raising its exception if it failed).
         """
-        stop_event: typing.Optional[Event] = None
-        if isinstance(until, Event):
-            stop_event = until
-            if stop_event.processed:
-                if stop_event.ok:
-                    return stop_event.value
-                raise typing.cast(BaseException, stop_event.value)
-            stop_event.add_callback(self._stop_callback)
-        elif until is not None:
+        if until is not None:
             horizon = float(until)
             if horizon < self._now:
                 raise SimulationError(
@@ -261,15 +193,14 @@ class Simulator:
             stop_event._value = None
             stop_event.callbacks.append(self._stop_callback)
             self._seq += 1
-            heapq.heappush(
+            _heappush(
                 self._queue,
                 (horizon, PRIORITY_URGENT, self._seq, stop_event),
             )
 
-        # Inlined main loop (identical semantics to repeated step()):
-        # local bindings and the hand-inlined Callback fast path shave
-        # several hundred nanoseconds per event, which matters at
-        # millions of events per run.
+        # Inlined main loop: local bindings and the hand-inlined Callback
+        # fast path shave several hundred nanoseconds per event, which
+        # matters at millions of events per run.
         queue = self._queue
         pop = _heappop
         fast_type = Callback
@@ -279,7 +210,8 @@ class Simulator:
                 entry = pop(queue)
                 event = entry[3]
                 if type(event) is fast_type:
-                    # Inlined Callback._process (the common case).
+                    # A Callback: timer, timeout or process start (the
+                    # common case).
                     callbacks = event.callbacks
                     if callbacks is None:
                         continue  # cancelled
@@ -301,20 +233,10 @@ class Simulator:
         finally:
             self._processed_events += processed
 
-        if isinstance(until, Event):
-            if not until.processed:
-                raise SimulationError(
-                    "run(until=event) exhausted the queue before the event "
-                    "fired — deadlock in the model?"
-                )
-            if until.ok:
-                return until.value
-            raise typing.cast(BaseException, until.value)
         if until is not None:
             # Leave the clock exactly at the horizon even if the queue
             # drained early.
-            self._now = max(self._now, float(until))
-        return None
+            self._now = max(self._now, horizon)
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

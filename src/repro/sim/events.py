@@ -6,9 +6,11 @@ exception), and finally *processed* once the simulator has run its callbacks.
 Processes (see :mod:`repro.sim.process`) wait on events by ``yield``-ing
 them; plain callbacks can be attached with :meth:`Event.add_callback`.
 
-The kernel is deliberately small but complete: timeouts, composite
-conditions (:class:`AllOf` / :class:`AnyOf`) and process interrupts cover
-everything the sensor-network models in :mod:`repro.core` need.
+Two subclasses cover every other wait the models in :mod:`repro.core`
+need: :class:`Callback`, the one timer (behind both
+:meth:`~repro.sim.engine.Simulator.call_in` and
+:meth:`~repro.sim.engine.Simulator.timeout`), and :class:`AnyOf`, which
+fires with the first of several events.
 """
 
 from __future__ import annotations
@@ -21,12 +23,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "PENDING",
     "Event",
-    "Timeout",
     "Callback",
-    "Condition",
-    "AllOf",
     "AnyOf",
-    "Interrupt",
     "SimulationError",
 ]
 
@@ -56,20 +54,6 @@ class SimulationError(Exception):
     """Raised for misuse of the kernel (double trigger, bad yield, ...)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The interrupted process receives the interrupt at its current wait
-    point and may catch it to react (for example, a robot idling until the
-    next replacement request is interrupted when a request arrives).
-    """
-
-    @property
-    def cause(self) -> typing.Any:
-        """The cause object passed to :meth:`Process.interrupt`."""
-        return self.args[0] if self.args else None
-
-
 class Event:
     """A one-shot occurrence that callbacks and processes can wait on.
 
@@ -80,7 +64,7 @@ class Event:
         by the simulator that created them.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled_at")
+    __slots__ = ("sim", "callbacks", "_value", "_ok")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -88,7 +72,6 @@ class Event:
         self.callbacks: typing.Optional[list] = []
         self._value: typing.Any = PENDING
         self._ok: bool = True
-        self._scheduled_at: typing.Optional[float] = None
 
     # ------------------------------------------------------------------
     # State inspection
@@ -132,7 +115,7 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.sim._enqueue(self, 0.0)
+        self.sim._enqueue(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -148,18 +131,8 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = False
         self._value = exception
-        self.sim._enqueue(self, 0.0)
+        self.sim._enqueue(self)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another *event*.
-
-        Used as a callback to chain events together.
-        """
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(typing.cast(BaseException, event._value))
 
     # ------------------------------------------------------------------
     # Callbacks
@@ -199,147 +172,57 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
-class Timeout(Event):
-    """An event that fires automatically after a fixed *delay*.
-
-    Unlike a plain :class:`Event` it is triggered at construction time and
-    cannot be triggered manually.
-    """
-
-    __slots__ = ("delay",)
-
-    def __init__(
-        self, sim: "Simulator", delay: float, value: typing.Any = None
-    ) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        sim._enqueue(self, delay)
-
-    def succeed(self, value: typing.Any = None) -> "Event":  # pragma: no cover
-        raise SimulationError("Timeout events trigger themselves")
-
-    def fail(self, exception: BaseException) -> "Event":  # pragma: no cover
-        raise SimulationError("Timeout events trigger themselves")
-
-    def __repr__(self) -> str:
-        return f"<Timeout delay={self.delay!r} at {id(self):#x}>"
-
-
 class Callback(Event):
-    """The fast path behind :meth:`Simulator.call_in`.
+    """The one timer: the event behind :meth:`Simulator.call_in` and
+    :meth:`Simulator.timeout`.
 
-    A plain-callback timer needs none of the Event machinery on the
-    common path: no lambda closure, no callback-list walk, no trigger
-    bookkeeping.  It is born triggered (like :class:`Timeout`), stores
-    the bare callable in a slot, and invokes it directly when processed.
-    ``add_callback`` and :meth:`Simulator.cancel` still work exactly as
-    they do for a Timeout, so it remains yieldable and cancellable.
+    It is born triggered and holds a bare callable in a slot.  The
+    simulator builds it without ``__init__`` and its run loop calls the
+    callable directly, then any callbacks attached with
+    :meth:`~Event.add_callback`, so the common path walks no callback
+    list.  A timeout is a Callback whose callable does nothing.  The base
+    :meth:`~Event.succeed` and :meth:`~Event.fail` reject it as already
+    triggered.
     """
 
     __slots__ = ("_fn",)
 
-    def __init__(
-        self, sim: "Simulator", fn: typing.Callable[[], None]
-    ) -> None:
-        # Inlined Event.__init__ + Timeout trigger state: this runs once
-        # per scheduled callback, which is most of the event volume.
-        self.sim = sim
-        self.callbacks = []
-        self._value = None
-        self._ok = True
-        self._scheduled_at = None
-        self._fn = fn
 
-    def succeed(self, value: typing.Any = None) -> "Event":  # pragma: no cover
-        raise SimulationError("Callback events trigger themselves")
+class AnyOf(Event):
+    """An event that fires as soon as any of *events* fires.
 
-    def fail(self, exception: BaseException) -> "Event":  # pragma: no cover
-        raise SimulationError("Callback events trigger themselves")
-
-    def _process(self) -> None:
-        callbacks = self.callbacks
-        if callbacks is None:
-            raise SimulationError(f"{self!r} has already been processed")
-        self.callbacks = None
-        self._fn()
-        # Callbacks attached after scheduling (rare) run afterwards, in
-        # the same order the old Timeout-based path ran them.
-        for callback in callbacks:
-            callback(self)
-
-    def __repr__(self) -> str:
-        return f"<Callback {self._fn!r} at {id(self):#x}>"
-
-
-class Condition(Event):
-    """An event that triggers once *evaluate* is satisfied over *events*.
-
-    Concrete policies are :class:`AllOf` (conjunction) and :class:`AnyOf`
-    (disjunction).  The condition's value is a dict mapping each already
-    triggered constituent event to its value, in trigger order.
+    It succeeds on the first success and fails with the first failure.
+    Its value is a dict mapping each constituent that has succeeded so
+    far to its value.  With no constituents it succeeds at once with an
+    empty dict.
     """
 
-    __slots__ = ("events", "_evaluate", "_outstanding")
+    __slots__ = ("events",)
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        evaluate: typing.Callable[[int, int], bool],
-        events: typing.Iterable[Event],
-    ) -> None:
+    def __init__(self, sim: "Simulator", events: typing.Iterable[Event]) -> None:
         super().__init__(sim)
         self.events: tuple = tuple(events)
-        self._evaluate = evaluate
-        self._outstanding = len(self.events)
-
         for event in self.events:
             if event.sim is not sim:
                 raise SimulationError(
-                    "all events of a condition must share one simulator"
+                    "all events of an any_of must share one simulator"
                 )
-
         if not self.events:
-            # Vacuous condition: triggers immediately.
             self.succeed({})
             return
-
         for event in self.events:
             event.add_callback(self._check)
 
-    def _collect_values(self) -> dict:
-        return {
-            event: event._value
-            for event in self.events
-            if event.triggered and event.ok
-        }
-
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             return
-        self._outstanding -= 1
-        if not event._ok:
+        if event._ok:
+            self.succeed(
+                {
+                    constituent: constituent._value
+                    for constituent in self.events
+                    if constituent.triggered and constituent._ok
+                }
+            )
+        else:
             self.fail(typing.cast(BaseException, event._value))
-        elif self._evaluate(len(self.events), self._outstanding):
-            self.succeed(self._collect_values())
-
-
-class AllOf(Condition):
-    """Condition that fires once *all* constituent events have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: typing.Iterable[Event]) -> None:
-        super().__init__(sim, lambda total, left: left == 0, events)
-
-
-class AnyOf(Condition):
-    """Condition that fires as soon as *any* constituent event fires."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: typing.Iterable[Event]) -> None:
-        super().__init__(sim, lambda total, left: left < total, events)

@@ -28,6 +28,8 @@ coords = st.floats(
     allow_infinity=False,
 ).map(lambda value: round(value, 6))
 points = st.builds(Point, coords, coords)
+# Three delays, so that many scheduled times tie exactly.
+tie_delays = st.sampled_from([0.0, 0.5, 1.0])
 
 
 class TestEngineProperties:
@@ -69,6 +71,81 @@ class TestEngineProperties:
         sim.process(worker(sim, delays))
         sim.run()
         assert len(completed) == len(delays)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["timeout", "call_in", "succeed", "process"]),
+                tie_delays,
+                st.one_of(st.none(), tie_delays),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_mixed_waits_fire_in_time_then_creation_order(self, ops):
+        """Every way of putting an event on the queue obeys one order.
+
+        Each op makes one wait of *delay* seconds, either right away or
+        from inside a callback that fires after *launch_after* seconds.
+        ``succeed`` triggers a fresh event from inside a callback;
+        ``process`` starts a process that then waits on a timeout.  With
+        delays drawn from three values, times tie often, and ties must
+        fall back to the order in which the waits were made.
+        """
+        sim = Simulator()
+        due = []  # due[ticket]: the time the wait made ticket-th fires at
+        fired = []
+
+        def ticket(delay):
+            due.append(sim.now + delay)
+            return len(due) - 1
+
+        def wait(kind, delay):
+            if kind == "timeout":
+                mine = ticket(delay)
+                sim.timeout(delay).add_callback(
+                    lambda event: fired.append(mine)
+                )
+            elif kind == "call_in":
+                mine = ticket(delay)
+                sim.call_in(delay, lambda: fired.append(mine))
+            elif kind == "succeed":
+                mine = ticket(delay)
+
+                def trigger():
+                    fired.append(mine)
+                    event = sim.event()
+                    triggered = ticket(0.0)
+                    event.add_callback(lambda e: fired.append(triggered))
+                    event.succeed()
+
+                sim.call_in(delay, trigger)
+            else:
+                start = ticket(0.0)
+
+                def body():
+                    fired.append(start)
+                    timer = ticket(delay)
+                    yield sim.timeout(delay)
+                    fired.append(timer)
+
+                sim.process(body())
+
+        for kind, delay, launch_after in ops:
+            if launch_after is None:
+                wait(kind, delay)
+            else:
+                launch = ticket(launch_after)
+
+                def launcher(kind=kind, delay=delay, launch=launch):
+                    fired.append(launch)
+                    wait(kind, delay)
+
+                sim.call_in(launch_after, launcher)
+        sim.run()
+        assert fired == sorted(range(len(due)), key=lambda t: (due[t], t))
 
 
 class TestRngProperties:

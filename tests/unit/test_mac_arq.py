@@ -1,6 +1,4 @@
-"""Unit tests for the MAC's ARQ giving-up path and kernel odds & ends."""
-
-import pytest
+"""Unit tests for the MAC's ARQ giving-up path."""
 
 from repro.geometry import Point
 from repro.net import (
@@ -12,7 +10,7 @@ from repro.net import (
 )
 from repro.net.mac import MacConfig
 from repro.routing import DropReason, RoutingStats
-from repro.sim import RandomStreams, SimulationError, Simulator
+from repro.sim import RandomStreams, Simulator
 
 
 class Probe(NetworkNode):
@@ -113,27 +111,3 @@ class TestArqExhaustion:
         assert channel.stats.retransmissions.get(Category.DATA, 0) == 0
         assert sender.link_failures == []
 
-
-class TestKernelOddsAndEnds:
-    def test_peek_reports_next_event_time(self):
-        sim = Simulator()
-        assert sim.peek() == float("inf")
-        sim.call_in(7.0, lambda: None)
-        assert sim.peek() == 7.0
-
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        handle = sim.call_in(3.0, lambda: None)
-        sim.call_in(9.0, lambda: None)
-        sim.cancel(handle)
-        assert sim.peek() == 9.0
-
-    def test_step_on_empty_queue_raises(self):
-        with pytest.raises(SimulationError):
-            Simulator().step()
-
-    def test_interrupt_cause_accessor(self):
-        from repro.sim import Interrupt
-
-        assert Interrupt("why").cause == "why"
-        assert Interrupt().cause is None

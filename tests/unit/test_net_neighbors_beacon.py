@@ -114,7 +114,7 @@ class TestBeaconService:
 
     def test_beacons_fill_neighbor_tables(self):
         sim, channel, a, b = self.build_pair()
-        BeaconService(a, period=10.0, started=True)
+        BeaconService(a, period=10.0)
         sim.run(until=25.0)
         entry = b.neighbor_table.get("a")
         assert entry is not None
@@ -122,7 +122,7 @@ class TestBeaconService:
 
     def test_beacon_cadence(self):
         sim, channel, a, b = self.build_pair()
-        service = BeaconService(a, period=10.0, started=True)
+        service = BeaconService(a, period=10.0)
         sim.run(until=45.0)
         # First beacon within one period, then every 10 s: 4-5 beacons.
         assert 4 <= service.beacons_sent <= 5
@@ -131,31 +131,14 @@ class TestBeaconService:
             == service.beacons_sent
         )
 
-    def test_stop_halts_beaconing(self):
-        sim, channel, a, b = self.build_pair()
-        service = BeaconService(a, period=10.0, started=True)
-        sim.run(until=15.0)
-        service.stop()
-        sent = service.beacons_sent
-        sim.run(until=60.0)
-        assert service.beacons_sent <= sent + 1  # at most one in flight
-
     def test_death_halts_beaconing(self):
         sim, channel, a, b = self.build_pair()
-        service = BeaconService(a, period=10.0, started=True)
+        service = BeaconService(a, period=10.0)
         sim.run(until=15.0)
         a.die()
         sent = service.beacons_sent
         sim.run(until=60.0)
         assert service.beacons_sent == sent
-
-    def test_start_is_idempotent(self):
-        sim, channel, a, b = self.build_pair()
-        service = BeaconService(a, period=10.0)
-        service.start()
-        service.start()
-        sim.run(until=25.0)
-        assert service.beacons_sent <= 3
 
     def test_invalid_period_rejected(self):
         sim, channel, a, b = self.build_pair()

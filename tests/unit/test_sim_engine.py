@@ -2,19 +2,12 @@
 
 import pytest
 
-from repro.sim import (
-    Interrupt,
-    SimulationError,
-    Simulator,
-)
+from repro.sim import SimulationError, Simulator
 
 
 class TestClockAndTimeouts:
     def test_clock_starts_at_zero(self):
         assert Simulator().now == 0.0
-
-    def test_clock_starts_at_custom_time(self):
-        assert Simulator(start_time=5.0).now == 5.0
 
     def test_timeout_advances_clock(self):
         sim = Simulator()
@@ -61,7 +54,8 @@ class TestClockAndTimeouts:
         assert fired == [7.0]
 
     def test_call_at_in_the_past_rejected(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run(until=10.0)
         with pytest.raises(SimulationError):
             sim.call_at(5.0, lambda: None)
 
@@ -83,24 +77,9 @@ class TestRunUntil:
         sim.run(until=5.0)
         assert fired == []
 
-    def test_run_until_event_returns_its_value(self):
-        sim = Simulator()
-
-        def producer(sim):
-            yield sim.timeout(2.0)
-            return 42
-
-        process = sim.process(producer(sim))
-        assert sim.run(until=process) == 42
-
-    def test_run_until_unreachable_event_raises(self):
-        sim = Simulator()
-        never = sim.event()
-        with pytest.raises(SimulationError, match="deadlock"):
-            sim.run(until=never)
-
     def test_run_until_past_time_rejected(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run(until=10.0)
         with pytest.raises(SimulationError):
             sim.run(until=1.0)
 
@@ -109,7 +88,8 @@ class TestRunUntil:
         for delay in (1.0, 2.0, 3.0):
             sim.call_in(delay, lambda: None)
         sim.run()
-        assert sim.peek() == float("inf")
+        assert sim.now == 3.0
+        assert sim.processed_events == 3
 
     def test_clock_reaches_horizon_even_if_queue_drains_early(self):
         sim = Simulator()
@@ -172,24 +152,6 @@ class TestEvents:
 
 
 class TestConditions:
-    def test_all_of_waits_for_every_event(self):
-        sim = Simulator()
-        done = []
-
-        def worker(sim, delay):
-            yield sim.timeout(delay)
-            return delay
-
-        def boss(sim):
-            a = sim.process(worker(sim, 1.0))
-            b = sim.process(worker(sim, 4.0))
-            values = yield sim.all_of([a, b])
-            done.append((sim.now, sorted(values.values())))
-
-        sim.process(boss(sim))
-        sim.run()
-        assert done == [(4.0, [1.0, 4.0])]
-
     def test_any_of_fires_on_first(self):
         sim = Simulator()
         done = []
@@ -208,12 +170,12 @@ class TestConditions:
         sim.run()
         assert done == [(1.0, [1.0])]
 
-    def test_empty_all_of_fires_immediately(self):
+    def test_empty_any_of_fires_immediately(self):
         sim = Simulator()
         done = []
 
         def boss(sim):
-            values = yield sim.all_of([])
+            values = yield sim.any_of([])
             done.append(values)
 
         sim.process(boss(sim))
@@ -285,70 +247,6 @@ class TestProcesses:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.process(lambda: None)
-
-
-class TestInterrupts:
-    def test_interrupt_wakes_waiting_process(self):
-        sim = Simulator()
-        log = []
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as interrupt:
-                log.append((sim.now, interrupt.cause))
-
-        process = sim.process(sleeper(sim))
-        sim.call_in(3.0, lambda: process.interrupt("wake up"))
-        sim.run()
-        assert log == [(3.0, "wake up")]
-
-    def test_interrupted_process_can_keep_running(self):
-        sim = Simulator()
-        log = []
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt:
-                pass
-            yield sim.timeout(5.0)
-            log.append(sim.now)
-
-        process = sim.process(sleeper(sim))
-        sim.call_in(1.0, lambda: process.interrupt())
-        sim.run()
-        assert log == [6.0]
-
-    def test_stale_target_does_not_resume_twice(self):
-        # The original wait target fires *after* the interrupt; the
-        # process must not be woken a second time by it.
-        sim = Simulator()
-        wakes = []
-
-        def sleeper(sim):
-            try:
-                yield sim.timeout(2.0)
-            except Interrupt:
-                wakes.append(("interrupt", sim.now))
-            yield sim.timeout(10.0)
-            wakes.append(("timeout", sim.now))
-
-        process = sim.process(sleeper(sim))
-        sim.call_in(1.0, lambda: process.interrupt())
-        sim.run()
-        assert wakes == [("interrupt", 1.0), ("timeout", 11.0)]
-
-    def test_interrupting_finished_process_rejected(self):
-        sim = Simulator()
-
-        def quick(sim):
-            yield sim.timeout(1.0)
-
-        process = sim.process(quick(sim))
-        sim.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
 
 
 class TestDeterminism:
