@@ -617,6 +617,10 @@ def _config_from_args(args: argparse.Namespace, algorithm: str):
         overrides["coop_repair"] = True
     if getattr(args, "jam_aware", False):
         overrides["jam_aware"] = True
+    if algorithm == Algorithm.CENTRALIZED:
+        # Only the central manager dispatches; the distributed runs keep
+        # the default so their config (and store key) stays the same.
+        overrides["dispatch_policy"] = args.dispatch
     return paper_scenario(
         algorithm,
         args.robots,
@@ -625,7 +629,6 @@ def _config_from_args(args: argparse.Namespace, algorithm: str):
         robot_speed_mps=args.speed,
         loss_rate=args.loss,
         robot_capacity=args.capacity,
-        dispatch_policy=args.dispatch,
         data_traffic_period_s=args.traffic_period,
         **overrides,
     )

@@ -62,6 +62,8 @@ class SensorNode(NetworkNode):
         runtime: "ScenarioRuntime" = kwargs.pop("runtime")
         super().__init__(*args, **kwargs)
         self.runtime = runtime
+        #: ``config.verify_failures``, read once: the config is frozen.
+        self._verify_failures = runtime.config.verify_failures
 
         #: This sensor's guardian (the neighbour that watches over it).
         self.guardian_id: typing.Optional[NodeId] = None
@@ -101,6 +103,23 @@ class SensorNode(NetworkNode):
     # ------------------------------------------------------------------
     # Receive hooks
     # ------------------------------------------------------------------
+    def on_announcement(
+        self, announcement: NodeAnnouncement, now: float
+    ) -> None:
+        # The base hook's upsert, inlined: this runs once per beacon
+        # reception, the bulk of all deliveries.
+        node_id = announcement.node_id
+        self.neighbor_table.upsert(
+            node_id, announcement.position, announcement.kind
+        )
+        self._last_beacon[node_id] = now
+        if node_id in self.guardees:
+            self.guardee_positions[node_id] = announcement.position
+        elif self._verify_failures and node_id in self._reported:
+            # A sensor this guardian declared dead is beaconing again
+            # (e.g. its jamming region cleared): rehabilitate.
+            self.note_alive(node_id, announcement.position)
+
     def on_broadcast_received(
         self, packet: Packet, sender_id: NodeId, sender_position: Point
     ) -> None:
@@ -121,17 +140,6 @@ class SensorNode(NetworkNode):
                 )
             if payload.seq > self._flood_seen.get(origin_id, -1):
                 self._accept_flood(packet, payload)
-        elif kind is NodeAnnouncement:
-            self._last_beacon[payload.node_id] = self.sim.now
-            if payload.node_id in self.guardees:
-                self.guardee_positions[payload.node_id] = payload.position
-            elif (
-                self.runtime.config.verify_failures
-                and payload.node_id in self._reported
-            ):
-                # A sensor this guardian declared dead is beaconing
-                # again (e.g. its jamming region cleared): rehabilitate.
-                self.note_alive(payload.node_id, payload.position)
         elif kind is SuspicionQuery:
             self._handle_suspicion_query(payload)
 

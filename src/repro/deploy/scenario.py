@@ -156,7 +156,7 @@ class ScenarioConfig:
     #: fixed-population GloMoSim node set naturally behaves).
     regenerate_lifetimes: bool = True
     #: Central-manager dispatch rule; see :class:`DispatchPolicy`.
-    #: Ignored by the distributed algorithms.
+    #: Only the default is accepted for the distributed algorithms.
     dispatch_policy: str = DispatchPolicy.CLOSEST
     #: When set, every sensor sends a periodic reading to the sink (the
     #: manager, or its myrobot in the distributed algorithms) every this
@@ -292,6 +292,19 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown dispatch policy: {self.dispatch_policy!r}"
             )
+        # Settings the chosen run never reads are refused: each would
+        # give the same simulation a second config digest (store key).
+        centralized = self.algorithm == Algorithm.CENTRALIZED
+        if self.dispatch_policy != DispatchPolicy.CLOSEST and not centralized:
+            raise ValueError(
+                f"dispatch policy {self.dispatch_policy!r} needs the "
+                "centralized algorithm (only its manager dispatches)"
+            )
+        if self.efficient_broadcast and centralized:
+            raise ValueError(
+                "efficient_broadcast picks flood relays for the fixed and "
+                "dynamic algorithms only"
+            )
         if (
             self.data_traffic_period_s is not None
             and not self.data_traffic_period_s > 0
@@ -320,6 +333,11 @@ class ScenarioConfig:
             raise ValueError(
                 "permanent-fault probability must be in [0, 1]: "
                 f"{self.robot_fault_permanent_p}"
+            )
+        if self.robot_fault_permanent_p > 0 and self.robot_mtbf_s is None:
+            raise ValueError(
+                "robot_fault_permanent_p applies to stochastic robot "
+                "faults and requires robot_mtbf_s"
             )
         if self.fault_script is not None:
             script = normalize_fault_script(self.fault_script)

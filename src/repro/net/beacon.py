@@ -8,8 +8,9 @@ the guardian/guardee protocol (§3.1).
 A :class:`NodeAnnouncement` is the common payload of beacons, the
 initialization location broadcasts, and robot location updates — any
 frame that tells receivers "node X of kind K is (or will be) at P".
-Receiving nodes update their neighbour tables from announcements
-automatically (see :meth:`repro.net.channel.Channel._deliver`).
+The channel hands each received announcement to the receiver's
+:meth:`~repro.net.node.NetworkNode.on_announcement`, which refreshes
+its neighbour table (sensors also stamp their beacon watch).
 """
 
 from __future__ import annotations

@@ -202,6 +202,8 @@ class Channel:
         #: is dropped when a static node registers or unregisters inside
         #: that sender's range (see :meth:`_drop_receivers_near`); robot
         #: moves never touch it, because robots live in the mobile layer.
+        #: In-flight deliveries hold these lists, so an entry is dropped,
+        #: never mutated.
         self._receiver_cache: typing.Dict[
             NodeId, typing.List["NetworkNode"]
         ] = {}
@@ -457,7 +459,7 @@ class Channel:
         if loss_rate > 0.0 or faults_active:
             # Fault-field jam draws come from channel.jam and loss draws
             # from channel.loss, each in receiver order.
-            surviving = []
+            surviving: typing.List["NetworkNode"] = []
             for receiver in receivers:
                 cause = (
                     fault_field.drop_cause(sender_position, receiver.position)
@@ -471,12 +473,11 @@ class Channel:
                 ):
                     cause = DropCause.LOSS
                 if cause is None:
-                    surviving.append(receiver.node_id)
+                    surviving.append(receiver)
                 else:
                     stats.count_drop(cause)
-        else:
-            surviving = [receiver.node_id for receiver in receivers]
-        if not surviving:
+            receivers = surviving
+        if not receivers:
             return
         # One event delivers the frame to every receiver: the air time is
         # identical for all of them, and batching keeps the event queue
@@ -484,7 +485,7 @@ class Channel:
         self.sim.call_in(
             delay,
             _DeliveryCallback(
-                self, surviving, frame, sender_id, sender_position
+                self, receivers, frame, sender_id, sender_position
             ),
         )
 
@@ -495,53 +496,72 @@ class Channel:
 
     def _deliver(
         self,
-        receiver_ids: typing.Sequence[NodeId],
+        receivers: typing.Sequence["NetworkNode"],
         frame: Frame,
         sender_id: NodeId,
         sender_position: Point,
     ) -> None:
         """Hand *frame* to every receiver still alive, in id order.
 
-        A broadcast skips the MAC: any directly heard announcement
-        (beacon, init broadcast, robot location update) refreshes the
-        receiver's neighbour table, then the application hook runs.  A
-        unicast frame goes through :meth:`NetworkNode.handle_frame`.
+        *receivers* are the nodes the transmit reached; one that died in
+        flight has ``alive`` cleared, and a node that comes back is the
+        same object, so the flag alone decides.  A unicast frame goes
+        through :meth:`NetworkNode.handle_frame`.  A broadcast skips the
+        MAC: an announcement (beacon, init broadcast, robot location
+        update) goes to :meth:`NetworkNode.on_announcement`, any other
+        payload to :meth:`NetworkNode.on_broadcast_received`.
         """
-        nodes = self._nodes
         tracer = self.tracer
         tracing = tracer.active
+        now = self.sim.now
+        delivered = 0
         # The MAC only broadcasts frames that carry a packet.
         packet = typing.cast(Packet, frame.packet)
-        broadcast = frame.is_broadcast
-        announcement = None
-        if broadcast and type(packet.payload) is NodeAnnouncement:
-            announcement = packet.payload
-        delivered = 0
-        for receiver_id in receiver_ids:
-            receiver = nodes.get(receiver_id)
-            if receiver is None or not receiver.alive:
-                continue  # Died in flight.
-            delivered += 1
-            if tracing:
-                tracer.emit(
-                    "rx",
-                    time=self.sim.now,
-                    receiver=receiver_id,
-                    sender=sender_id,
-                    frame=frame,
-                )
-            if not broadcast:
+        if not frame.is_broadcast:
+            for receiver in receivers:
+                if not receiver.alive:
+                    continue  # Died in flight.
+                delivered += 1
+                if tracing:
+                    tracer.emit(
+                        "rx",
+                        time=now,
+                        receiver=receiver.node_id,
+                        sender=sender_id,
+                        frame=frame,
+                    )
                 receiver.handle_frame(frame, sender_id, sender_position)
-                continue
-            if announcement is not None:
-                receiver.neighbor_table.upsert(
-                    announcement.node_id,
-                    announcement.position,
-                    announcement.kind,
+        elif type(packet.payload) is NodeAnnouncement:
+            announcement = packet.payload
+            for receiver in receivers:
+                if not receiver.alive:
+                    continue
+                delivered += 1
+                if tracing:
+                    tracer.emit(
+                        "rx",
+                        time=now,
+                        receiver=receiver.node_id,
+                        sender=sender_id,
+                        frame=frame,
+                    )
+                receiver.on_announcement(announcement, now)
+        else:
+            for receiver in receivers:
+                if not receiver.alive:
+                    continue
+                delivered += 1
+                if tracing:
+                    tracer.emit(
+                        "rx",
+                        time=now,
+                        receiver=receiver.node_id,
+                        sender=sender_id,
+                        frame=frame,
+                    )
+                receiver.on_broadcast_received(
+                    packet, sender_id, sender_position
                 )
-            receiver.on_broadcast_received(
-                packet, sender_id, sender_position
-            )
         self.stats.frames_delivered += delivered
 
     def __repr__(self) -> str:
@@ -556,7 +576,7 @@ class _DeliveryCallback:
 
     __slots__ = (
         "channel",
-        "receiver_ids",
+        "receivers",
         "frame",
         "sender_id",
         "sender_pos",
@@ -565,18 +585,18 @@ class _DeliveryCallback:
     def __init__(
         self,
         channel: Channel,
-        receiver_ids: typing.Sequence[NodeId],
+        receivers: typing.Sequence["NetworkNode"],
         frame: Frame,
         sender_id: NodeId,
         sender_pos: Point,
     ) -> None:
         self.channel = channel
-        self.receiver_ids = receiver_ids
+        self.receivers = receivers
         self.frame = frame
         self.sender_id = sender_id
         self.sender_pos = sender_pos
 
     def __call__(self) -> None:
         self.channel._deliver(
-            self.receiver_ids, self.frame, self.sender_id, self.sender_pos
+            self.receivers, self.frame, self.sender_id, self.sender_pos
         )

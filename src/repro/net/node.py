@@ -1,9 +1,13 @@
 """Base network node: radio + MAC + neighbour table + router.
 
 :class:`NetworkNode` is the substrate shared by sensors, robots and the
-central manager.  Subclasses in :mod:`repro.core` override the
-application hooks (``on_packet_delivered``, ``on_broadcast_received``)
-and add their protocol logic on top.
+central manager.  The channel hands it frames through three receive
+hooks: :meth:`~NetworkNode.handle_frame` (unicast),
+:meth:`~NetworkNode.on_announcement` (broadcast node announcements) and
+:meth:`~NetworkNode.on_broadcast_received` (every other broadcast).
+Subclasses in :mod:`repro.core` override the application hooks
+(``on_announcement``, ``on_broadcast_received``,
+``on_packet_delivered``) and add their protocol logic on top.
 """
 
 from __future__ import annotations
@@ -12,7 +16,13 @@ import typing
 
 from repro.geometry.point import Point
 from repro.net.channel import Channel
-from repro.net.frames import BROADCAST, Frame, NodeId, Packet
+from repro.net.frames import (
+    BROADCAST,
+    Frame,
+    NodeAnnouncement,
+    NodeId,
+    Packet,
+)
 from repro.net.mac import Mac, MacConfig
 from repro.net.neighbors import NeighborTable
 from repro.net.radio import RadioConfig
@@ -129,8 +139,9 @@ class NetworkNode:
     ) -> None:
         """Unicast link-layer entry point: the MAC, then the router.
 
-        The channel hands broadcasts straight to the neighbour table and
-        :meth:`on_broadcast_received`; they never need the MAC.
+        Broadcasts never need the MAC: the channel hands announcements
+        to :meth:`on_announcement` and every other broadcast to
+        :meth:`on_broadcast_received`.
         """
         if not self.alive:
             return
@@ -218,10 +229,23 @@ class NetworkNode:
     def on_packet_delivered(self, packet: Packet) -> None:
         """A routed packet addressed to this node arrived."""
 
+    def on_announcement(
+        self, announcement: NodeAnnouncement, now: float
+    ) -> None:
+        """A neighbour's announcement (beacon, init broadcast, robot
+        location update) arrived at time *now*: refresh its table row.
+
+        An override refreshes the row before it acts on the
+        announcement.
+        """
+        self.neighbor_table.upsert(
+            announcement.node_id, announcement.position, announcement.kind
+        )
+
     def on_broadcast_received(
         self, packet: Packet, sender_id: NodeId, sender_position: Point
     ) -> None:
-        """A one-hop broadcast from a neighbour arrived."""
+        """A one-hop broadcast other than an announcement arrived."""
 
     def on_packet_dropped(self, packet: Packet, reason: str) -> None:
         """The local router dropped *packet* (already counted in stats)."""

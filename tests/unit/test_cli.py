@@ -35,6 +35,17 @@ class TestParser:
         assert args.loss == 0.1
         assert args.capacity == 5
 
+    def test_dispatch_reaches_only_the_centralized_config(self):
+        parser = build_parser()
+        args = parser.parse_args(["compare", "--dispatch", "least_loaded"])
+        plain = parser.parse_args(["compare"])
+        config = cli._config_from_args(args, "centralized")
+        assert config.dispatch_policy == "least_loaded"
+        for algorithm in ("fixed", "dynamic"):
+            assert cli._config_from_args(
+                args, algorithm
+            ) == cli._config_from_args(plain, algorithm)
+
     def test_figure_requires_valid_number(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "7"])

@@ -235,6 +235,31 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(**{field: value})
 
+    def test_non_closest_dispatch_needs_centralized(self):
+        # Only the central manager's desk reads the dispatch policy.
+        for algorithm in (Algorithm.FIXED, Algorithm.DYNAMIC):
+            with pytest.raises(ValueError, match="centralized"):
+                ScenarioConfig(
+                    algorithm=algorithm, dispatch_policy="least_loaded"
+                )
+        ScenarioConfig(
+            algorithm=Algorithm.CENTRALIZED, dispatch_policy="least_loaded"
+        )
+
+    def test_efficient_broadcast_rejected_for_centralized(self):
+        # Only the fixed and dynamic strategies pick flood relays.
+        with pytest.raises(ValueError, match="efficient_broadcast"):
+            ScenarioConfig(
+                algorithm=Algorithm.CENTRALIZED, efficient_broadcast=True
+            )
+        ScenarioConfig(algorithm=Algorithm.FIXED, efficient_broadcast=True)
+
+    def test_permanent_fault_share_needs_robot_mtbf(self):
+        # The share applies only to stochastic faults, drawn from the MTBF.
+        with pytest.raises(ValueError, match="robot_mtbf_s"):
+            ScenarioConfig(robot_fault_permanent_p=0.5)
+        ScenarioConfig(robot_fault_permanent_p=0.5, robot_mtbf_s=6_000.0)
+
     def test_replace_creates_modified_copy(self):
         config = ScenarioConfig()
         changed = config.replace(sim_time_s=100.0)

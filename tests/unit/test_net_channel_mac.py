@@ -259,19 +259,87 @@ def broadcast_frame(sender, payload):
 
 class TestDeliveryPath:
     def test_announcement_refreshes_the_table_before_the_hook(self):
-        sim, channel, nodes = build([Point(0, 0), Point(10, 0)])
-        receiver = nodes[1]
-        receiver.neighbor_table.upsert("n00", Point(40, 40), "sensor")
         seen = []
 
-        def hook(packet, sender_id, sender_position):
-            seen.append(receiver.neighbor_table.get(sender_id).position)
+        class Watcher(Recorder):
+            def on_announcement(self, announcement, now):
+                super().on_announcement(announcement, now)
+                entry = self.neighbor_table.get(announcement.node_id)
+                seen.append((entry.position, now))
 
-        receiver.on_broadcast_received = hook
+        sim = Simulator()
+        streams = RandomStreams(0)
+        channel = Channel(sim, streams)
+        sender = Recorder(
+            "n00", Point(0, 0), sensor_radio(), sim, channel, streams
+        )
+        receiver = Watcher(
+            "n01", Point(10, 0), sensor_radio(), sim, channel, streams
+        )
+        receiver.neighbor_table.upsert("n00", Point(40, 40), "sensor")
+        announcement = NodeAnnouncement("n00", Point(0, 0), "sensor")
+        channel.transmit(sender, broadcast_frame(sender, announcement))
+        sim.run(until=1.0)
+        assert [position for position, _ in seen] == [Point(0, 0)]
+        assert 0.0 < seen[0][1] < 1.0
+
+    def test_only_non_announcements_reach_on_broadcast_received(self):
+        sim, channel, nodes = build([Point(0, 0), Point(10, 0)])
         announcement = NodeAnnouncement("n00", Point(0, 0), "sensor")
         channel.transmit(nodes[0], broadcast_frame(nodes[0], announcement))
         sim.run(until=1.0)
-        assert seen == [Point(0, 0)]
+        assert nodes[1].broadcasts == []
+        assert nodes[1].neighbor_table.get("n00").position == Point(0, 0)
+        channel.transmit(nodes[0], broadcast_frame(nodes[0], "x"))
+        sim.run(until=2.0)
+        assert [packet.payload for packet, _ in nodes[1].broadcasts] == ["x"]
+        assert channel.stats.frames_delivered == 2
+
+    def test_robot_back_up_in_flight_still_receives(self):
+        from repro.core import ScenarioRuntime
+        from repro.deploy import Algorithm, paper_scenario
+
+        runtime = ScenarioRuntime(
+            paper_scenario(
+                Algorithm.CENTRALIZED,
+                4,
+                seed=3,
+                placement="grid",
+                sensors_per_robot=25,
+                sim_time_s=2_000.0,
+            )
+        )
+        runtime.initialize()
+        channel = runtime.channel
+        robot = runtime.robots_sorted()[0]
+        sender = next(
+            sensor
+            for sensor in runtime.sensors_sorted()
+            if robot in channel.receivers_of(sensor)
+        )
+        announcement = NodeAnnouncement("ghost", Point(1, 2), "sensor")
+        channel.transmit(sender, broadcast_frame(sender, announcement))
+        robot.mark_down(permanent=False)
+        robot.mark_up()
+        runtime.sim.run(until=runtime.sim.now + 1.0)
+        assert robot.neighbor_table.get("ghost").position == Point(1, 2)
+
+    def test_frame_to_a_dead_sensor_skips_its_replacement(self):
+        sim, channel, nodes = build([Point(0, 0), Point(10, 0)])
+        announcement = NodeAnnouncement("ghost", Point(1, 2), "sensor")
+        channel.transmit(nodes[0], broadcast_frame(nodes[0], announcement))
+        channel.transmit(nodes[0], broadcast_frame(nodes[0], "x"))
+        nodes[1].die()
+        # Replacements take a fresh id at the failed node's position.
+        replacement = Recorder(
+            "n01-r", Point(10, 0), sensor_radio(), sim, channel,
+            RandomStreams(1),
+        )
+        sim.run(until=1.0)
+        assert replacement.broadcasts == []
+        assert replacement.neighbor_table.get("ghost") is None
+        assert nodes[1].broadcasts == []
+        assert channel.stats.frames_delivered == 0
 
     def test_receiver_dying_in_flight_is_skipped(self):
         tracer = Tracer()
