@@ -593,14 +593,20 @@ def _cache_note(cache: typing.Any, store: typing.Optional[RunStore]) -> None:
         )
 
 
-def _config_from_args(args: argparse.Namespace, algorithm: str):
+def _config_from_args(
+    args: argparse.Namespace, algorithm: str, single: bool = False
+):
+    """The config *args* ask for under *algorithm*.
+
+    Exits 2 with a one-line error when the config is invalid.  A
+    *single*-algorithm command passes ``--dispatch`` through, for the
+    config to refuse where it is never read.
+    """
     overrides: typing.Dict[str, typing.Any] = {}
     if getattr(args, "robot_mtbf", None) is not None:
         overrides["robot_mtbf_s"] = args.robot_mtbf
     if getattr(args, "robot_downtime", None) is not None:
         overrides["robot_downtime_s"] = args.robot_downtime
-    if getattr(args, "fault_script", None):
-        overrides["fault_script"] = load_fault_script(args.fault_script)
     if getattr(args, "jam_rate", None) is not None:
         overrides["jam_rate"] = args.jam_rate
     if getattr(args, "jam_radius", None) is not None:
@@ -617,25 +623,32 @@ def _config_from_args(args: argparse.Namespace, algorithm: str):
         overrides["coop_repair"] = True
     if getattr(args, "jam_aware", False):
         overrides["jam_aware"] = True
-    if algorithm == Algorithm.CENTRALIZED:
-        # Only the central manager dispatches; the distributed runs keep
-        # the default so their config (and store key) stays the same.
+    if single or algorithm == Algorithm.CENTRALIZED:
+        # Only the central manager dispatches; compare's distributed
+        # runs keep the default so their config (and store key) stays
+        # the same.
         overrides["dispatch_policy"] = args.dispatch
-    return paper_scenario(
-        algorithm,
-        args.robots,
-        seed=args.seed,
-        sim_time_s=args.sim_time,
-        robot_speed_mps=args.speed,
-        loss_rate=args.loss,
-        robot_capacity=args.capacity,
-        data_traffic_period_s=args.traffic_period,
-        **overrides,
-    )
+    try:
+        if getattr(args, "fault_script", None):
+            overrides["fault_script"] = load_fault_script(args.fault_script)
+        return paper_scenario(
+            algorithm,
+            args.robots,
+            seed=args.seed,
+            sim_time_s=args.sim_time,
+            robot_speed_mps=args.speed,
+            loss_rate=args.loss,
+            robot_capacity=args.capacity,
+            data_traffic_period_s=args.traffic_period,
+            **overrides,
+        )
+    except ValueError as error:
+        print(f"repro-sim {args.command}: error: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args, args.algorithm)
+    config = _config_from_args(args, args.algorithm, single=True)
     tracer = Tracer()
     moves = RecordingSink()
     if args.svg:
@@ -859,7 +872,7 @@ def _command_faults(args: argparse.Namespace) -> int:
         )
         print(figure.render())
         return 0 if figure.all_claims_hold else 1
-    config = _config_from_args(args, args.algorithm)
+    config = _config_from_args(args, args.algorithm, single=True)
     if not config.faults_enabled:
         # No faults requested: demo a default scripted campaign that
         # breaks the first robot halfway in (and kills the manager for

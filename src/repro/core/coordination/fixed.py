@@ -42,6 +42,8 @@ class FixedStrategy(CoordinationStrategy):
         self.partition: Partition = self._build_partition()
         #: subarea index -> robot id, fixed for the whole run.
         self.robot_of_subarea: typing.Dict[int, NodeId] = {}
+        #: ``config.faults_enabled``, read once: the config is frozen.
+        self._takeovers = self.config.faults_enabled
 
     def _build_partition(self) -> Partition:
         if self.config.partition == PartitionStyle.STAGGERED:
@@ -163,7 +165,7 @@ class FixedStrategy(CoordinationStrategy):
             sensor.myrobot_position = flood.position
             return
         if (
-            self.config.resilience_enabled
+            self._takeovers
             and flood.subarea == sensor.subarea
             and flood.kind == "robot"
         ):

@@ -28,7 +28,11 @@ from repro.core.messages import (
     ProbeReply,
     ReplacementRequest,
 )
-from repro.deploy.scenario import DispatchPolicy
+from repro.deploy.scenario import (
+    REDISPATCH_BACKOFF_S,
+    REDISPATCH_LIMIT,
+    DispatchPolicy,
+)
 from repro.geometry.point import Point, nearest
 from repro.net.frames import Category, NodeId
 
@@ -130,7 +134,7 @@ class DispatchDesk:
             )
             return
         if notice.failed_id in self._handled:
-            if not runtime.config.resilience_enabled:
+            if not runtime.config.faults_enabled:
                 return
             if notice.failed_id in self._pending:
                 return  # A dispatch is in flight; its deadline decides.
@@ -210,7 +214,7 @@ class DispatchDesk:
         config = runtime.config
         failed_id = notice.failed_id
         prior = self._dispatch_count.get(failed_id, 0)
-        if prior > config.redispatch_limit:
+        if prior > REDISPATCH_LIMIT:
             self._pending.pop(failed_id, None)
             runtime.declare_orphaned(failed_id, "retry budget exhausted")
             return
@@ -237,7 +241,7 @@ class DispatchDesk:
             failed_id, robot_id, self.host.sim.now
         )
         self._deliver(robot_id, robot_position, notice)
-        if config.resilience_enabled:
+        if config.faults_enabled:
             self._pending[failed_id] = _Pending(notice, prior, robot_id)
             self._watch(failed_id, prior)
 
@@ -266,9 +270,8 @@ class DispatchDesk:
     # Completion deadlines (resilience mode)
     # ------------------------------------------------------------------
     def _watch(self, failed_id: NodeId, attempt: int) -> None:
-        config = self.runtime.config
-        deadline = config.effective_repair_deadline_s + (
-            config.redispatch_backoff_s * (2.0 ** attempt)
+        deadline = self.runtime.config.effective_repair_deadline_s + (
+            REDISPATCH_BACKOFF_S * (2.0 ** attempt)
         )
         self.host.sim.call_in(
             deadline, lambda: self._check(failed_id, attempt)

@@ -47,7 +47,7 @@ class Confidence:
 
     The verification extension's escalation ladder: a guardian timeout
     alone yields ``SUSPECTED``; agreement from
-    ``verification_quorum`` guardians upgrades it to ``CORROBORATED``;
+    ``VERIFICATION_QUORUM`` guardians upgrades it to ``CORROBORATED``;
     the maintainer's on-site probe is the final ``CONFIRMED`` word.
     With verification off every notice is ``CONFIRMED`` (the paper's
     trust-the-guardian behaviour).
@@ -131,7 +131,7 @@ class Heartbeat:
 
     Routed to the central manager (centralized algorithm) or to the
     robot's ring successor (distributed algorithms).  Silence for
-    ``missed_heartbeats_for_failure`` periods triggers a failure
+    ``MISSED_HEARTBEATS_FOR_FAILURE`` periods triggers a failure
     declaration.
     """
 

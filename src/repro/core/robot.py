@@ -211,7 +211,7 @@ class RobotNode(NetworkNode):
         if not self._accept_failure(notice.failed_id):
             return
         metrics = self.runtime.metrics
-        if not repeat and self.runtime.config.resilience_enabled:
+        if not repeat and self.runtime.config.faults_enabled:
             # A peer (now declared dead, or out of reach) may have been
             # dispatched first; accepting the re-report re-dispatches
             # the failure to this robot.
@@ -247,7 +247,7 @@ class RobotNode(NetworkNode):
         robot's hands — a re-dispatch after this robot (or a peer)
         silently lost the job.
         """
-        if not self.runtime.config.resilience_enabled:
+        if not self.runtime.config.faults_enabled:
             if failed_id in self._handled:
                 return False
             self._handled.add(failed_id)
@@ -458,7 +458,7 @@ class RobotNode(NetworkNode):
     def on_broadcast_received(
         self, packet: Packet, sender_id: NodeId, sender_position: Point
     ) -> None:
-        if not self.runtime.config.resilience_enabled:
+        if not self.runtime.config.faults_enabled:
             return  # Baseline robots ignore broadcasts entirely.
         payload = packet.payload
         if not isinstance(payload, FloodMessage) or payload.kind != "manager":
@@ -565,7 +565,7 @@ class RobotNode(NetworkNode):
 
     def _skip_repaired(self, task: RepairTask) -> bool:
         """Drop a job a peer already finished (re-dispatch races only)."""
-        if not self.runtime.config.resilience_enabled:
+        if not self.runtime.config.faults_enabled:
             return False
         if not self.runtime.already_repaired(task.failed_id):
             return False
@@ -698,7 +698,7 @@ class RobotNode(NetworkNode):
             return
         if (
             config.dispatch_policy == DispatchPolicy.CLOSEST
-            and not config.resilience_enabled
+            and not config.faults_enabled
             and not config.coop_repair
         ):
             # Baseline closest-robot dispatch needs no feedback; coop

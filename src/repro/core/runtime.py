@@ -34,6 +34,8 @@ from repro.core.traffic import DataTrafficService
 from repro.deploy.failure import ExponentialLifetime, FailureProcess
 from repro.deploy.placement_cache import sensor_positions_for
 from repro.deploy.scenario import (
+    VERIFICATION_QUORUM,
+    VERIFICATION_TIMEOUT_S,
     DetectionMode,
     ScenarioConfig,
 )
@@ -123,7 +125,7 @@ class ScenarioRuntime:
         # Fault injection and self-healing (off by default; both are
         # inert no-ops unless the config turns them on).
         self.resilience: typing.Optional[ResilienceService] = (
-            ResilienceService(self) if config.resilience_enabled else None
+            ResilienceService(self) if config.faults_enabled else None
         )
         self.faults: typing.Optional[FaultInjector] = (
             FaultInjector(self) if config.faults_enabled else None
@@ -460,8 +462,7 @@ class ScenarioRuntime:
 
         if self.config.detection_mode == DetectionMode.BEACON:
             self._start_beaconing(sensor)
-        if self.config.regenerate_lifetimes:
-            self.failure_process.register(sensor)
+        self.failure_process.register(sensor)
         if self.traffic is not None:
             self.traffic.attach(sensor)
 
@@ -545,18 +546,18 @@ class ScenarioRuntime:
     def suspicion_timeout_s(self, sensor: SensorNode) -> float:
         """How long *sensor* waits before resolving a suspicion case.
 
-        Exactly ``config.verification_timeout_s`` unless adaptive
+        Exactly :data:`VERIFICATION_TIMEOUT_S` unless adaptive
         verification is on, in which case the observed-loss controller
         scales it (shorter on clean channels, longer under jams).
         """
-        base = self.config.verification_timeout_s
+        base = VERIFICATION_TIMEOUT_S
         if self.adaptive is None:
             return base
         return self.adaptive.suspicion_timeout_s(base)
 
     def probe_deadline_s(self) -> float:
         """How long a dispatcher waits on an are-you-alive probe."""
-        base = 2.0 * self.config.verification_timeout_s
+        base = 2.0 * VERIFICATION_TIMEOUT_S
         if self.adaptive is None:
             return base
         return self.adaptive.probe_deadline_s(base)
@@ -564,7 +565,7 @@ class ScenarioRuntime:
     def verification_quorum_for(self, sensor: SensorNode) -> int:
         """The corroboration quorum for a suspicion raised by *sensor*."""
         if self.adaptive is None:
-            return self.config.verification_quorum
+            return VERIFICATION_QUORUM
         return self.adaptive.quorum_for(sensor)
 
     def sensor_is_alive(self, node_id: NodeId) -> bool:

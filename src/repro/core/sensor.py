@@ -28,7 +28,11 @@ from repro.core.messages import (
     SuspicionQuery,
     SuspicionVote,
 )
-from repro.deploy.scenario import MISSED_BEACONS_FOR_FAILURE
+from repro.deploy.scenario import (
+    MISSED_BEACONS_FOR_FAILURE,
+    REDISPATCH_BACKOFF_S,
+    REDISPATCH_LIMIT,
+)
 from repro.geometry.point import Point, nearest
 from repro.net.frames import Category, NodeAnnouncement, NodeId, Packet
 from repro.net.node import NetworkNode
@@ -286,22 +290,20 @@ class SensorNode(NetworkNode):
                 Category.FAILURE_REPORT,
                 notice,
             )
-        elif not self.runtime.config.resilience_enabled:
-            return  # No manager known — detection recorded, report lost.
+        if not self.runtime.config.faults_enabled:
+            return  # Baseline: one report, lost if no manager is known.
         # Resilience mode: watch for repair evidence and re-send to the
         # then-current manager if none appears (covers a lost report, a
         # dead dispatcher, or a dead maintainer).  A missing target now
         # may well resolve by the retry (e.g. a takeover flood arrives).
-        if self.runtime.config.resilience_enabled:
-            self._pending_reports[failed_id] = (
-                failed_position, attempt, detect_time, confidence
-            )
-            self._watch_report(failed_id, attempt)
+        self._pending_reports[failed_id] = (
+            failed_position, attempt, detect_time, confidence
+        )
+        self._watch_report(failed_id, attempt)
 
     def _watch_report(self, failed_id: NodeId, attempt: int) -> None:
-        config = self.runtime.config
-        delay = config.effective_repair_deadline_s + (
-            config.redispatch_backoff_s * (2.0 ** attempt)
+        delay = self.runtime.config.effective_repair_deadline_s + (
+            REDISPATCH_BACKOFF_S * (2.0 ** attempt)
         )
         self.sim.call_in(
             delay, lambda: self._check_report(failed_id, attempt)
@@ -316,7 +318,7 @@ class SensorNode(NetworkNode):
         if self.runtime.already_repaired(failed_id):
             self._pending_reports.pop(failed_id, None)
             return
-        if attempt >= self.runtime.config.redispatch_limit:
+        if attempt >= REDISPATCH_LIMIT:
             # Budget spent: stop retrying; the runtime reconciler takes
             # over (and ultimately declares the failure orphaned).
             self._pending_reports.pop(failed_id, None)
@@ -386,7 +388,7 @@ class SensorNode(NetworkNode):
             ),
         )
         # Adaptive verification scales this window with observed loss;
-        # with the controller off it is exactly verification_timeout_s.
+        # with the controller off it is exactly VERIFICATION_TIMEOUT_S.
         self.sim.call_in(
             self.runtime.suspicion_timeout_s(self),
             lambda: self._resolve_suspicion(failed_id),

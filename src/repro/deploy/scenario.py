@@ -30,6 +30,12 @@ __all__ = [
     "paper_scenario",
     "AREA_PER_ROBOT_M2",
     "MISSED_BEACONS_FOR_FAILURE",
+    "HEARTBEAT_PERIOD_S",
+    "MISSED_HEARTBEATS_FOR_FAILURE",
+    "REDISPATCH_BACKOFF_S",
+    "REDISPATCH_LIMIT",
+    "VERIFICATION_QUORUM",
+    "VERIFICATION_TIMEOUT_S",
     "PAPER_ROBOT_COUNTS",
 ]
 
@@ -39,6 +45,21 @@ PAPER_ROBOT_COUNTS = (4, 9, 16)
 AREA_PER_ROBOT_M2 = 200.0 * 200.0
 #: Silent beacon periods before a guardian declares failure (§4.2).
 MISSED_BEACONS_FOR_FAILURE = 3
+
+#: Robot→manager (or ring-successor) heartbeat period.
+HEARTBEAT_PERIOD_S = 60.0
+#: Silent heartbeat periods before a robot is declared dead.
+MISSED_HEARTBEATS_FOR_FAILURE = 3
+#: Base of the exponential re-dispatch backoff.
+REDISPATCH_BACKOFF_S = 120.0
+#: Re-dispatch budget per failure before it is recorded as orphaned.
+REDISPATCH_LIMIT = 3
+#: Guardian corroborations (including the reporter) required to upgrade
+#: a suspected failure to corroborated.
+VERIFICATION_QUORUM = 2
+#: How long a guardian collects corroboration votes (and half the
+#: dispatcher's probe deadline).
+VERIFICATION_TIMEOUT_S = 30.0
 
 
 class Algorithm:
@@ -150,11 +171,6 @@ class ScenarioConfig:
     #: Spare sensors a robot can carry before returning to the depot at
     #: the field centre; None models the paper's implicit infinite supply.
     robot_capacity: typing.Optional[int] = None
-    #: Whether replacement sensors draw a fresh Exp(T) lifetime and fail
-    #: again (a stationary renewal process), or only the originally
-    #: deployed sensors fail (a declining failure rate, which is how a
-    #: fixed-population GloMoSim node set naturally behaves).
-    regenerate_lifetimes: bool = True
     #: Central-manager dispatch rule; see :class:`DispatchPolicy`.
     #: Only the default is accepted for the distributed algorithms.
     dispatch_policy: str = DispatchPolicy.CLOSEST
@@ -184,22 +200,6 @@ class ScenarioConfig:
     #: Scripted fault campaign: a canonically-sorted tuple of
     #: :class:`repro.faults.FaultEvent` (dicts accepted and coerced).
     fault_script: typing.Optional[typing.Tuple[FaultEvent, ...]] = None
-    #: Force the self-healing layer (heartbeats, deadlines, re-dispatch)
-    #: on or off; None (default) enables it exactly when faults are
-    #: configured.
-    resilience: typing.Optional[bool] = None
-    #: Robot→manager (or ring-successor) heartbeat period.
-    heartbeat_period_s: float = 60.0
-    #: Silent heartbeat periods before a robot is declared dead.
-    missed_heartbeats_for_failure: int = 3
-    #: Deadline for a dispatched repair before the dispatcher re-sends;
-    #: None derives a bound from field diagonal / speed plus detection
-    #: slack (see :attr:`effective_repair_deadline_s`).
-    repair_deadline_s: typing.Optional[float] = None
-    #: Base of the exponential re-dispatch backoff.
-    redispatch_backoff_s: float = 120.0
-    #: Re-dispatch budget per failure before it is recorded as orphaned.
-    redispatch_limit: int = 3
 
     # --- network faults & failure verification (extension; defaults
     # keep the channel and the guardian protocol bit-identical) --------
@@ -219,12 +219,6 @@ class ScenarioConfig:
     #: replacing.  Off (default) keeps the paper's trust-the-guardian
     #: behaviour bit-identical.
     verify_failures: bool = False
-    #: Guardian corroborations (including the reporter) required to
-    #: upgrade a suspected failure to corroborated.
-    verification_quorum: int = 2
-    #: How long a guardian collects corroboration votes (and half the
-    #: dispatcher's probe deadline).
-    verification_timeout_s: float = 30.0
 
     # --- degraded-mode adaptation (extension; defaults keep every
     # code path bit-identical to the non-adaptive simulator) -----------
@@ -344,32 +338,6 @@ class ScenarioConfig:
             object.__setattr__(
                 self, "fault_script", script if script else None
             )
-        if not self.heartbeat_period_s > 0:
-            raise ValueError(
-                f"heartbeat period must be positive: "
-                f"{self.heartbeat_period_s}"
-            )
-        if self.missed_heartbeats_for_failure < 1:
-            raise ValueError(
-                "need at least one missed heartbeat for failure: "
-                f"{self.missed_heartbeats_for_failure}"
-            )
-        if (
-            self.repair_deadline_s is not None
-            and not self.repair_deadline_s > 0
-        ):
-            raise ValueError(
-                f"repair deadline must be positive: {self.repair_deadline_s}"
-            )
-        if not self.redispatch_backoff_s > 0:
-            raise ValueError(
-                "re-dispatch backoff must be positive: "
-                f"{self.redispatch_backoff_s}"
-            )
-        if self.redispatch_limit < 0:
-            raise ValueError(
-                f"re-dispatch limit must be >= 0: {self.redispatch_limit}"
-            )
         if self.jam_rate is not None and not self.jam_rate > 0:
             raise ValueError(
                 f"jam rate must be positive: {self.jam_rate}"
@@ -387,21 +355,59 @@ class ScenarioConfig:
             raise ValueError(
                 f"jam loss rate must be in (0, 1]: {self.jam_loss_rate}"
             )
-        if self.verification_quorum < 1:
-            raise ValueError(
-                "verification quorum must be >= 1: "
-                f"{self.verification_quorum}"
-            )
-        if not self.verification_timeout_s > 0:
-            raise ValueError(
-                "verification timeout must be positive: "
-                f"{self.verification_timeout_s}"
-            )
         if self.adaptive_verify and not self.verify_failures:
             raise ValueError(
                 "adaptive_verify scales the verification ladder and "
                 "requires verify_failures=True"
             )
+        # Knobs of a fault model or a subsystem the run would not build.
+        if self.partition != PartitionStyle.SQUARE and (
+            self.algorithm != Algorithm.FIXED
+        ):
+            raise ValueError(
+                f"partition {self.partition!r} shapes the fixed "
+                "algorithm's subareas only"
+            )
+        script = self.fault_script or ()
+        if self.jam_rate is None:
+            shape = self._changed(
+                "jam_radius_m", "jam_duration_mtbf_s", "jam_loss_rate"
+            )
+            if shape:
+                raise ValueError(
+                    f"{', '.join(shape)} shape the stochastic jammer and "
+                    "require jam_rate"
+                )
+            if self.jam_aware and not any(
+                event.kind in (FaultKind.JAM, FaultKind.DEGRADE)
+                for event in script
+            ):
+                raise ValueError(
+                    "jam_aware drives around jam regions and needs "
+                    "jam_rate or a scripted jam or degrade event"
+                )
+        if self._changed("robot_downtime_s") and not (
+            (
+                self.robot_mtbf_s is not None
+                and self.robot_fault_permanent_p < 1.0
+            )
+            or any(
+                event.kind in (FaultKind.BREAKDOWN, FaultKind.BATTERY)
+                and event.duration is None
+                for event in script
+            )
+        ):
+            raise ValueError(
+                "robot_downtime_s is the default downtime of a recoverable "
+                "robot fault and needs robot_mtbf_s with "
+                "robot_fault_permanent_p < 1, or a scripted breakdown or "
+                "battery event without its own duration"
+            )
+
+    def _changed(self, *names: str) -> typing.List[str]:
+        """The fields among *names* set away from their defaults."""
+        fields = ScenarioConfig.__dataclass_fields__
+        return [n for n in names if getattr(self, n) != fields[n].default]
 
     # ------------------------------------------------------------------
     # Derived geometry
@@ -438,7 +444,7 @@ class ScenarioConfig:
     # ------------------------------------------------------------------
     @property
     def faults_enabled(self) -> bool:
-        """True when any fault source (stochastic or scripted) is set."""
+        """True when any fault source is set; self-healing runs then."""
         return (
             self.robot_mtbf_s is not None
             or self.jam_rate is not None
@@ -456,19 +462,6 @@ class ScenarioConfig:
         )
 
     @property
-    def resilience_enabled(self) -> bool:
-        """Whether the self-healing layer runs.
-
-        Follows :attr:`faults_enabled` unless :attr:`resilience` forces
-        it — forcing it *on* without faults exercises the machinery's
-        overhead; forcing it *off* with faults measures the unprotected
-        baseline.
-        """
-        if self.resilience is not None:
-            return self.resilience
-        return self.faults_enabled
-
-    @property
     def degraded_mode_enabled(self) -> bool:
         """True when any degraded-mode adaptation is switched on."""
         return self.adaptive_verify or self.coop_repair or self.jam_aware
@@ -477,16 +470,12 @@ class ScenarioConfig:
     def effective_repair_deadline_s(self) -> float:
         """Deadline before a dispatched repair is presumed lost.
 
-        The derived default bounds the worst honest repair: crossing the
-        field diagonal at robot speed, plus the heartbeat-based failure
-        detection window, plus a flat slack for queueing and routing.
+        It bounds the worst honest repair: crossing the field diagonal at
+        robot speed, plus the heartbeat-based failure detection window,
+        plus a flat slack for queueing and routing.
         """
-        if self.repair_deadline_s is not None:
-            return self.repair_deadline_s
         diagonal = math.hypot(self.area_side_m, self.area_side_m)
-        detection = self.heartbeat_period_s * (
-            self.missed_heartbeats_for_failure + 1
-        )
+        detection = HEARTBEAT_PERIOD_S * (MISSED_HEARTBEATS_FOR_FAILURE + 1)
         return diagonal / self.robot_speed_mps + detection + 60.0
 
     def replace(self, **changes: typing.Any) -> "ScenarioConfig":
@@ -562,8 +551,8 @@ class ScenarioConfig:
             text += " | faults: " + ", ".join(parts)
         if self.verify_failures:
             text += (
-                f" | verify: quorum={self.verification_quorum}, "
-                f"timeout={self.verification_timeout_s:.0f}s"
+                f" | verify: quorum={VERIFICATION_QUORUM}, "
+                f"timeout={VERIFICATION_TIMEOUT_S:.0f}s"
             )
         if self.degraded_mode_enabled:
             modes = []

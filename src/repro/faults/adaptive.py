@@ -54,7 +54,10 @@ from repro.core.messages import (
     BacklogRelease,
     FailureNotice,
 )
-from repro.deploy.scenario import MISSED_BEACONS_FOR_FAILURE
+from repro.deploy.scenario import (
+    MISSED_BEACONS_FOR_FAILURE,
+    VERIFICATION_QUORUM,
+)
 from repro.faults.script import FaultKind
 from repro.geometry.detour import plan_route
 from repro.geometry.point import Point, by_distance
@@ -88,8 +91,6 @@ TIGHT_BELOW = 0.02
 WIDE_ABOVE = 0.15
 #: Observation window of the adaptive loss estimator (seconds).
 ADAPTATION_WINDOW_S = 120.0
-#: Upper bound for the widened verification quorum.
-ADAPTIVE_QUORUM_MAX = 4
 #: Queue length above which a robot starts auctioning backlog.
 COOP_BACKLOG_THRESHOLD = 2
 #: Patience per auction candidate before moving on (bounded claim).
@@ -124,13 +125,9 @@ class AdaptiveVerification:
         #: Current channel classification; starts at the config values.
         self.level = LEVEL_NORMAL
         self._snapshot = runtime.channel.stats.snapshot()
-        self._started = False
 
     def start(self) -> None:
-        """Launch the periodic loss observer (idempotent)."""
-        if self._started:
-            return
-        self._started = True
+        """Launch the periodic loss observer."""
         self.runtime.sim.process(self._observe(), name="adaptive.observe")
 
     def _observe(self) -> typing.Generator:
@@ -186,11 +183,11 @@ class AdaptiveVerification:
         Global channel level first, then a local widening: a guardian
         that has itself stopped hearing most of its beacon peers is
         probably sitting inside a jam the global ratio has diluted, so
-        it demands one more corroborating vote.  Clamped to
-        ``[1, ADAPTIVE_QUORUM_MAX]`` and recorded to the run report's
-        quorum histogram.
+        it demands one more corroborating vote.  From the base of
+        :data:`VERIFICATION_QUORUM` (2) that gives 1 to 4 votes, recorded
+        to the run report's quorum histogram.
         """
-        quorum = self.config.verification_quorum + QUORUM_DELTA[self.level]
+        quorum = VERIFICATION_QUORUM + QUORUM_DELTA[self.level]
         if sensor is not None:
             silence = (
                 MISSED_BEACONS_FOR_FAILURE * self.config.beacon_period_s
@@ -200,7 +197,6 @@ class AdaptiveVerification:
                 > _STALE_NEIGHBOR_FRACTION
             ):
                 quorum += 1
-        quorum = max(1, min(ADAPTIVE_QUORUM_MAX, quorum))
         self.runtime.metrics.record_adaptive_quorum(quorum)
         return quorum
 

@@ -39,13 +39,9 @@ class FaultInjector:
     def __init__(self, runtime: "ScenarioRuntime") -> None:
         self.runtime = runtime
         self.config = runtime.config
-        self._started = False
 
     def start(self) -> None:
         """Arm all scripted events and stochastic fault clocks."""
-        if self._started or not self.config.faults_enabled:
-            return
-        self._started = True
         sim = self.runtime.sim
         for event in self.config.fault_script or ():
             if event.kind in FaultKind.NETWORK:

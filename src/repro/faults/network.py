@@ -132,14 +132,10 @@ class NetworkFaultService:
             runtime.streams.stream("channel.jam")
         )
         runtime.channel.fault_field = self.field
-        self._started = False
         self._jam_count = 0
 
     def start(self) -> None:
         """Schedule scripted region events and the stochastic jammer."""
-        if self._started:
-            return
-        self._started = True
         sim = self.runtime.sim
         for event in self.config.fault_script or ():
             if event.kind not in FaultKind.NETWORK:

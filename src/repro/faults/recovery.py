@@ -1,12 +1,12 @@
 """Self-healing coordination: heartbeats, failure declaration, failover.
 
 :class:`ResilienceService` is the runtime's recovery layer, active only
-when ``config.resilience_enabled``.  It implements:
+when ``config.faults_enabled``.  It implements:
 
 * **Robot→manager heartbeats** (centralized): every robot sends a
   periodic :class:`~repro.core.messages.Heartbeat` to its current
   manager contact, which acks; the manager declares a robot dead after
-  ``missed_heartbeats_for_failure`` silent periods, and robots declare
+  ``MISSED_HEARTBEATS_FOR_FAILURE`` silent periods, and robots declare
   the *manager* dead on the symmetric ack silence and fail over to the
   live robot nearest the manager's post.
 * **Ring heartbeats** (distributed): each robot heartbeats its
@@ -32,6 +32,12 @@ from __future__ import annotations
 import typing
 
 from repro.core.messages import Heartbeat
+from repro.deploy.scenario import (
+    HEARTBEAT_PERIOD_S,
+    MISSED_HEARTBEATS_FOR_FAILURE,
+    REDISPATCH_BACKOFF_S,
+    REDISPATCH_LIMIT,
+)
 from repro.geometry.point import Point, nearest
 from repro.net.frames import Category, NodeId
 
@@ -44,6 +50,8 @@ __all__ = ["ResilienceService"]
 
 #: Reconciler escalations per failure before declaring it orphaned.
 MAX_ESCALATIONS = 2
+#: Heartbeat silence after which a robot (or the manager) is presumed dead.
+_SILENCE_S = HEARTBEAT_PERIOD_S * MISSED_HEARTBEATS_FOR_FAILURE
 
 
 class ResilienceService:
@@ -63,16 +71,12 @@ class ResilienceService:
         self.manager_epoch = 0
         self._epoch_start = 0.0
         self._escalations: typing.Dict[NodeId, int] = {}
-        self._started = False
 
     # ------------------------------------------------------------------
     # Startup
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Launch heartbeat, watch and reconciler processes."""
-        if self._started or not self.config.resilience_enabled:
-            return
-        self._started = True
         sim = self.runtime.sim
         now = sim.now
         self._epoch_start = now
@@ -95,11 +99,9 @@ class ResilienceService:
     # Heartbeats
     # ------------------------------------------------------------------
     def _heartbeat_loop(self, robot: "RobotNode") -> typing.Generator:
-        period = self.config.heartbeat_period_s
-        window = period * self.config.missed_heartbeats_for_failure
         centralized = self.runtime.coordination.uses_central_manager
         while True:
-            yield self.runtime.sim.timeout(period)
+            yield self.runtime.sim.timeout(HEARTBEAT_PERIOD_S)
             if robot.down and not robot.can_recover:
                 return  # Permanently dead: the loop winds down.
             if not robot.alive:
@@ -119,7 +121,7 @@ class ResilienceService:
                 )
             if centralized and not robot.acting_manager:
                 now = self.runtime.sim.now
-                if now - self.last_ack.get(robot.node_id, 0.0) > window:
+                if now - self.last_ack.get(robot.node_id, 0.0) > _SILENCE_S:
                     self._manager_suspected(robot)
 
     def _heartbeat_target(
@@ -180,11 +182,9 @@ class ResilienceService:
     # Robot death detection
     # ------------------------------------------------------------------
     def _watch_loop(self) -> typing.Generator:
-        period = self.config.heartbeat_period_s
-        window = period * self.config.missed_heartbeats_for_failure
         centralized = self.runtime.coordination.uses_central_manager
         while True:
-            yield self.runtime.sim.timeout(period)
+            yield self.runtime.sim.timeout(HEARTBEAT_PERIOD_S)
             now = self.runtime.sim.now
             undeclared = [
                 robot_id
@@ -194,7 +194,7 @@ class ResilienceService:
             stale = [
                 robot_id
                 for robot_id in undeclared
-                if now - self.last_heartbeat[robot_id] > window
+                if now - self.last_heartbeat[robot_id] > _SILENCE_S
             ]
             if centralized and undeclared and len(stale) == len(undeclared):
                 # Every undeclared robot went silent at once.  Heartbeat
@@ -233,8 +233,6 @@ class ResilienceService:
     ) -> typing.Optional["RobotNode"]:
         """A live robot with fresh heartbeat evidence, to act as the
         declaring monitor (ring successors first, then any live robot)."""
-        period = self.config.heartbeat_period_s
-        window = period * self.config.missed_heartbeats_for_failure
         now = self.runtime.sim.now
         fresh: typing.Optional["RobotNode"] = None
         for robot_id in sorted(self.runtime.robots):
@@ -243,7 +241,7 @@ class ResilienceService:
             robot = self.runtime.robots[robot_id]
             if not robot.alive:
                 continue
-            if now - self.last_heartbeat.get(robot_id, 0.0) <= window:
+            if now - self.last_heartbeat.get(robot_id, 0.0) <= _SILENCE_S:
                 return robot
             if fresh is None:
                 fresh = robot
@@ -261,9 +259,7 @@ class ResilienceService:
         on every silent heartbeat.
         """
         now = self.runtime.sim.now
-        period = self.config.heartbeat_period_s
-        window = period * self.config.missed_heartbeats_for_failure
-        if self.manager_epoch > 0 and now - self._epoch_start <= window:
+        if self.manager_epoch > 0 and now - self._epoch_start <= _SILENCE_S:
             return  # Recently failed over: give the new manager time.
         manager = self.runtime.manager
         if manager is not None and manager.alive:
@@ -350,10 +346,10 @@ class ResilienceService:
         Bounds the whole dispatch retry ladder: every dispatch attempt
         plus its exponentially backed-off deadline.
         """
-        limit = self.config.redispatch_limit
+        limit = REDISPATCH_LIMIT
         deadline = self.config.effective_repair_deadline_s
-        backoff = self.config.redispatch_backoff_s
-        return (limit + 1) * deadline + backoff * (2.0 ** (limit + 1))
+        backoff = REDISPATCH_BACKOFF_S * (2.0 ** (limit + 1))
+        return (limit + 1) * deadline + backoff
 
     def _reconcile_loop(self) -> typing.Generator:
         period = self.config.effective_repair_deadline_s

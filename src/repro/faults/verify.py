@@ -5,7 +5,7 @@ The verification state machine (see ``docs/FAULTS.md``):
 1. **suspected** — a guardian's beacon timeout opens a suspicion case
    and asks the neighbourhood to corroborate
    (:meth:`repro.core.sensor.SensorNode._begin_suspicion`).
-2. **corroborated** — ``verification_quorum`` guardians agree the
+2. **corroborated** — ``VERIFICATION_QUORUM`` guardians agree the
    sensor is silent; the failure report carries
    :class:`~repro.core.messages.Confidence` ``CORROBORATED`` and is
    dispatched like a paper-baseline report.

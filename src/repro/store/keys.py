@@ -33,7 +33,10 @@ __all__ = ["STORE_SCHEMA_VERSION", "canonical_json", "config_digest"]
 #: 4: eight fixed model values (area per robot, missed beacons, relay
 #: margin, the adaptive window/quorum cap, coop backlog/claim timeout,
 #: jam detour margin) left the config for module constants.
-STORE_SCHEMA_VERSION = 4
+#: 5: nine more fields left the config: heartbeat, re-dispatch and
+#: verification timing, the repair-deadline override, the resilience
+#: switch and regenerate_lifetimes.
+STORE_SCHEMA_VERSION = 5
 
 
 def canonical_json(value: typing.Any) -> str:

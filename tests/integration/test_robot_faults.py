@@ -23,14 +23,15 @@ ALGORITHMS = [Algorithm.CENTRALIZED, Algorithm.FIXED, Algorithm.DYNAMIC]
 
 #: Small, fast scenario with natural failures pushed past the horizon
 #: (huge mean lifetime) so each test injects exactly the deaths it
-#: reasons about.  Resilience is on; fault injection stays off unless a
-#: test scripts it.
+#: reasons about.  Self-healing runs whenever a fault source is set; the
+#: stochastic one here never fires inside the horizon, so the only robot
+#: faults are those a test scripts or injects.
 QUIET = dict(
     sensors_per_robot=25,
     placement="grid",
     sim_time_s=8_000.0,
     mean_lifetime_s=1e9,
-    resilience=True,
+    robot_mtbf_s=1e12,
 )
 
 FAULT_CATEGORIES = (
@@ -218,7 +219,8 @@ class TestChaosDeterminism:
 
 
 class TestFaultsOffInertness:
-    """With faults and resilience off (the default), nothing changes."""
+    """With faults off (the default), self-healing is off too and
+    nothing changes."""
 
     def test_no_heartbeats_no_fault_traces_zero_metrics(self):
         config = paper_scenario(
@@ -230,7 +232,6 @@ class TestFaultsOffInertness:
             sim_time_s=4_000.0,
         )
         assert not config.faults_enabled
-        assert not config.resilience_enabled
         runtime, recorder = traced_runtime(config)
         report = runtime.run()
         stats = runtime.channel.stats

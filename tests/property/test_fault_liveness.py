@@ -17,6 +17,29 @@ from repro.faults.recovery import MAX_ESCALATIONS
 ALGORITHMS = [Algorithm.CENTRALIZED, Algorithm.FIXED, Algorithm.DYNAMIC]
 
 
+def settled_window(runtime):
+    """The failures old enough to have resolved, and those that did not.
+
+    A failure may walk the full redispatch ladder once per escalation
+    round before being given up on; anything that died earlier than
+    that before the horizon must be repaired or orphaned.  The horizon
+    must leave this window non-empty, or the check passes on nothing.
+    """
+    margin = (MAX_ESCALATIONS + 1) * runtime.resilience.give_up_age_s
+    cutoff = runtime.config.sim_time_s - margin - 1_000.0
+    checked = [
+        record
+        for record in runtime.metrics.records()
+        if record.death_time < cutoff
+    ]
+    unresolved = [
+        record
+        for record in checked
+        if not record.repaired and record.orphan_time is None
+    ]
+    return checked, unresolved
+
+
 class TestFaultLiveness:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @settings(max_examples=3, deadline=None)
@@ -33,30 +56,17 @@ class TestFaultLiveness:
             seed=seed,
             sensors_per_robot=25,
             placement="grid",
-            sim_time_s=12_000.0,
+            sim_time_s=24_000.0,
             loss_rate=loss_rate,
             robot_mtbf_s=4_000.0,
             robot_downtime_s=600.0,
-            repair_deadline_s=400.0,
-            redispatch_backoff_s=60.0,
-            heartbeat_period_s=30.0,
         )
         runtime = ScenarioRuntime(config)
         report = runtime.run()
         assert report.failures > 0
         assert report.robot_faults > 0  # the chaos actually ran
-        # A failure may walk the full redispatch ladder once per
-        # escalation round before being given up on; anything older
-        # than that must have resolved one way or the other.
-        ladder = runtime.resilience.give_up_age_s
-        margin = (MAX_ESCALATIONS + 1) * ladder + 1_000.0
-        unresolved = [
-            record
-            for record in runtime.metrics.records()
-            if record.death_time < config.sim_time_s - margin
-            and not record.repaired
-            and record.orphan_time is None
-        ]
+        checked, unresolved = settled_window(runtime)
+        assert checked
         assert unresolved == [], (
             f"{algorithm} seed={seed} loss={loss_rate}: silently "
             f"dropped: {[record.node_id for record in unresolved]}"
@@ -99,28 +109,17 @@ class TestCoopRepairLiveness:
             seed=seed,
             sensors_per_robot=25,
             placement="grid",
-            sim_time_s=10_000.0,
+            sim_time_s=24_000.0,
             loss_rate=loss_rate,
             fault_script=outage,
-            robot_downtime_s=600.0,
-            repair_deadline_s=400.0,
-            redispatch_backoff_s=60.0,
-            heartbeat_period_s=30.0,
             coop_repair=True,
         )
         runtime = ScenarioRuntime(config)
         report = runtime.run()
         assert report.failures > 0
         assert report.robot_faults >= 3  # the outage actually ran
-        ladder = runtime.resilience.give_up_age_s
-        margin = (MAX_ESCALATIONS + 1) * ladder + 1_000.0
-        unresolved = [
-            record
-            for record in runtime.metrics.records()
-            if record.death_time < config.sim_time_s - margin
-            and not record.repaired
-            and record.orphan_time is None
-        ]
+        checked, unresolved = settled_window(runtime)
+        assert checked
         assert unresolved == [], (
             f"{algorithm} seed={seed} loss={loss_rate}: silently "
             f"dropped: {[record.node_id for record in unresolved]}"

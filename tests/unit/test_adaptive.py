@@ -9,10 +9,11 @@ from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import (
     Algorithm,
     MISSED_BEACONS_FOR_FAILURE,
+    VERIFICATION_QUORUM,
+    VERIFICATION_TIMEOUT_S,
     paper_scenario,
 )
 from repro.faults.adaptive import (
-    ADAPTIVE_QUORUM_MAX,
     LEVEL_NORMAL,
     LEVEL_TIGHT,
     LEVEL_WIDE,
@@ -145,54 +146,35 @@ def build_runtime(**overrides):
 class TestAdaptiveKnobs:
     def test_normal_level_returns_config_values(self):
         runtime = build_runtime()
-        config = runtime.config
         sensor = runtime.sensors_sorted()[0]
         assert runtime.adaptive.level == LEVEL_NORMAL
-        assert runtime.suspicion_timeout_s(sensor) == (
-            config.verification_timeout_s
-        )
-        assert runtime.probe_deadline_s() == (
-            2.0 * config.verification_timeout_s
-        )
+        assert runtime.suspicion_timeout_s(sensor) == VERIFICATION_TIMEOUT_S
+        assert runtime.probe_deadline_s() == 2.0 * VERIFICATION_TIMEOUT_S
         assert runtime.verification_quorum_for(sensor) == (
-            config.verification_quorum
+            VERIFICATION_QUORUM
         )
 
     def test_tight_level_halves_timeouts_and_shrinks_quorum(self):
-        runtime = build_runtime(verification_quorum=2)
-        config = runtime.config
+        runtime = build_runtime()
         sensor = runtime.sensors_sorted()[0]
         runtime.adaptive.level = LEVEL_TIGHT
         assert runtime.suspicion_timeout_s(sensor) == (
-            0.5 * config.verification_timeout_s
+            0.5 * VERIFICATION_TIMEOUT_S
         )
-        assert runtime.probe_deadline_s() == config.verification_timeout_s
-        assert runtime.verification_quorum_for(sensor) == 1
-
-    def test_quorum_never_drops_below_one(self):
-        runtime = build_runtime(verification_quorum=1)
-        runtime.adaptive.level = LEVEL_TIGHT
-        sensor = runtime.sensors_sorted()[0]
+        assert runtime.probe_deadline_s() == VERIFICATION_TIMEOUT_S
         assert runtime.verification_quorum_for(sensor) == 1
 
     def test_wide_level_doubles_timeouts_and_widens_quorum(self):
-        runtime = build_runtime(verification_quorum=2)
-        config = runtime.config
+        runtime = build_runtime()
         sensor = runtime.sensors_sorted()[0]
         runtime.adaptive.level = LEVEL_WIDE
         assert runtime.suspicion_timeout_s(sensor) == (
-            2.0 * config.verification_timeout_s
+            2.0 * VERIFICATION_TIMEOUT_S
         )
         assert runtime.verification_quorum_for(sensor) == 3
 
-    def test_quorum_clamped_to_adaptive_maximum(self):
-        runtime = build_runtime(verification_quorum=ADAPTIVE_QUORUM_MAX)
-        runtime.adaptive.level = LEVEL_WIDE
-        sensor = runtime.sensors_sorted()[0]
-        assert runtime.verification_quorum_for(sensor) == ADAPTIVE_QUORUM_MAX
-
     def test_stale_neighborhood_widens_quorum_locally(self):
-        runtime = build_runtime(verification_quorum=2)
+        runtime = build_runtime()
         config = runtime.config
         sensor = runtime.sensors_sorted()[0]
         silence = MISSED_BEACONS_FOR_FAILURE * config.beacon_period_s
@@ -208,7 +190,7 @@ class TestAdaptiveKnobs:
         assert runtime.verification_quorum_for(sensor) == 3
 
     def test_quorum_decisions_recorded_to_histogram(self):
-        runtime = build_runtime(verification_quorum=2)
+        runtime = build_runtime()
         sensor = runtime.sensors_sorted()[0]
         runtime.verification_quorum_for(sensor)
         runtime.adaptive.level = LEVEL_WIDE
@@ -220,50 +202,52 @@ class TestAdaptiveKnobs:
 
     def test_disabled_adaptation_uses_exact_config_arithmetic(self):
         runtime = build_runtime(adaptive_verify=False)
-        config = runtime.config
         sensor = runtime.sensors_sorted()[0]
         assert runtime.adaptive is None
-        assert runtime.suspicion_timeout_s(sensor) == (
-            config.verification_timeout_s
-        )
-        assert runtime.probe_deadline_s() == (
-            2.0 * config.verification_timeout_s
-        )
+        assert runtime.suspicion_timeout_s(sensor) == VERIFICATION_TIMEOUT_S
+        assert runtime.probe_deadline_s() == 2.0 * VERIFICATION_TIMEOUT_S
         assert runtime.verification_quorum_for(sensor) == (
-            config.verification_quorum
+            VERIFICATION_QUORUM
         )
+
+
+#: One jam disk in the middle of the 400 m field, from t = 10 s.
+JAM_SCRIPT = (
+    {
+        "time": 10.0,
+        "target": "field",
+        "kind": "jam",
+        "x": 200.0,
+        "y": 200.0,
+        "radius": 90.0,
+        "duration": 500.0,
+    },
+)
 
 
 class TestJamAwarePlanner:
     def test_no_network_faults_plans_straight(self):
         runtime = build_runtime(
-            adaptive_verify=False, verify_failures=False, jam_aware=True
+            adaptive_verify=False,
+            verify_failures=False,
+            jam_aware=True,
+            fault_script=JAM_SCRIPT,
         )
         planner = runtime.jam_planner
         assert planner is not None
-        assert runtime.network_faults is None
+        # Before the scripted jam starts no region is active, so even a
+        # leg through the future jam is the straight line.
         assert planner.jam_disks() == ()
-        assert planner.plan(Point(0, 0), Point(50, 50)) == (
-            Point(50, 50),
+        assert planner.plan(Point(200.0, 0.0), Point(200.0, 400.0)) == (
+            Point(200.0, 400.0),
         )
 
     def test_scripted_jam_becomes_a_reroute_disk(self):
-        script = (
-            {
-                "time": 10.0,
-                "target": "field",
-                "kind": "jam",
-                "x": 200.0,
-                "y": 200.0,
-                "radius": 90.0,
-                "duration": 500.0,
-            },
-        )
         runtime = build_runtime(
             adaptive_verify=False,
             verify_failures=False,
             jam_aware=True,
-            fault_script=script,
+            fault_script=JAM_SCRIPT,
         )
         runtime.sim.run(until=20.0)
         disks = runtime.jam_planner.jam_disks()
@@ -282,11 +266,26 @@ class TestConfigValidation:
                 Algorithm.CENTRALIZED, 4, adaptive_verify=True
             )
 
+    def test_jam_aware_requires_a_jammer(self):
+        # With no jam region ever, the planner always drives straight.
+        with pytest.raises(ValueError, match="jam_aware"):
+            paper_scenario(Algorithm.CENTRALIZED, 4, jam_aware=True)
+        for jammer in (
+            {"jam_rate": 0.001},
+            {"fault_script": JAM_SCRIPT},
+            {"fault_script": ({**JAM_SCRIPT[0], "kind": "degrade"},)},
+        ):
+            assert paper_scenario(
+                Algorithm.CENTRALIZED, 4, jam_aware=True, **jammer
+            ).jam_aware
+
     def test_degraded_mode_enabled_property(self):
         config = paper_scenario(Algorithm.CENTRALIZED, 4)
         assert not config.degraded_mode_enabled
         assert config.replace(coop_repair=True).degraded_mode_enabled
-        assert config.replace(jam_aware=True).degraded_mode_enabled
+        assert config.replace(
+            jam_aware=True, jam_rate=0.001
+        ).degraded_mode_enabled
         assert config.replace(
             verify_failures=True, adaptive_verify=True
         ).degraded_mode_enabled
@@ -299,6 +298,7 @@ class TestConfigValidation:
             adaptive_verify=True,
             coop_repair=True,
             jam_aware=True,
+            jam_rate=0.001,
         )
         text = config.describe()
         assert "adaptive" in text

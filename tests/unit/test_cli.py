@@ -132,6 +132,33 @@ class TestCommands:
         for algorithm in ("centralized", "fixed", "dynamic"):
             assert algorithm in out
 
+    def test_run_refuses_dispatch_its_algorithm_never_reads(self, capsys):
+        # Only the centralized manager dispatches; run names one
+        # algorithm, so it passes --dispatch through for the config to
+        # refuse instead of running the closest policy in silence.
+        argv = ["run", "--algorithm", "dynamic", "--dispatch", "least_loaded"]
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--sim-time", "300"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "repro-sim run: error: dispatch policy 'least_loaded' needs "
+            "the centralized algorithm (only its manager dispatches)"
+        ]
+
+    @pytest.mark.parametrize("command", ["run", "compare", "faults"])
+    def test_invalid_config_exits_2_with_one_line(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--sim-time", "-5"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"repro-sim {command}: error: sim time must be positive and "
+            "finite: -5.0"
+        ]
+
     def test_figure_degraded_rejects_loss(self, capsys, monkeypatch):
         calls = []
         monkeypatch.setitem(

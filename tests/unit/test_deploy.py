@@ -217,9 +217,7 @@ class TestScenarioConfig:
             ("sim_time_s", math.inf),
             ("sensors_per_robot", 0),
             ("sensors_per_robot", -5),
-            ("heartbeat_period_s", math.nan),
             ("robot_downtime_s", math.nan),
-            ("verification_timeout_s", math.nan),
             ("robot_speed_mps", math.nan),
             ("robot_speed_mps", -1.0),
             ("beacon_period_s", -1.0),
@@ -253,6 +251,47 @@ class TestScenarioConfig:
                 algorithm=Algorithm.CENTRALIZED, efficient_broadcast=True
             )
         ScenarioConfig(algorithm=Algorithm.FIXED, efficient_broadcast=True)
+
+    def test_partition_needs_fixed(self):
+        # Only the fixed strategy builds subareas.
+        for algorithm in (Algorithm.CENTRALIZED, Algorithm.DYNAMIC):
+            with pytest.raises(ValueError, match="partition"):
+                ScenarioConfig(algorithm=algorithm, partition="staggered")
+        ScenarioConfig(algorithm=Algorithm.FIXED, partition="staggered")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("jam_radius_m", 50.0),
+            ("jam_duration_mtbf_s", 100.0),
+            ("jam_loss_rate", 0.5),
+        ],
+    )
+    def test_jam_shape_needs_jam_rate(self, field, value):
+        # Only the stochastic jammer draws regions of this shape.
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig(**{field: value})
+        ScenarioConfig(jam_rate=0.001, **{field: value})
+
+    def test_robot_downtime_needs_a_recoverable_fault(self):
+        # The default downtime applies only to a recoverable robot fault
+        # that does not carry its own duration.
+        breakdown = {"time": 5.0, "target": "robot-00", "kind": "breakdown"}
+        for unused in (
+            {},
+            {"robot_mtbf_s": 6_000.0, "robot_fault_permanent_p": 1.0},
+            {"fault_script": ({**breakdown, "duration": 60.0},)},
+            {"fault_script": ({**breakdown, "kind": "crash"},)},
+        ):
+            with pytest.raises(ValueError, match="robot_downtime_s"):
+                ScenarioConfig(robot_downtime_s=600.0, **unused)
+        for used in (
+            {"robot_mtbf_s": 6_000.0},
+            {"robot_mtbf_s": 6_000.0, "robot_fault_permanent_p": 0.5},
+            {"fault_script": (breakdown,)},
+            {"fault_script": ({**breakdown, "kind": "battery"},)},
+        ):
+            ScenarioConfig(robot_downtime_s=600.0, **used)
 
     def test_permanent_fault_share_needs_robot_mtbf(self):
         # The share applies only to stochastic faults, drawn from the MTBF.

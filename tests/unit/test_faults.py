@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, paper_scenario
 from repro.faults import (
     ExponentialFaultModel,
@@ -180,7 +181,6 @@ class TestNetworkFaultEvents:
             jam_duration_mtbf_s=200.0,
             jam_loss_rate=0.8,
             verify_failures=True,
-            verification_quorum=3,
             fault_script=(self._jam(),),
         )
         rebuilt = type(config).from_json_dict(
@@ -209,12 +209,6 @@ class TestNetworkFaultEvents:
             paper_scenario(Algorithm.DYNAMIC, 4, jam_loss_rate=0.0)
         with pytest.raises(ValueError):
             paper_scenario(Algorithm.DYNAMIC, 4, jam_loss_rate=1.5)
-        with pytest.raises(ValueError):
-            paper_scenario(Algorithm.DYNAMIC, 4, verification_quorum=0)
-        with pytest.raises(ValueError):
-            paper_scenario(
-                Algorithm.DYNAMIC, 4, verification_timeout_s=0.0
-            )
 
     def test_describe_mentions_verification(self):
         config = paper_scenario(
@@ -316,7 +310,6 @@ class TestScenarioConfigFaults:
     def test_defaults_are_off(self):
         config = paper_scenario(Algorithm.DYNAMIC, 4)
         assert not config.faults_enabled
-        assert not config.resilience_enabled
         assert config.fault_script is None
 
     def test_mtbf_enables_faults_and_resilience(self):
@@ -324,17 +317,7 @@ class TestScenarioConfigFaults:
             Algorithm.DYNAMIC, 4, robot_mtbf_s=5_000.0
         )
         assert config.faults_enabled
-        assert config.resilience_enabled
-
-    def test_resilience_override(self):
-        config = paper_scenario(
-            Algorithm.DYNAMIC, 4, robot_mtbf_s=5_000.0, resilience=False
-        )
-        assert config.faults_enabled
-        assert not config.resilience_enabled
-        lone = paper_scenario(Algorithm.DYNAMIC, 4, resilience=True)
-        assert not lone.faults_enabled
-        assert lone.resilience_enabled
+        assert ScenarioRuntime(config).resilience is not None
 
     def test_script_normalized_from_dicts(self):
         config = paper_scenario(
@@ -395,10 +378,6 @@ class TestScenarioConfigFaults:
         config = paper_scenario(Algorithm.DYNAMIC, 4)
         assert math.isfinite(config.effective_repair_deadline_s)
         assert config.effective_repair_deadline_s > 0
-        pinned = paper_scenario(
-            Algorithm.DYNAMIC, 4, repair_deadline_s=123.0
-        )
-        assert pinned.effective_repair_deadline_s == 123.0
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
@@ -408,18 +387,6 @@ class TestScenarioConfigFaults:
         with pytest.raises(ValueError):
             paper_scenario(
                 Algorithm.DYNAMIC, 4, robot_fault_permanent_p=2.0
-            )
-        with pytest.raises(ValueError):
-            paper_scenario(Algorithm.DYNAMIC, 4, heartbeat_period_s=0.0)
-        with pytest.raises(ValueError):
-            paper_scenario(
-                Algorithm.DYNAMIC, 4, missed_heartbeats_for_failure=0
-            )
-        with pytest.raises(ValueError):
-            paper_scenario(Algorithm.DYNAMIC, 4, redispatch_limit=-1)
-        with pytest.raises(ValueError):
-            paper_scenario(
-                Algorithm.DYNAMIC, 4, redispatch_backoff_s=-5.0
             )
 
     def test_describe_mentions_faults_only_when_enabled(self):

@@ -94,37 +94,6 @@ class TestNeighborSeeding:
             assert a.node_id in b.neighbor_table
 
 
-class TestLifetimeRegeneration:
-    def test_no_regeneration_limits_failures(self):
-        stationary = ScenarioRuntime(
-            paper_scenario(
-                Algorithm.CENTRALIZED,
-                4,
-                seed=16,
-                sensors_per_robot=25,
-                placement="grid",
-                sim_time_s=8_000.0,
-                mean_lifetime_s=2_000.0,
-            )
-        ).run()
-        declining = ScenarioRuntime(
-            paper_scenario(
-                Algorithm.CENTRALIZED,
-                4,
-                seed=16,
-                sensors_per_robot=25,
-                placement="grid",
-                sim_time_s=8_000.0,
-                mean_lifetime_s=2_000.0,
-                regenerate_lifetimes=False,
-            )
-        ).run()
-        # Without regeneration each of the 100 deployed sensors can die
-        # at most once.
-        assert declining.failures <= 100
-        assert stationary.failures > declining.failures
-
-
 class TestDeathBookkeeping:
     def test_dead_sensor_removed_from_registry(self):
         runtime = build_runtime()

@@ -257,6 +257,16 @@ class TestSubmit:
         assert exc.value.code == 400
         assert "invalid scenario config" in str(exc.value)
 
+    def test_field_removed_from_the_config_is_400(self, service):
+        # Schema 5 made the heartbeat period a constant: a body that
+        # still sets it is refused, not run with the value ignored.
+        client, _queue, _store = service
+        body = {**CONFIG.to_json_dict(), "heartbeat_period_s": 30.0}
+        with pytest.raises(ServiceError) as exc:
+            client.submit(body)
+        assert exc.value.code == 400
+        assert "heartbeat_period_s" in str(exc.value)
+
 
 class TestGetRun:
     def test_unknown_digest_is_404(self, service):

@@ -61,6 +61,7 @@ class TestExportEntry:
             adaptive_verify=True,
             coop_repair=True,
             jam_aware=True,
+            jam_rate=0.001,
         )
         store = RunStore(tmp_path)
         entry = store.load(store.put(config, make_report()))

@@ -285,35 +285,79 @@ REMOVED_IN_V4 = {
     "jam_detour_margin_m": 10.0,
 }
 
+#: The nine ScenarioConfig fields schema 4 carried and schema 5 removed,
+#: with their schema-4 defaults.
+REMOVED_IN_V5 = {
+    "regenerate_lifetimes": True,
+    "resilience": None,
+    "heartbeat_period_s": 60.0,
+    "missed_heartbeats_for_failure": 3,
+    "repair_deadline_s": None,
+    "redispatch_backoff_s": 120.0,
+    "redispatch_limit": 3,
+    "verification_quorum": 2,
+    "verification_timeout_s": 30.0,
+}
+
+
+def put_old_entry(store, monkeypatch, schema, removed):
+    """Write an entry exactly as a build of *schema* would have: its
+    config carried the *removed* fields the current schema rejects."""
+    to_json_dict = ScenarioConfig.to_json_dict
+    monkeypatch.setattr(store_keys, "STORE_SCHEMA_VERSION", schema)
+    monkeypatch.setattr(
+        ScenarioConfig,
+        "to_json_dict",
+        lambda config: {**to_json_dict(config), **removed},
+    )
+    digest = store.put(CONFIG, make_report())
+    monkeypatch.undo()
+    with open(store.object_path(digest), encoding="utf-8") as handle:
+        document = json.load(handle)
+    assert document["schema"] == schema
+    assert removed.items() <= document["config"].items()
+    return digest
+
+
+class TestSchemaV5Migration:
+    """Schema 4 -> 5 bump: nine fields left the config, so schema-4
+    entries carry config fields the current schema rejects."""
+
+    def test_current_schema_is_v5(self):
+        assert STORE_SCHEMA_VERSION == 5
+
+    def test_v4_entries_are_stale_not_corrupt(self, tmp_path, monkeypatch):
+        store = RunStore(tmp_path)
+        v4 = put_old_entry(store, monkeypatch, 4, REMOVED_IN_V5)
+        assert store.get(CONFIG) is None
+        current = store.put(CONFIG, make_report())
+        assert current != v4
+        outcome = store.verify()
+        assert outcome.passed
+        assert outcome.ok == 1
+        assert len(outcome.stale) == 1
+        assert not outcome.corrupt
+        assert store.gc().removed_stale == 1
+        assert os.path.exists(store.object_path(current))
+
+    @pytest.mark.parametrize("field", sorted(REMOVED_IN_V5))
+    def test_removed_fields_are_rejected(self, field):
+        data = {**CONFIG.to_json_dict(), field: REMOVED_IN_V5[field]}
+        with pytest.raises(ValueError, match=field):
+            ScenarioConfig.from_json_dict(data)
+
 
 class TestSchemaV4Migration:
     """Schema 3 -> 4 bump: eight fixed model values left the config, so
     schema-3 entries carry config fields the current schema rejects."""
 
-    def test_current_schema_is_v4(self):
-        assert STORE_SCHEMA_VERSION == 4
-
     def _put_v3_entry(self, store, monkeypatch):
-        """Write an entry exactly as a schema-3 build would have."""
-        to_json_dict = ScenarioConfig.to_json_dict
-        monkeypatch.setattr(store_keys, "STORE_SCHEMA_VERSION", 3)
-        monkeypatch.setattr(
-            ScenarioConfig,
-            "to_json_dict",
-            lambda config: {**to_json_dict(config), **REMOVED_IN_V4},
-        )
-        digest = store.put(CONFIG, make_report())
-        monkeypatch.undo()
-        with open(store.object_path(digest), encoding="utf-8") as handle:
-            document = json.load(handle)
-        assert document["schema"] == 3
-        assert REMOVED_IN_V4.items() <= document["config"].items()
-        return digest
+        return put_old_entry(store, monkeypatch, 3, REMOVED_IN_V4)
 
     def test_v3_entries_are_skipped_not_read(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path)
         v3 = self._put_v3_entry(store, monkeypatch)
-        # A v4 lookup of the same config misses: the digest preimage
+        # A current lookup of the same config misses: the digest preimage
         # includes the schema version, so v3 results are never reused.
         assert store.get(CONFIG) is None
         assert store.put(CONFIG, make_report()) != v3
