@@ -20,10 +20,10 @@ runtime's own copy perturbs no other stream.  Cached entries are
 immutable tuples of frozen :class:`~repro.geometry.point.Point`
 objects, safely shared between runs.
 
-The cache is deliberately **per process** (a module global): persistent
-sweep workers fill it once per placement group and reuse it for every
-chunked run they execute; independent processes never share state, so
-cross-run leakage is impossible.  It is written only during
+The cache is deliberately **per process** (a module global): a sweep
+worker reuses it for every run it executes that shares a deployment;
+independent processes never share state, so cross-run leakage is
+impossible.  It is written only during
 ``ScenarioRuntime`` construction — never from scheduled event handlers.
 """
 

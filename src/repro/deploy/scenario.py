@@ -338,6 +338,13 @@ class ScenarioConfig:
             object.__setattr__(
                 self, "fault_script", script if script else None
             )
+            # Sorted by time; the run stops before an event at or past
+            # the horizon.
+            if script and script[-1].time >= self.sim_time_s:
+                raise ValueError(
+                    f"fault_script event at t={script[-1].time:g}s never "
+                    f"fires before sim_time_s={self.sim_time_s:g}"
+                )
         if self.jam_rate is not None and not self.jam_rate > 0:
             raise ValueError(
                 f"jam rate must be positive: {self.jam_rate}"

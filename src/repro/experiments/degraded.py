@@ -50,7 +50,7 @@ def default_degraded_campaign(
     """
     outage_start = sim_time_s / 10
     outage_duration = sim_time_s / 4
-    return (
+    campaign = (
         FaultEvent(
             time=0.075 * sim_time_s,
             kind=FaultKind.JAM,
@@ -79,6 +79,9 @@ def default_degraded_campaign(
             duration=outage_duration,
         ),
     )
+    # Below a ~111 s horizon the later breakdowns would land at or past
+    # the end, where they never fire and ScenarioConfig refuses them.
+    return tuple(event for event in campaign if event.time < sim_time_s)
 
 
 def figure_degraded(

@@ -16,32 +16,23 @@ interrupted grid resumes for free: rerunning it only executes the
 missing cells.
 
 Misses run in-process unless ``max_workers`` asks for more than one
-worker.  The parallel path is a **chunked executor**: misses are
-grouped by their placement-relevant config subset (see
-:func:`~repro.deploy.placement_cache.placement_key`), sliced into a
-bounded number of contiguous chunks, and each chunk runs sequentially
-inside one persistent worker of a spawn-context pool.  One process
-task per *chunk* instead of per *run* amortizes task pickling and the
-spawn interpreter/import cost over many runs, and grouping means a
-worker's per-process placement cache is hot for every run in its chunk
-(replicates and algorithm variants sharing a deployment reuse the
-computed node positions).  Results still come back per run into the
-parent, which writes them to the store one by one — a killed batch
-loses at most its in-flight chunks — and are returned in input order.
+worker.  Then they go through the service's supervised job queue
+(:class:`~repro.service.queue.JobQueue`): a spawn-context process pool
+that retries a run whose worker died, persists each result as it
+finishes, and hands the reports back in input order.  A sweep without
+a store runs the queue on a temporary one.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import dataclasses
-import multiprocessing
 import os
+import tempfile
 import typing
 
 from repro.core.runtime import ScenarioRuntime
-from repro.deploy.placement_cache import placement_key
 from repro.deploy.scenario import ScenarioConfig, paper_scenario
-from repro.net.radio import sensor_radio
 from repro.metrics.aggregate import mean_of
 from repro.metrics.collector import RunReport
 from repro.store.provenance import perf_clock
@@ -98,47 +89,6 @@ def run_config_timed(
     return report, perf_clock() - started
 
 
-#: Chunks produced per pool worker.  More than one keeps the pool
-#: load-balanced when run durations differ; a small factor keeps chunks
-#: big enough to amortize per-task overhead and bounds how much work an
-#: interrupted batch can lose (completed chunks are already persisted).
-_CHUNKS_PER_WORKER = 4
-
-#: Worker pools use the spawn start method, matching the service's
-#: process pools: workers start from a fresh interpreter, so
-#: fork-inherited module state (monkeypatches, caches, open handles)
-#: cannot leak into sweep runs.
-_MP_START_METHOD = "spawn"
-
-
-def _run_chunk(
-    configs: typing.Sequence[ScenarioConfig],
-) -> typing.List[typing.Tuple[RunReport, float]]:
-    """Run a chunk of configs sequentially in one worker process.
-
-    Module-level so it can cross a process boundary.  Runs in chunk
-    order, which the parent arranged to be placement-grouped, so the
-    worker's placement cache is hot from the second run of each group
-    on.
-    """
-    return [run_config_timed(config) for config in configs]
-
-
-def _split_chunks(
-    items: typing.List[typing.Tuple[int, ScenarioConfig]],
-    chunk_count: int,
-) -> typing.List[typing.List[typing.Tuple[int, ScenarioConfig]]]:
-    """Split *items* into *chunk_count* contiguous, balanced slices."""
-    base, extra = divmod(len(items), chunk_count)
-    chunks = []
-    start = 0
-    for index in range(chunk_count):
-        size = base + (1 if index < extra else 0)
-        chunks.append(items[start : start + size])
-        start += size
-    return [chunk for chunk in chunks if chunk]
-
-
 @dataclasses.dataclass(frozen=True, slots=True)
 class CacheStats:
     """How a batch of runs split between store hits and executions."""
@@ -169,11 +119,11 @@ def run_many(
     hit/miss split.  Misses are persisted one by one as they complete,
     so a killed batch leaves everything already finished reusable.
 
-    With *parallel*, misses are grouped by placement key into
-    contiguous chunks executed by a spawn-context pool of *max_workers*
-    processes (one per CPU when ``None``; one process task per chunk —
-    see the module docstring); otherwise they run in-process in input
-    order.  Studies call :func:`run_grid`, which sets *parallel* from
+    With *parallel*, misses run on the service's job queue with a pool
+    of *max_workers* processes (one per CPU when ``None``): a run whose
+    worker died is retried, and one that still fails raises
+    ``RuntimeError``.  Otherwise they run in-process in input order.
+    Studies call :func:`run_grid`, which sets *parallel* from
     *max_workers*.
     """
     reports: typing.Dict[int, RunReport] = {}
@@ -190,41 +140,40 @@ def run_many(
             misses.append((index, config))
 
     if parallel and len(misses) > 1:
-        workers = max_workers or os.cpu_count() or 1
-        # Stable-sort misses so configs sharing a deployment sit next
-        # to each other (then in input order); contiguous chunks then
-        # maximize each worker's placement-cache reuse.
-        radio_range_m = sensor_radio().range_m
-        grouped = sorted(
-            misses,
-            key=lambda item: (
-                placement_key(item[1], radio_range_m),
-                item[0],
-            ),
-        )
-        chunks = _split_chunks(
-            grouped, min(len(grouped), workers * _CHUNKS_PER_WORKER)
-        )
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(chunks)),
-            mp_context=multiprocessing.get_context(_MP_START_METHOD),
-        ) as pool:
-            futures = {
-                pool.submit(
-                    _run_chunk, [config for _, config in chunk]
-                ): chunk
-                for chunk in chunks
-            }
-            for future in concurrent.futures.as_completed(futures):
-                chunk = futures[future]
-                for (index, config), (report, duration) in zip(
-                    chunk, future.result()
-                ):
-                    if store is not None:
-                        store.put(config, report, duration_s=duration)
-                    reports[index] = report
-                    if progress is not None:
-                        progress(f"done: {config.describe()}")
+        # Imported here: the service imports this module, and the
+        # in-process path needs none of it.
+        from repro.service.queue import JobQueue
+        from repro.store.store import RunStore
+
+        with contextlib.ExitStack() as stack:
+            if store is None:
+                store = RunStore(
+                    stack.enter_context(tempfile.TemporaryDirectory())
+                )
+            queue = JobQueue(
+                store, workers=max_workers or os.cpu_count() or 1
+            )
+            # Only a clean exit waits for the pool; on an error or an
+            # interrupt its workers are killed, not run to the end.
+            stack.push(
+                lambda error, *_: queue.shutdown(wait=error is None)
+            )
+            digests = [
+                queue.submit(config, source="sweep").digest
+                for _, config in misses
+            ]
+            for (index, config), digest in zip(misses, digests):
+                queue.wait(digest, None)
+                entry = queue.result(digest)
+                if entry is None:
+                    record = queue.status(digest)
+                    raise RuntimeError(
+                        f"run failed: {config.describe()}: "
+                        f"{record.error if record is not None else None}"
+                    )
+                reports[index] = entry.report
+                if progress is not None:
+                    progress(f"done: {config.describe()}")
     else:
         for index, config in misses:
             report, duration = run_config_timed(config)

@@ -13,7 +13,8 @@ The execution plane is supervised (:mod:`repro.service.queue`): dead
 workers rebuild the pool, failed-retryable jobs re-execute with
 deterministic backoff, hung jobs are cancelled and requeued, and
 overload degrades to ``503 + Retry-After`` instead of falling over.
-:mod:`repro.service.chaos` is the matching fault-injection harness.
+The matching fault-injection harness lives with the tests
+(``tests/chaos.py``).
 
 Start it with ``repro-sim serve``; talk to it with
 :class:`repro.service.client.ServiceClient` or plain curl.  The full
@@ -23,17 +24,14 @@ its submodule.
 """
 
 from repro.service.api import serve
-from repro.service.chaos import ChaosPlan, chaos_runner
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.queue import JobQueue, RetryPolicy, WorkerPool
 
 __all__ = [
-    "ChaosPlan",
     "JobQueue",
     "RetryPolicy",
     "ServiceClient",
     "ServiceError",
     "WorkerPool",
-    "chaos_runner",
     "serve",
 ]

@@ -196,8 +196,9 @@ class JobRecord:
     #: ``None`` until a worker first touches the record; a stale lease
     #: on a non-terminal record marks the worker as silently dead.
     lease_unix: typing.Optional[float] = None
-    #: Who created the job: ``"api"``, ``"cli"``, or ``"store"`` for
-    #: records synthesized from a pre-existing store entry.
+    #: Who created the job: ``"api"``, ``"sweep"`` (a parallel
+    #: ``run_many``), or ``"store"`` for records synthesized from a
+    #: pre-existing store entry.
     source: str = "api"
     description: str = ""
 

@@ -28,16 +28,15 @@ import pytest
 from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, paper_scenario
 from repro.service import (
-    ChaosPlan,
     JobQueue,
     RetryPolicy,
     ServiceClient,
     WorkerPool,
-    chaos_runner,
     serve,
 )
 from repro.sim.trace import RecordingSink, Tracer, trace_digest
 from repro.store import JobStatus, RunStore, reports_equivalent
+from tests.chaos import ChaosPlan, chaos_runner
 
 BASELINE_PATH = (
     pathlib.Path(__file__).resolve().parents[1]

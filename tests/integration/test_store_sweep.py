@@ -4,15 +4,27 @@ These tests exercise the acceptance criteria end to end: a repeated
 sweep does zero simulation the second time and returns field-for-field
 identical reports; an interrupted sweep resumes with only the missing
 cells executed; a corrupt cache entry is quarantined and transparently
-recomputed.
+recomputed; a parallel sweep survives a worker killed mid-run.
 """
+
+import os
+import signal
+import tempfile
+import threading
+import time
 
 import pytest
 
 from repro.deploy import Algorithm, reset_placement_cache
 from repro.deploy import placement_cache
 from repro.experiments import runner, sweep
-from repro.store import RunStore, canonical_json, reports_equivalent
+from repro.store import (
+    JobStatus,
+    JobStore,
+    RunStore,
+    canonical_json,
+    reports_equivalent,
+)
 
 FAST = dict(sim_time_s=2_000.0, sensors_per_robot=25, placement="grid")
 
@@ -159,17 +171,87 @@ class TestResumableSweep:
         assert len(store.digests()) == 4
 
 
+def _assert_same_reports(first, second):
+    assert [(p.algorithm, p.robot_count) for p in first.points] == [
+        (p.algorithm, p.robot_count) for p in second.points
+    ]
+    for p1, p2 in zip(first.points, second.points):
+        assert len(p1.reports) == len(p2.reports)
+        for r1, r2 in zip(p1.reports, p2.reports):
+            assert reports_equivalent(r1, r2)
+
+
+def _kill_a_running_worker(root, sweeping):
+    """SIGKILL the worker of the first run a job record shows running."""
+    jobs = JobStore(root)
+    while sweeping.is_alive():
+        for digest in jobs.digests():
+            record = jobs.load(digest)
+            if (
+                record is not None
+                and record.status == JobStatus.RUNNING
+                and record.worker is not None
+            ):
+                pid = int(record.worker.removeprefix("pid-"))
+                os.kill(pid, signal.SIGKILL)
+                return
+        time.sleep(0.005)
+    pytest.fail("the sweep finished before any run was seen running")
+
+
 class TestParallelSweep:
-    def test_parallel_path_feeds_the_store(self, tmp_path):
-        store = RunStore(tmp_path)
+    def test_parallel_path_feeds_the_store(self, tmp_path, monkeypatch):
+        # Without a store the pool runs on a temporary one, which must
+        # be gone once the sweep returns.
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        serial = sweep(**GRID)
         grid = dict(GRID, max_workers=2)
+        _assert_same_reports(sweep(**grid), serial)
+        assert list(scratch.iterdir()) == []
+
+        store = RunStore(tmp_path / "store")
         first = sweep(store=store, **grid)
         assert first.cache.misses == 4
         assert len(store.digests()) == 4
+        _assert_same_reports(first, serial)
 
         second = sweep(store=store, **grid)
         assert second.cache.hits == 4
         assert second.cache.misses == 0
-        for p1, p2 in zip(first.points, second.points):
-            for r1, r2 in zip(p1.reports, p2.reports):
-                assert reports_equivalent(r1, r2)
+        _assert_same_reports(first, second)
+        # job records sit beside the entries; the store stays valid
+        assert store.verify().passed
+
+    def test_sweep_survives_a_killed_worker(self, tmp_path):
+        # Long enough runs that one is caught while it runs.
+        grid = dict(
+            algorithms=Algorithm.ALL,
+            robot_counts=(4,),
+            seeds=(1, 2),
+            sim_time_s=3_000.0,
+        )
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = sweep(
+                    store=RunStore(tmp_path), max_workers=2, **grid
+                )
+            except BaseException as error:  # re-raised below
+                outcome["error"] = error
+
+        sweeping = threading.Thread(target=run, daemon=True)
+        sweeping.start()
+        _kill_a_running_worker(tmp_path, sweeping)
+        sweeping.join(timeout=300)
+        assert not sweeping.is_alive()
+        if "error" in outcome:
+            raise outcome["error"]
+        result = outcome["result"]
+        assert result.cache.misses == 6
+        jobs = JobStore(tmp_path)
+        retried = [jobs.load(digest).attempts for digest in jobs.digests()]
+        assert max(retried) >= 2  # the killed worker's run ran again
+        _assert_same_reports(result, sweep(**grid))

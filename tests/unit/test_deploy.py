@@ -20,6 +20,7 @@ from repro.deploy import (
     paper_scenario,
     uniform_random_positions,
 )
+from repro.experiments.degraded import default_degraded_campaign
 from repro.geometry import Point, Rect
 from repro.net import Channel, NetworkNode, sensor_radio
 from repro.routing import RoutingStats
@@ -292,6 +293,24 @@ class TestScenarioConfig:
             {"fault_script": ({**breakdown, "kind": "battery"},)},
         ):
             ScenarioConfig(robot_downtime_s=600.0, **used)
+
+    def test_fault_event_past_the_horizon_rejected(self):
+        # The run stops at sim_time_s, so an event at or after it never
+        # fires; it would only give the same run a second digest.
+        crash = {"target": "robot-00", "kind": "crash"}
+        for time in (1_000.0, 5_000.0):
+            with pytest.raises(ValueError, match="never fires"):
+                ScenarioConfig(
+                    sim_time_s=1_000.0,
+                    fault_script=({**crash, "time": time},),
+                )
+        ScenarioConfig(
+            sim_time_s=1_000.0, fault_script=({**crash, "time": 999.0},)
+        )
+        # A short horizon cuts the degraded campaign's last breakdown.
+        campaign = default_degraded_campaign(100.0)
+        assert [event.time for event in campaign] == [7.5, 10.0, 60.0]
+        ScenarioConfig(sim_time_s=100.0, fault_script=campaign)
 
     def test_permanent_fault_share_needs_robot_mtbf(self):
         # The share applies only to stochastic faults, drawn from the MTBF.

@@ -1,4 +1,4 @@
-"""Unit tests for the chaos harness (repro.service.chaos).
+"""Unit tests for the chaos harness (tests/chaos.py).
 
 Everything here runs in-process: the chaos runner is exercised
 directly (no executor), so the SIGKILL effect takes its degraded
@@ -13,15 +13,15 @@ import pytest
 
 from repro.deploy.scenario import Algorithm, paper_scenario
 from repro.metrics import RunReport
-from repro.service.chaos import (
+from repro.store import JobRecord, JobStatus, JobStore, RunStore
+from repro.store.keys import config_digest
+from tests.chaos import (
     ChaosPlan,
     FlakyStore,
     WorkerCrash,
     chaos_runner,
     kill_one_worker,
 )
-from repro.store import JobRecord, JobStatus, JobStore, RunStore
-from repro.store.keys import config_digest
 
 CONFIG = paper_scenario(Algorithm.FIXED, 4, seed=5, sim_time_s=1_500.0)
 

@@ -15,7 +15,6 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.service.chaos import FlakyStore, WorkerCrash
 from repro.service.queue import (
     JobQueue,
     JobTimeoutError,
@@ -35,6 +34,7 @@ from repro.store import (
     RunStore,
     config_digest,
 )
+from tests.chaos import FlakyStore, WorkerCrash
 from tests.unit.service_support import CONFIG, make_report, thread_queue
 
 #: Fast backoff so retry tests finish in milliseconds.
