@@ -26,8 +26,8 @@ rank above it), or one of the two was popped.
   for the rescan.  Iterating existing row tuples beats zipping parallel
   coordinate arrays in CPython, and the trailing pair is the query's
   *result* tuple, built once per update instead of once per query — the
-  same layout :class:`~repro.net.spatial.SpatialGrid` uses for its cell
-  buckets.
+  same layout :class:`~repro.net.spatial.SpatialGrid` uses for its strip
+  rows.
 
 Mutations keep the rows in step incrementally (append on first sight,
 in-place overwrite on update, swap-remove on obituary), so the table

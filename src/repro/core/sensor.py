@@ -111,11 +111,17 @@ class SensorNode(NetworkNode):
         self, announcement: NodeAnnouncement, now: float
     ) -> None:
         # The base hook's upsert, inlined: this runs once per beacon
-        # reception, the bulk of all deliveries.
+        # reception, the bulk of all deliveries.  A known neighbour's
+        # row is refreshed in place; only a new one goes through upsert.
         node_id = announcement.node_id
-        self.neighbor_table.upsert(
-            node_id, announcement.position, announcement.kind
-        )
+        entry = self.neighbor_table.by_id.get(node_id)
+        if entry is None:
+            self.neighbor_table.upsert(
+                node_id, announcement.position, announcement.kind
+            )
+        else:
+            entry.position = announcement.position
+            entry.kind = announcement.kind
         self._last_beacon[node_id] = now
         if node_id in self.guardees:
             self.guardee_positions[node_id] = announcement.position
@@ -553,7 +559,11 @@ class SensorNode(NetworkNode):
         """Learn from a flood newer than any seen from its origin, and
         relay it if the strategy says so (called once per seq)."""
         self._flood_seen[flood.origin_id] = flood.seq
-        self._learn_from_flood(flood)
+        # Heard straight from its origin, the flood's row was just
+        # written by on_broadcast_received.
+        self._learn_from_flood(
+            flood, row_fresh=packet.source == flood.origin_id
+        )
         if self.runtime.coordination.should_relay_flood(self, flood):
             relay = Packet(
                 source=self.node_id,
@@ -563,8 +573,14 @@ class SensorNode(NetworkNode):
             )
             self.mac.broadcast_packet(relay)
 
-    def _learn_from_flood(self, flood: FloodMessage) -> None:
-        """Fold a flooded announcement into local robot knowledge."""
+    def _learn_from_flood(
+        self, flood: FloodMessage, row_fresh: bool = False
+    ) -> None:
+        """Fold a flooded announcement into local robot knowledge.
+
+        *row_fresh* says the origin's neighbour row already holds this
+        flood's position and kind, so it is not written again.
+        """
         if flood.kind == "manager":
             self.manager_id = flood.origin_id
             self.manager_position = flood.position
@@ -583,8 +599,7 @@ class SensorNode(NetworkNode):
         if known is None or flood.seq >= known[1]:
             self.known_robots[flood.origin_id] = (flood.position, flood.seq)
         # Keep the routing layer's idea of robot positions fresh too.
-        entry = self.neighbor_table.get(flood.origin_id)
-        if entry is not None:
+        if not row_fresh and flood.origin_id in self.neighbor_table:
             self.neighbor_table.upsert(
                 flood.origin_id, flood.position, flood.kind
             )

@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
+import sys
 import tempfile
 import typing
 
@@ -106,6 +107,27 @@ class CacheStats:
         return self.hits / self.total if self.total else 0.0
 
 
+def _require_spawnable_main() -> None:
+    """Raise ``RuntimeError`` when spawn workers cannot load ``__main__``.
+
+    ``multiprocessing``'s spawn start method re-imports the parent's
+    ``__main__`` in every worker: by module name when it has a
+    ``__spec__``, otherwise by running its ``__file__``.  A script read
+    from stdin (``python - <<EOF``) has neither a spec nor a file, so
+    every worker would die at start-up, and retrying cannot help.
+    """
+    main = sys.modules.get("__main__")
+    if getattr(getattr(main, "__spec__", None), "name", None) is not None:
+        return
+    path = getattr(main, "__file__", None)
+    if path is not None and not os.path.exists(path):
+        raise RuntimeError(
+            f"parallel runs need a __main__ that spawn workers can "
+            f"re-import, and {path!r} is not a file: run the script "
+            f"from a file or with -m, or use one worker"
+        )
+
+
 def run_many(
     configs: typing.Sequence[ScenarioConfig],
     parallel: bool = True,
@@ -122,7 +144,8 @@ def run_many(
     With *parallel*, misses run on the service's job queue with a pool
     of *max_workers* processes (one per CPU when ``None``): a run whose
     worker died is retried, and one that still fails raises
-    ``RuntimeError``.  Otherwise they run in-process in input order.
+    ``RuntimeError``, as does a ``__main__`` the workers cannot
+    re-import.  Otherwise they run in-process in input order.
     Studies call :func:`run_grid`, which sets *parallel* from
     *max_workers*.
     """
@@ -145,6 +168,7 @@ def run_many(
         from repro.service.queue import JobQueue
         from repro.store.store import RunStore
 
+        _require_spawnable_main()
         with contextlib.ExitStack() as stack:
             if store is None:
                 store = RunStore(

@@ -45,6 +45,12 @@ class NeighborTable:
     def __init__(self) -> None:
         self._entries: typing.Dict[NodeId, NeighborEntry] = {}
         self._rows: typing.Optional[typing.List[NeighborEntry]] = None
+        #: The id -> entry map itself, read-only.  A hot receive path
+        #: may refresh a found entry's ``position`` and ``kind`` in
+        #: place, as :meth:`upsert` does; adding or dropping an id must
+        #: go through :meth:`upsert`, :meth:`remove` or :meth:`clear`,
+        #: which drop the kept rows.
+        self.by_id: typing.Mapping[NodeId, NeighborEntry] = self._entries
 
     # ------------------------------------------------------------------
     # Mutation

@@ -1,83 +1,99 @@
-"""Spatial hash grid for range queries over node positions.
+"""Strip index for range queries over node positions.
 
 The channel must answer "which nodes lie within ``r`` metres of this
-sender?" for every transmission.  A uniform hash grid with cell size on
-the order of the largest radio range answers this in near-constant time
-for the paper's densities (one sensor per ~28 m × 28 m).
+sender?" for every transmission it does not serve from its receiver
+cache.  The index cuts the plane into horizontal strips of height
+``cell_size`` and keeps each strip's entries sorted by x, so a disk
+query is a few bisects per strip the disk spans.
 
 Hot-path layout (see ``docs/PERFORMANCE.md``):
 
-* Cells store flattened ``(id, x, y, (id, position))`` entry rows in
-  id-sorted lists, and a query filters the concatenated candidate rows
-  of its cells in one loop.  Iterating prebuilt tuples yields existing
-  objects, so the loop does no attribute loads and a hit allocates
-  nothing: its result pair is already in the row.
-* The set of candidate cell offsets for a query radius is precomputed
-  once per radius (``_offsets_for``) — the paper uses exactly two radii
-  (63 m sensors, 250 m robots/manager), so the tables are tiny.  Each
-  candidate cell is then pruned by its exact minimum distance to the
-  query center before its rows are collected.
-* The grid holds no derived state.  The channel keeps only static
+* A strip keeps three parallel, x-sorted lists: the ``xs`` to bisect,
+  flattened ``(id, x, y, (id, position))`` rows for the distance test,
+  and the prebuilt ``(id, position)`` result pairs.
+* Per strip, the *outer* x-range is the chord of the disk of radius
+  ``r + MARGIN`` at the strip's near edge: no node outside it can hit.
+  The *sure* x-range is the chord of radius ``r - MARGIN`` at the
+  strip's far edge: every node inside it hits.  The sure slice's pairs
+  are taken without a test; only the two edge slices between the
+  ranges go through the ``qx*qx + qy*qy <= r2`` test, so the result is
+  exactly that float test's.
+* The index holds no derived state.  The channel keeps only static
   nodes here (robots live in its mobile layer), and caches its
-  receiver sets outside the grid.
+  receiver sets outside the index.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 import operator
 import typing
 
 from math import floor as _floor
+from math import sqrt as _sqrt
 
 from repro.geometry.point import Point
 
 __all__ = ["SpatialGrid"]
 
-#: Cell bucket entry: ``(id, x, y, (id, position))``.  Coordinates are
+#: Strip entry row: ``(id, x, y, (id, position))``.  Coordinates are
 #: flattened for the range-query inner loop, and the trailing pair is
 #: the prebuilt result tuple so hits allocate nothing.
 _Entry = typing.Tuple[str, float, float, typing.Tuple[str, Point]]
-
 
 #: Sort key of a query hit: ids are unique, so sorting by id alone gives
 #: the ``(id, position)`` tuple order without comparing tuples.
 _hit_id = operator.itemgetter(0)
 
+#: Metres by which the outer chords widen and the sure chords narrow.
+#: A node outside the outer range lies beyond ``r + MARGIN``, so its
+#: squared distance exceeds ``r2`` by more than ``2·MARGIN·r``; a node
+#: in the sure range lies within ``r - MARGIN``, at least
+#: ``2·MARGIN·r - MARGIN²`` inside ``r2``.  At ``r ≥ 63`` that is
+#: over 0.125 m², against float rounding of the chords and of the
+#: test itself below 1e-8 m² for coordinates up to 10 km.
+MARGIN = 1e-3
 
-def _entry(item_id: str, position: Point) -> _Entry:
-    return (item_id, position.x, position.y, (item_id, position))
+
+class _Strip:
+    """One strip's entries, in three parallel lists sorted by x."""
+
+    __slots__ = ("xs", "rows", "pairs")
+
+    def __init__(self) -> None:
+        self.xs: typing.List[float] = []
+        self.rows: typing.List[_Entry] = []
+        self.pairs: typing.List[typing.Tuple[str, Point]] = []
+
+    def add(self, item_id: str, position: Point) -> None:
+        x = position.x
+        index = bisect.bisect_right(self.xs, x)
+        pair = (item_id, position)
+        self.xs.insert(index, x)
+        self.rows.insert(index, (item_id, x, position.y, pair))
+        self.pairs.insert(index, pair)
+
+    def discard(self, item_id: str, x: float) -> None:
+        index = bisect.bisect_left(self.xs, x)
+        while self.rows[index][0] != item_id:
+            index += 1
+        del self.xs[index]
+        del self.rows[index]
+        del self.pairs[index]
 
 
 class SpatialGrid:
     """Maps string ids to positions and supports disk range queries."""
 
-    __slots__ = (
-        "cell_size",
-        "_cells",
-        "_positions",
-        "_offsets",
-    )
+    __slots__ = ("cell_size", "_strips", "_positions")
 
     def __init__(self, cell_size: float = 250.0) -> None:
         if cell_size <= 0:
             raise ValueError(f"non-positive cell size: {cell_size}")
+        #: Strip height in metres.
         self.cell_size = cell_size
-        self._cells: typing.Dict[typing.Tuple[int, int], typing.List[_Entry]] = {}
+        self._strips: typing.Dict[int, _Strip] = {}
         self._positions: typing.Dict[str, Point] = {}
-        #: radius -> candidate cell offsets ``(dx, dy)`` relative to the
-        #: query's cell, pruned to offsets whose cells can intersect the
-        #: disk for *some* center within the home cell.
-        self._offsets: typing.Dict[
-            float, typing.Tuple[typing.Tuple[int, int], ...]
-        ] = {}
-
-    def _cell_of(self, position: Point) -> typing.Tuple[int, int]:
-        return (
-            math.floor(position.x / self.cell_size),
-            math.floor(position.y / self.cell_size),
-        )
 
     # ------------------------------------------------------------------
     # Mutation
@@ -88,41 +104,25 @@ class SpatialGrid:
             self.move(item_id, position)
             return
         self._positions[item_id] = position
-        bucket = self._cells.setdefault(self._cell_of(position), [])
-        bisect.insort(bucket, _entry(item_id, position))
+        key = _floor(position.y / self.cell_size)
+        strip = self._strips.get(key)
+        if strip is None:
+            strip = self._strips[key] = _Strip()
+        strip.add(item_id, position)
 
     def move(self, item_id: str, position: Point) -> None:
         """Update the position of *item_id* (KeyError if absent)."""
-        old = self._positions[item_id]
-        old_cell = self._cell_of(old)
-        new_cell = self._cell_of(position)
-        self._positions[item_id] = position
-        if old_cell == new_cell:
-            bucket = self._cells[old_cell]
-            for index, entry in enumerate(bucket):
-                if entry[0] == item_id:
-                    bucket[index] = _entry(item_id, position)
-                    break
-            return
-        self._discard(old_cell, item_id)
-        bucket = self._cells.setdefault(new_cell, [])
-        bisect.insort(bucket, _entry(item_id, position))
+        self.remove(item_id)
+        self.insert(item_id, position)
 
     def remove(self, item_id: str) -> None:
         """Remove *item_id* (KeyError if absent)."""
         position = self._positions.pop(item_id)
-        self._discard(self._cell_of(position), item_id)
-
-    def _discard(
-        self, cell: typing.Tuple[int, int], item_id: str
-    ) -> None:
-        bucket = self._cells[cell]
-        for index, entry in enumerate(bucket):
-            if entry[0] == item_id:
-                del bucket[index]
-                break
-        if not bucket:
-            del self._cells[cell]
+        key = _floor(position.y / self.cell_size)
+        strip = self._strips[key]
+        strip.discard(item_id, position.x)
+        if not strip.xs:
+            del self._strips[key]
 
     # ------------------------------------------------------------------
     # Queries
@@ -137,34 +137,6 @@ class SpatialGrid:
         """Current position of *item_id* (KeyError if absent)."""
         return self._positions[item_id]
 
-    def _offsets_for(
-        self, radius: float
-    ) -> typing.Tuple[typing.Tuple[int, int], ...]:
-        """Candidate cell offsets covering a disk of *radius*.
-
-        For a query centered anywhere in its home cell, the reachable
-        cells lie within ``floor(r/cell) + 1`` in each axis; offsets
-        whose nearest possible corner is still outside the disk are
-        pruned up front.  The table is a superset of the exact per-query
-        range, so query results are unaffected (each candidate is still
-        distance-checked).
-        """
-        table = self._offsets.get(radius)
-        if table is None:
-            size = self.cell_size
-            span = int(radius / size) + 1
-            r2 = radius * radius
-            offsets = []
-            for dx in range(-span, span + 1):
-                min_x = max(0, abs(dx) - 1) * size
-                for dy in range(-span, span + 1):
-                    min_y = max(0, abs(dy) - 1) * size
-                    if min_x * min_x + min_y * min_y <= r2:
-                        offsets.append((dx, dy))
-            table = tuple(offsets)
-            self._offsets[radius] = table
-        return table
-
     def within(
         self, center: Point, radius: float
     ) -> typing.List[typing.Tuple[str, Point]]:
@@ -177,37 +149,54 @@ class SpatialGrid:
             return []
         size = self.cell_size
         r2 = radius * radius
+        outer = radius + MARGIN
+        outer2 = outer * outer
+        inner = radius - MARGIN
+        inner2 = inner * inner if inner > 0.0 else -1.0
         x = center.x
         y = center.y
-        cx = _floor(x / size)
-        cy = _floor(y / size)
-        # Offsets of the query point inside its home cell; used to prune
-        # candidate cells by their exact minimum distance to the center
-        # (the offset table is only a worst-case-over-the-cell superset).
-        fx = x - cx * size
-        fy = y - cy * size
-        get = self._cells.get
-        candidates: typing.List[_Entry] = []
-        extend = candidates.extend
-        for dx, dy in self._offsets_for(radius):
-            if dx > 0:
-                mx = dx * size - fx
-            elif dx:
-                mx = fx - (dx + 1) * size
-            else:
-                mx = 0.0
-            if dy > 0:
-                my = dy * size - fy
-            elif dy:
-                my = fy - (dy + 1) * size
-            else:
-                my = 0.0
-            if mx * mx + my * my > r2:
-                continue
-            bucket = get((cx + dx, cy + dy))
-            if bucket:
-                extend(bucket)
+        get = self._strips.get
+        bisect_left = bisect.bisect_left
+        bisect_right = bisect.bisect_right
         found: typing.List[typing.Tuple[str, Point]] = []
+        candidates: typing.List[_Entry] = []
+        first = _floor((y - outer) / size)
+        last = _floor((y + outer) / size)
+        for key in range(first, last + 1):
+            strip = get(key)
+            if strip is None:
+                continue
+            low = key * size - y
+            high = low + size
+            # Distances from the center's row to the strip's near and
+            # far edges.
+            if low > 0.0:
+                near = low
+                far = high
+            elif high < 0.0:
+                near = -high
+                far = -low
+            else:
+                near = 0.0
+                far = high if high > -low else -low
+            span2 = outer2 - near * near
+            if span2 < 0.0:
+                continue
+            span = _sqrt(span2)
+            xs = strip.xs
+            rows = strip.rows
+            start = bisect_left(xs, x - span)
+            stop = bisect_right(xs, x + span, start)
+            sure2 = inner2 - far * far
+            if sure2 > 0.0:
+                sure = _sqrt(sure2)
+                sure_start = bisect_left(xs, x - sure, start, stop)
+                sure_stop = bisect_right(xs, x + sure, sure_start, stop)
+                found += strip.pairs[sure_start:sure_stop]
+                candidates += rows[start:sure_start]
+                candidates += rows[sure_stop:stop]
+            else:
+                candidates += rows[start:stop]
         append = found.append
         for _id, px, py, pair in candidates:
             qx = px - x

@@ -9,6 +9,8 @@ recomputed; a parallel sweep survives a worker killed mid-run.
 
 import os
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -223,6 +225,33 @@ class TestParallelSweep:
         _assert_same_reports(first, second)
         # job records sit beside the entries; the store stays valid
         assert store.verify().passed
+
+    def test_stdin_script_fails_before_any_worker_starts(self):
+        # Spawn workers re-import __main__, which a script piped on
+        # stdin does not have; the sweep must refuse at once rather
+        # than retry jobs on workers that die at start-up.
+        script = (
+            "from repro.deploy import Algorithm\n"
+            "from repro.experiments import sweep\n"
+            "sweep(algorithms=(Algorithm.FIXED,), robot_counts=(4,),\n"
+            "      seeds=(1, 2), max_workers=2, sim_time_s=200.0,\n"
+            "      sensors_per_robot=25, placement='grid')\n"
+        )
+        package = os.path.dirname(os.path.dirname(runner.__file__))
+        done = subprocess.run(
+            [sys.executable, "-"],
+            input=script,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(package)),
+        )
+        assert done.returncode != 0
+        last = done.stderr.strip().splitlines()[-1]
+        assert last.startswith("RuntimeError: parallel runs need a __main__")
+        assert "'<stdin>' is not a file" in last
+        assert done.stderr.count("Traceback") == 1
+        assert "SpawnProcess" not in done.stderr
 
     def test_sweep_survives_a_killed_worker(self, tmp_path):
         # Long enough runs that one is caught while it runs.

@@ -8,7 +8,8 @@ through the hook and to the same sensor of an identical runtime
 through the reference below; after every step the two must agree
 exactly on the neighbour rows, the beacon stamps, the guardee
 positions and the reported set, or the pinned trace baselines would
-move.
+move.  The hook refreshes a known neighbour's row in place, so a robot
+sender announces itself under a kind drawn anew at each step.
 """
 
 from hypothesis import given, settings
@@ -31,9 +32,15 @@ positions = st.builds(
     st.sampled_from([0.0, 5.0, 37.5]),
     st.sampled_from([0.0, 12.0]),
 )
+#: A robot sender's announced kind; the hook's in-place refresh must
+#: overwrite ``kind`` as upsert does.
+robot_kinds = st.sampled_from(["robot", "manager"])
 steps = st.lists(
     st.tuples(
-        senders, positions, st.floats(min_value=0.0, max_value=30.0)
+        senders,
+        positions,
+        st.floats(min_value=0.0, max_value=30.0),
+        robot_kinds,
     ),
     min_size=1,
     max_size=12,
@@ -106,8 +113,8 @@ class TestAnnouncementHook:
         hook = subject(verify, reported, released)
         reference = subject(verify, reported, released)
         assert state(hook) == state(reference)
-        for sender_id, position, gap in sequence:
-            kind = "robot" if sender_id.startswith("robot") else "sensor"
+        for sender_id, position, gap, robot_kind in sequence:
+            kind = robot_kind if sender_id.startswith("robot") else "sensor"
             announcement = NodeAnnouncement(sender_id, position, kind)
             until = hook.sim.now + gap
             hook.sim.run(until=until)
