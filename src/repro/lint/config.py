@@ -84,12 +84,12 @@ DEFAULT_TIME_SUFFIXES = ("_time", "_time_s", "_at")
 DEFAULT_EPOCH_SPECS: typing.Mapping[
     str, typing.Mapping[str, typing.Tuple[str, ...]]
 ] = {
-    # The static layer's receiver sets are dropped per change, by
+    # The static layer's receiver sets are revised per change, by
     # position.
     "Channel": {
         "mutated": ("_grid",),
         "caches": ("_receiver_cache",),
-        "invalidators": ("_drop_receivers_near",),
+        "invalidators": ("_revise_receivers_near",),
     },
     # A sensor's kept nearest-robot pair is revised per table change.
     "RobotKnowledge": {

@@ -7,10 +7,12 @@ optional Bernoulli loss model, and counts every transmission by message
 category.  Those counters are the paper's messaging-overhead metric.
 
 The position index has two layers, because in the paper's model only
-the robots move: a strip index of the static nodes, whose receiver sets
-are cached per sender, and a short linear list of the nodes that have
-moved.  Both answer with the same float test and merge by id, so a
-query's result does not depend on which layer holds a node.
+the robots move: a strip index of the static nodes, and a short linear
+list of the nodes that have moved.  Both answer with the same float test
+and merge by id, so a query's result does not depend on which layer
+holds a node.  The static receivers of each static sender whose range
+fits the strip height (the 63 m sensors) are kept, and revised rather
+than recomputed whenever a static node joins or leaves its range.
 
 Contention model: the paper runs in a "low traffic load" regime with
 100 % delivery, so the channel does not simulate CSMA collisions; each
@@ -199,12 +201,14 @@ class Channel:
         #: Live node ids, maintained in sorted order incrementally so
         #: :meth:`nodes` never re-sorts the full registry.
         self._sorted_ids: typing.List[NodeId] = []
-        #: static sender id -> its id-sorted *static* receivers.  An entry
-        #: is dropped when a static node registers or unregisters inside
-        #: that sender's range (see :meth:`_drop_receivers_near`); robot
-        #: moves never touch it, because robots live in the mobile layer.
-        #: In-flight deliveries hold these lists, so an entry is dropped,
-        #: never mutated.
+        #: static sender id -> its id-sorted *static* receivers, kept
+        #: only for senders whose range fits the strip height (the 63 m
+        #: sensors).  A static node that registers or unregisters inside
+        #: a sender's range revises that sender's entry (see
+        #: :meth:`_revise_receivers_near`); robot moves never touch it,
+        #: because robots live in the mobile layer.  In-flight
+        #: deliveries hold these lists, so a revision stores a new list
+        #: and never mutates the old one.
         self._receiver_cache: typing.Dict[
             NodeId, typing.List["NetworkNode"]
         ] = {}
@@ -231,8 +235,8 @@ class Channel:
             raise ValueError(f"duplicate node id: {node_id}")
         self._nodes[node_id] = node
         bisect.insort(self._sorted_ids, node_id)
-        self._grid.insert(node_id, node.position)
-        self._drop_receivers_near(node.position)
+        self._grid.insert(node_id, node.position, node)
+        self._revise_receivers_near(node, node.position, True)
 
     def unregister(self, node_id: NodeId) -> None:
         """Detach a node (on death); it can no longer send or receive."""
@@ -261,7 +265,7 @@ class Channel:
         position = self._grid.position_of(node.node_id)
         self._grid.remove(node.node_id)
         self._forget_receivers(node)
-        self._drop_receivers_near(position)
+        self._revise_receivers_near(node, position, False)
 
     def _forget_receivers(self, sender: "NetworkNode") -> None:
         if self._receiver_cache.pop(sender.node_id, None) is not None:
@@ -271,30 +275,41 @@ class Channel:
             if not ranges[range_m]:
                 del ranges[range_m]
 
-    def _drop_receivers_near(self, position: Point) -> None:
-        """Drop the cached receiver list of every static sender whose
-        range covers *position* (a static node joined or left there).
+    def _revise_receivers_near(
+        self, node: "NetworkNode", position: Point, joined: bool
+    ) -> None:
+        """Revise the cached receiver list of every static sender whose
+        range covers *position*, where the static *node* just joined
+        (*joined*) or left.
 
         The coverage test is the grid's own float sequence with the
-        sender as the disk center, so an entry is dropped exactly when
-        the change could alter it.
+        sender as the disk center, so a list changes exactly when the
+        change alters it.  Each revised list is a new list: the node
+        inserted by id on a join, left out on a leave.
         """
         if not self._cached_ranges:
             return
         cache = self._receiver_cache
-        nodes = self._nodes
+        node_id = node.node_id
         x = position.x
         y = position.y
-        for sender_id, sender_position in self._grid.within(
-            position, max(self._cached_ranges)
+        for sender in self._grid.within(
+            position, max(self._cached_ranges), node_id
         ):
-            if sender_id in cache:
-                sender = nodes[sender_id]
-                range_m = sender.radio.range_m
-                qx = x - sender_position.x
-                qy = y - sender_position.y
-                if qx * qx + qy * qy <= range_m * range_m:
-                    self._forget_receivers(sender)
+            static = cache.get(sender.node_id)
+            if static is None:
+                continue
+            range_m = sender.radio.range_m
+            qx = x - sender.position.x
+            qy = y - sender.position.y
+            if qx * qx + qy * qy > range_m * range_m:
+                continue
+            revised = list(static)
+            if joined:
+                bisect.insort(revised, node, key=_node_id)
+            else:
+                revised.remove(node)
+            cache[sender.node_id] = revised
 
     def _mobile_index(self, node_id: NodeId) -> int:
         mobile = self._mobile
@@ -324,7 +339,7 @@ class Channel:
     ) -> typing.List["NetworkNode"]:
         """Live nodes within *radius* of *center*, id-sorted."""
         return self._with_mobile(
-            self._static_within(center, radius, exclude),
+            self._grid.within(center, radius, exclude),
             center,
             radius,
             exclude,
@@ -333,36 +348,27 @@ class Channel:
     def receivers_of(self, sender: "NetworkNode") -> typing.List["NetworkNode"]:
         """Every node the *sender*'s radio currently reaches.
 
-        A static sender's static receivers are cached until a static
-        node joins or leaves its range; robots in range are merged in on
+        A static sender whose range fits the strip height has its
+        static receivers cached, and revised whenever a static node
+        joins or leaves its range; robots in range are merged in on
         every call.  With no robot in range the cached list itself is
         returned, so treat the result as read-only.
         """
         sender_id = sender.node_id
         static = self._receiver_cache.get(sender_id)
         if static is None:
-            if sender_id not in self._grid:
-                # A mobile sender's disk moves with it: nothing to cache.
-                return self.nodes_within(
-                    sender.position, sender.radio.range_m, sender_id
-                )
             range_m = sender.radio.range_m
-            static = self._static_within(sender.position, range_m, sender_id)
+            if range_m > self._grid.cell_size or sender_id not in self._grid:
+                # A mobile sender's disk moves with it, and a long-range
+                # static sender (the manager, a robot before its first
+                # step) broadcasts too rarely to repay its revisions.
+                return self.nodes_within(sender.position, range_m, sender_id)
+            static = self._grid.within(sender.position, range_m, sender_id)
             self._receiver_cache[sender_id] = static
             self._cached_ranges[range_m] += 1
         return self._with_mobile(
             static, sender.position, sender.radio.range_m, sender_id
         )
-
-    def _static_within(
-        self, center: Point, radius: float, exclude: NodeId
-    ) -> typing.List["NetworkNode"]:
-        nodes = self._nodes
-        return [
-            nodes[node_id]
-            for node_id, _pos in self._grid.within(center, radius)
-            if node_id != exclude
-        ]
 
     def _with_mobile(
         self,

@@ -17,20 +17,20 @@ class Channel:
 
     def register(self, node_id: int, position: tuple) -> None:
         self._grid.insert(node_id, position)
-        self._drop_receivers_near(position)
+        self._revise_receivers_near(position)
 
     def unregister(self, node_id: int, position: tuple) -> None:
         self._leave(node_id)
-        self._drop_receivers_near(position)
+        self._revise_receivers_near(position)
 
     def node_moved(self, node_id: int, position: tuple) -> None:
         self._leave(node_id)
-        self._drop_receivers_near(position)
+        self._revise_receivers_near(position)
 
     def _leave(self, node_id: int) -> None:
         self._grid.remove(node_id)
 
-    def _drop_receivers_near(self, position: tuple) -> None:
+    def _revise_receivers_near(self, position: tuple) -> None:
         self._receiver_cache.clear()
 
     def receivers_of(self, sender_id: int, receivers: list) -> list:

@@ -294,7 +294,12 @@ channel_operations = st.lists(
             st.just("move"), st.integers(0, ROBOTS - 1), lattice_points
         ),
         st.tuples(st.just("kill"), st.integers(0, SENSORS + ROBOTS - 1)),
-        st.tuples(st.just("replace"), st.integers(0, SENSORS - 1)),
+        # "a-spare" ids sort before every other id.
+        st.tuples(
+            st.just("replace"),
+            st.integers(0, SENSORS - 1),
+            st.sampled_from(["spare", "a-spare"]),
+        ),
         st.tuples(st.just("recover"), st.integers(0, ROBOTS - 1)),
         st.tuples(st.just("transmit"), st.integers(0, 63)),
         st.tuples(
@@ -309,7 +314,9 @@ channel_operations = st.lists(
 
 class TestReceiverIndexProperties:
     """The channel's static/mobile receiver index against a brute-force
-    id-sorted scan over every live node, with the grid's float test."""
+    id-sorted scan over every live node, with the grid's float test.
+    Every list ``receivers_of`` hands out must also stay as it was
+    handed out: kept lists are revised by replacement, never in place."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -323,20 +330,24 @@ class TestReceiverIndexProperties:
         [Point(0.0, 70.0), Point(140.0, 0.0), Point(210.0, 210.0)],
         [
             # Senders by index into the sorted live ids: robots first.
-            ("transmit", 3),  # sensor-00
-            ("transmit", 1),  # robot-1, cached while still static
-            ("kill", 8),  # sensor-08, exactly on sensor-00's range
-            ("transmit", 3),
+            ("transmit", 3),  # sensor-00, its 63 m receivers kept
+            ("transmit", 1),  # robot-1, static at 126 m: never kept
+            ("transmit", 1),  # robot-1 again, recomputed
+            ("kill", 8),  # sensor-08 leaves, exactly on sensor-00's range
+            ("transmit", 3),  # sensor-00, revised by the leave
+            ("replace", 8, "a-spare"),  # a-spare-00 sorts before every id
+            ("transmit", 4),  # sensor-00, revised by the join
+            ("transmit", 0),  # a-spare-00
             ("kill", 2),  # sensor-02, exactly on robot-1's range
-            ("transmit", 1),
+            ("transmit", 2),  # robot-1
             ("move", 1, Point(210.0, 0.0)),  # a robot's first move
-            ("transmit", 1),
+            ("transmit", 2),
             ("move", 0, Point(63.0, 0.0)),  # onto sensor-00's range
-            ("transmit", 3),
+            ("transmit", 4),
             ("move", 0, Point(21.0, 7.0)),
             ("kill", SENSORS),  # robot-0 dies while mobile
-            ("transmit", 3),
-            ("replace", 2),  # a spare where sensor-02 stood
+            ("transmit", 3),  # sensor-00
+            ("replace", 2, "spare"),  # a spare where sensor-02 stood
             ("transmit", 3),
             ("recover", 0),
             ("query", Point(21.0, 0.0), 21.0),
@@ -377,10 +388,14 @@ class TestReceiverIndexProperties:
                     found.append(member)
             return found
 
+        handed_out = []
+
         def check_sender(sender):
-            assert channel.receivers_of(sender) == brute_force(
+            receivers = channel.receivers_of(sender)
+            assert receivers == brute_force(
                 sender.position, sender.radio.range_m, sender.node_id
             )
+            handed_out.append((receivers, list(receivers)))
 
         spares = 0
         for operation in operations:
@@ -396,7 +411,8 @@ class TestReceiverIndexProperties:
             elif kind == "replace":
                 dead = population[operation[1]]
                 if not dead.alive:
-                    spare = node(f"spare-{spares:02d}", dead.position, 63.0)
+                    spare_id = f"{operation[2]}-{spares:02d}"
+                    spare = node(spare_id, dead.position, 63.0)
                     spares += 1
                     live[spare.node_id] = spare
             elif kind == "recover":
@@ -417,3 +433,5 @@ class TestReceiverIndexProperties:
         for node_id in sorted(live):
             check_sender(live[node_id])
         assert channel.nodes() == [live[node_id] for node_id in sorted(live)]
+        for receivers, snapshot in handed_out:
+            assert receivers == snapshot

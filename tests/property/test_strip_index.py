@@ -5,10 +5,12 @@ test and tests only the two edge slices around it.  Random sequences of
 ``insert``, ``remove`` and ``move`` are applied to the index and to a
 plain dict; after every step, every query must return exactly what a
 scan of the dict with the same ``qx*qx + qy*qy <= r2`` float test
-returns, sorted by id.  The inputs aim at the places a chord bound can
-be off by one node: points on strip edges, radii around the paper's two
-ranges, and query centers at exactly distance ``r`` from a point, on the
-axes and on 3-4-5 offsets.
+returns, sorted by id, with and without an excluded id.  Inserts come
+in any id order and may store a value of their own, which queries must
+return in place of the ``(id, position)`` pair.  The inputs aim at the
+places a chord bound can be off by one node: points on strip edges,
+radii around the paper's two ranges, and query centers at exactly
+distance ``r`` from a point, on the axes and on 3-4-5 offsets.
 """
 
 from hypothesis import given, settings
@@ -31,9 +33,9 @@ coordinates = st.one_of(
 points = st.builds(Point, coordinates, coordinates)
 operations = st.lists(
     st.one_of(
-        st.tuples(st.just("insert"), ids, points),
-        st.tuples(st.just("remove"), ids, st.none()),
-        st.tuples(st.just("move"), ids, points),
+        st.tuples(st.just("insert"), ids, points, st.booleans()),
+        st.tuples(st.just("remove"), ids, st.none(), st.just(False)),
+        st.tuples(st.just("move"), ids, points, st.booleans()),
     ),
     min_size=1,
     max_size=25,
@@ -56,20 +58,22 @@ def ring(radius):
     ]
 
 
-def brute_force(model, center, radius):
+def brute_force(model, center, radius, exclude=None, values=None):
     r2 = radius * radius
     hits = []
     for item_id in sorted(model):
         position = model[item_id]
         qx = position.x - center.x
         qy = position.y - center.y
-        if qx * qx + qy * qy <= r2:
-            hits.append((item_id, position))
+        if item_id != exclude and qx * qx + qy * qy <= r2:
+            value = (values or {}).get(item_id)
+            hits.append((item_id, position) if value is None else value)
     return hits
 
 
-def check(grid, model, extra_centers):
+def check(grid, model, extra_centers, values=None):
     assert len(grid) == len(model)
+    excluded = (None, min(model, default=None), max(model, default=None))
     for radius in RADII:
         centers = list(extra_centers)
         for position in model.values():
@@ -79,9 +83,10 @@ def check(grid, model, extra_centers):
                 for dx, dy in ring(radius)
             )
         for center in centers:
-            assert grid.within(center, radius) == brute_force(
-                model, center, radius
-            ), (center, radius)
+            for exclude in excluded:
+                assert grid.within(center, radius, exclude) == brute_force(
+                    model, center, radius, exclude, values
+                ), (center, radius, exclude)
 
 
 class TestStripIndex:
@@ -90,19 +95,55 @@ class TestStripIndex:
     def test_within_matches_brute_force(self, sequence, centers):
         grid = SpatialGrid(cell_size=CELL)
         model = {}
-        for op, item_id, position in sequence:
+        values = {}
+        for step, (op, item_id, position, tagged) in enumerate(sequence):
+            value = ("value", item_id, step) if tagged else None
             if op == "insert":
-                grid.insert(item_id, position)
-                model[item_id] = position
+                grid.insert(item_id, position, value)
             elif item_id not in model:
                 continue
             elif op == "remove":
                 grid.remove(item_id)
                 del model[item_id]
+                del values[item_id]
+                check(grid, model, centers, values)
+                continue
             else:
-                grid.move(item_id, position)
-                model[item_id] = position
-            check(grid, model, centers)
+                grid.move(item_id, position, value)
+            model[item_id] = position
+            values[item_id] = value
+            check(grid, model, centers, values)
+
+    def test_values_in_id_order_through_renumbering(self):
+        grid = SpatialGrid(cell_size=CELL)
+        center = Point(100.0, 100.0)
+        for item_id in ("n05", "n09", "n01", "n07", "n03"):
+            grid.insert(item_id, center, item_id.upper())
+        assert grid.within(center, 63.0) == [
+            "N01",
+            "N03",
+            "N05",
+            "N07",
+            "N09",
+        ]
+        # A remove and a re-insert of the same id, the largest one
+        # among them, and an id below every other.
+        grid.remove("n07")
+        grid.insert("n07", Point(110.0, 100.0), "N07")
+        grid.remove("n09")
+        grid.insert("n09", center, "N09")
+        grid.insert("n00", Point(100.0, 140.0), "N00")
+        everything = ["N00", "N01", "N03", "N05", "N07", "N09"]
+        assert grid.within(center, 63.0) == everything
+        assert grid.within(center, 63.0, "n05") == [
+            "N00",
+            "N01",
+            "N03",
+            "N07",
+            "N09",
+        ]
+        assert grid.within(center, 63.0, "n00") == everything[1:]
+        assert grid.within(center, 63.0, "n99") == everything
 
     def test_dense_field_at_both_ranges(self):
         # A lattice with a point on every strip edge, queried from

@@ -115,16 +115,16 @@ def test_r6_accepts_helper_covered_by_bumping_callers():
 
             def unregister(self, node_id, position):
                 self._leave(node_id)
-                self._drop_receivers_near(position)
+                self._revise_receivers_near(position)
 
             def node_moved(self, node_id, position):
                 self._leave(node_id)
-                self._drop_receivers_near(position)
+                self._revise_receivers_near(position)
 
             def _leave(self, node_id):
                 self._grid.remove(node_id)
 
-            def _drop_receivers_near(self, position):
+            def _revise_receivers_near(self, position):
                 self._receiver_cache.pop(position, None)
     """
     assert check(source, path="src/repro/net/channel.py") == []
@@ -139,7 +139,7 @@ def test_r6_flags_helper_with_non_bumping_caller():
 
             def unregister(self, node_id, position):
                 self._leave(node_id)
-                self._drop_receivers_near(position)
+                self._revise_receivers_near(position)
 
             def reset(self):
                 self._leave(0)
@@ -147,7 +147,7 @@ def test_r6_flags_helper_with_non_bumping_caller():
             def _leave(self, node_id):
                 self._grid.remove(node_id)
 
-            def _drop_receivers_near(self, position):
+            def _revise_receivers_near(self, position):
                 self._receiver_cache.pop(position, None)
     """
     violations = check(source, path="src/repro/net/channel.py")
@@ -165,16 +165,16 @@ CHANNEL_SOURCE = """
 
         def register(self, node_id, position):
             self._grid.insert(node_id, position)
-            self._drop_receivers_near(position)
+            self._revise_receivers_near(position)
 
         def node_moved(self, node_id, position):
             self._leave(node_id)
 
         def _leave(self, node_id):
             self._grid.remove(node_id)
-            self._drop_receivers_near(None)
+            self._revise_receivers_near(None)
 
-        def _drop_receivers_near(self, position):
+        def _revise_receivers_near(self, position):
             self._receiver_cache.pop(position, None)
 
         def receivers_of(self, sender_id, receivers):
@@ -198,7 +198,7 @@ def test_r6_flags_channel_grid_mutation_without_invalidation():
     assert ids(violations) == ["R6"]
     assert len(violations) == 1
     assert "Channel.teleport" in violations[0].message
-    assert "_drop_receivers_near()" in violations[0].message
+    assert "_revise_receivers_near()" in violations[0].message
 
 
 def test_r6_flags_cross_module_reach_into_guarded_state(tmp_path):
@@ -211,7 +211,7 @@ def test_r6_flags_cross_module_reach_into_guarded_state(tmp_path):
                         self._grid = grid
                         self._receiver_cache = {}
 
-                    def _drop_receivers_near(self, position):
+                    def _revise_receivers_near(self, position):
                         self._receiver_cache.pop(position, None)
             """,
             "src/repro/net/cheat.py": """
