@@ -15,6 +15,7 @@ from __future__ import annotations
 import abc
 import typing
 
+from repro.core.knowledge import KnowledgeTable
 from repro.geometry.point import Point
 from repro.net.frames import NodeId
 from repro.net.neighbors import NeighborEntry
@@ -50,6 +51,15 @@ class CoordinationStrategy(abc.ABC):
     def uses_central_manager(self) -> bool:
         """True when a dedicated static manager node exists."""
         return False
+
+    def knowledge_table(self, position: Point) -> KnowledgeTable:
+        """A new robot-knowledge table for a sensor at *position*.
+
+        A plain dict: only a strategy that queries the nearest known
+        robot needs :class:`~repro.core.knowledge.RobotKnowledge`'s
+        kept pair.
+        """
+        return {}
 
     @abc.abstractmethod
     def setup(self) -> None:

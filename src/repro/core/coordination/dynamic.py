@@ -15,9 +15,10 @@ from __future__ import annotations
 import typing
 
 from repro.core.coordination.base import CoordinationStrategy
+from repro.core.knowledge import RobotKnowledge
 from repro.core.messages import FloodMessage
 from repro.deploy.placement import uniform_random_positions
-from repro.geometry.point import Point, nearest
+from repro.geometry.point import Point
 from repro.net.frames import Category, NodeId
 from repro.sim.rng import RandomStream
 
@@ -46,16 +47,24 @@ class DynamicStrategy(CoordinationStrategy):
             self.config.robot_count, self.config.bounds, rng
         )
 
+    def knowledge_table(self, position: Point) -> RobotKnowledge:
+        """The kept nearest pair serves myrobot and the relay predicate."""
+        return RobotKnowledge(position)
+
     def setup(self) -> None:
         robots = self.runtime.robots_sorted()
-        candidates = [(robot.node_id, robot.position) for robot in robots]
+        layout = RobotKnowledge(self.config.bounds.center)
+        layout.update(
+            {robot.node_id: (robot.position, 0) for robot in robots}
+        )
 
         # Deployment-time seed: every sensor knows the initial robot
-        # layout and adopts the closest robot as myrobot.
+        # layout and adopts the closest robot as myrobot.  Each bulk
+        # update shares the layout's rows and leaves the kept pair to
+        # one rescan, which the myrobot query makes.
         for sensor in self.runtime.sensors_sorted():
-            for robot in robots:
-                sensor.known_robots[robot.node_id] = (robot.position, 0)
-            choice = nearest(sensor.position, candidates)
+            sensor.known_robots.update(layout)
+            choice = sensor.closest_known_robot()
             assert choice is not None
             sensor.myrobot_id, sensor.myrobot_position = choice
 

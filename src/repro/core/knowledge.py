@@ -1,12 +1,15 @@
 """Robot-knowledge table for sensors, with a kept nearest-robot answer.
 
 Every sensor tracks the robots it has learned about from floods as
-``robot_id -> (position, seq)``.  The dominant query on that table is
+``robot_id -> (position, seq)``.  The coordination strategy builds
+that table (``CoordinationStrategy.knowledge_table``): the fixed and
+centralized algorithms only look entries up, so theirs is a plain
+dict.  The dynamic algorithm's dominant query on it is
 :meth:`RobotKnowledge.closest` — on every fresh location-update flood
-the dynamic algorithm asks it for the closest robot (myrobot) and then
-for the closest robot other than the flood's origin (the relay
-predicate).  Both answers are read off one kept pair: the nearest known
-robot and the runner-up, with their squared distances.
+it asks for the closest robot (myrobot) and then for the closest robot
+other than the flood's origin (the relay predicate).  Both answers are
+read off one kept pair: the nearest known robot and the runner-up, with
+their squared distances.
 
 Sensors never move, so the table takes its owner's position at
 construction and keeps that pair current as the table changes, the way
@@ -46,7 +49,7 @@ import typing
 from repro.geometry.point import Point
 from repro.net.frames import NodeId
 
-__all__ = ["RobotKnowledge"]
+__all__ = ["KnowledgeTable", "RobotKnowledge"]
 
 #: One table entry: last known position and flood sequence number.
 Entry = typing.Tuple[Point, int]
@@ -61,6 +64,11 @@ _MaybePair = typing.Optional[_Pair]
 _Row = typing.Tuple[NodeId, float, float, _Pair]
 
 _INF = float("inf")
+
+
+def _row(robot_id: NodeId, entry: Entry) -> _Row:
+    position = entry[0]
+    return (robot_id, position.x, position.y, (robot_id, position))
 
 
 class RobotKnowledge:
@@ -104,16 +112,19 @@ class RobotKnowledge:
     # Dict-shaped mutation / lookup API
     # ------------------------------------------------------------------
     def __setitem__(self, robot_id: NodeId, entry: Entry) -> None:
+        row = _row(robot_id, entry)
+        self._put(robot_id, entry, row)
+        self._revise(robot_id, row)
+
+    def _put(self, robot_id: NodeId, entry: Entry, row: _Row) -> None:
+        """Write *robot_id*'s entry and its scan *row*."""
         self._entries[robot_id] = entry
-        position = entry[0]
-        row = (robot_id, position.x, position.y, (robot_id, position))
         slot = self._slots.get(robot_id)
         if slot is None:
             self._slots[robot_id] = len(self._rows)
             self._rows.append(row)
         else:
             self._rows[slot] = row
-        self._revise(robot_id, row)
 
     def __getitem__(self, robot_id: NodeId) -> Entry:
         return self._entries[robot_id]
@@ -147,8 +158,22 @@ class RobotKnowledge:
             "RobotKnowledge", typing.Mapping[NodeId, Entry]
         ],
     ) -> None:
-        for robot_id, entry in other.items():
-            self[robot_id] = entry
+        """Write every entry of *other*, then leave the kept pair to one
+        rescan at the next query instead of revising it per entry.
+
+        An empty table copies another table's rows and slots as they
+        stand: a row is an immutable tuple of its entry alone, whoever
+        owns the table.
+        """
+        if isinstance(other, RobotKnowledge) and not self._entries:
+            self._entries.update(other._entries)
+            self._slots.update(other._slots)
+            self._rows.extend(other._rows)
+        else:
+            for robot_id, entry in other.items():
+                self._put(robot_id, entry, _row(robot_id, entry))
+        if other:
+            self._invalidate()
 
     # ------------------------------------------------------------------
     # Dict-shaped inspection API
@@ -234,6 +259,10 @@ class RobotKnowledge:
             self._second = pair
             self._second_d2 = d2
 
+    def _invalidate(self) -> None:
+        """Mark the kept pair unknown: the next query rescans."""
+        self._stale = True
+
     def _rescan(self) -> None:
         """Recompute the kept pair from every row."""
         px = self._px
@@ -297,3 +326,8 @@ class RobotKnowledge:
         if best is not None and best[0] == exclude:
             return self._second
         return best
+
+
+#: A sensor's robot knowledge: a :class:`RobotKnowledge` where the
+#: strategy queries the nearest robot, a plain dict elsewhere.
+KnowledgeTable = typing.Union[typing.Dict[NodeId, Entry], RobotKnowledge]

@@ -21,6 +21,7 @@ Typical use::
 
 from __future__ import annotations
 
+import collections
 import typing
 
 from math import hypot
@@ -58,6 +59,7 @@ from repro.net.frames import (
     NodeId,
     reset_id_counters,
 )
+from repro.net.neighbors import NeighborEntry
 from repro.net.node import NetworkNode
 from repro.net.radio import robot_radio, sensor_radio
 from repro.routing.stats import RoutingStats
@@ -207,10 +209,9 @@ class ScenarioRuntime:
         # Administrative neighbour-table seed: stands in for the paper's
         # initialization location broadcasts ("all the sensors broadcast
         # their locations to their one-hop neighbors"), whose messages
-        # are still emitted in initialize() for accounting.
-        long_range = self._long_range_nodes()
-        for node in self.channel.nodes():
-            self._seed_node_neighbors(node, long_range, bidirectional=False)
+        # are still emitted in initialize() for accounting.  One pass
+        # over the field decides each pair of nodes once.
+        self._seed_neighbors(self.channel.nodes(), self._long_range_nodes())
 
     def _create_sensor(self, node_id: NodeId, position: Point) -> SensorNode:
         sensor = SensorNode(
@@ -237,49 +238,70 @@ class ScenarioRuntime:
             if node is not None and self.channel.has_node(node.node_id)
         }
 
-    def _seed_node_neighbors(
+    def _seed_neighbors(
         self,
-        node: NetworkNode,
+        nodes: typing.Iterable[NetworkNode],
         long_range: typing.Dict[NodeId, NetworkNode],
-        bidirectional: bool,
     ) -> None:
-        """Fill neighbour tables by radio reachability.
+        """Fill neighbour tables by radio reachability, for every pair
+        of nodes that includes one of *nodes*.
 
         A node ``u`` appears in ``v``'s table iff ``v`` can hear ``u``,
-        i.e. the distance is within *u's* (the sender's) range.  Only
-        the *long_range* nodes are heard beyond the sensor range, so the
-        other candidates come from a probe at the sensor range (or the
-        node's own, when it is heard too) plus 1 m.  The margin keeps
-        the probe's squared test a superset of the ``hypot`` cutoffs
-        below, which decide.
+        i.e. ``hypot`` of their offset is within *u's* (the sender's)
+        range.  Each pair's ``hypot`` is taken once and decides both
+        directions: ``a - b`` is exactly ``-(b - a)`` in IEEE-754, and
+        ``hypot`` ignores its operands' signs.
+
+        Only the *long_range* nodes are heard beyond the sensor range.
+        So a long-range node of *nodes* pairs with the other long-range
+        nodes, and any other node pairs with every long-range node and
+        with the short-range nodes of a probe at the sensor range plus
+        1 m.  The margin keeps the probe's squared test a superset of
+        the ``hypot`` cutoffs, which decide.  A probe skips the nodes
+        of *nodes* seeded before, so no pair is taken twice.  Each
+        table then takes its new rows in one bulk insert.
         """
-        short_range = sensor_radio().range_m
-        if bidirectional:
-            short_range = max(short_range, node.radio.range_m)
-        candidates = {
-            other.node_id: other
-            for other in self.channel.nodes_within(
-                node.position, short_range + 1.0
-            )
-        }
-        candidates.update(long_range)
-        del candidates[node.node_id]
-        # Point.distance_to's math.hypot, inlined: this loop is most of
-        # a run's setup.  hypot is exact under operand negation, so the
-        # reachability cutoffs below see the same values either way.
-        x = node.position.x
-        y = node.position.y
-        for other in candidates.values():
-            position = other.position
-            distance = hypot(position.x - x, position.y - y)
-            if distance <= other.radio.range_m:
-                node.neighbor_table.upsert(
-                    other.node_id, other.position, other.kind
-                )
-            if bidirectional and distance <= node.radio.range_m:
-                other.neighbor_table.upsert(
-                    node.node_id, node.position, node.kind
-                )
+        probe_m = sensor_radio().range_m + 1.0
+        heard: typing.DefaultDict[
+            NetworkNode, typing.List[NeighborEntry]
+        ] = collections.defaultdict(list)
+        seeded: typing.Set[NodeId] = set()
+        for node in nodes:
+            node_id = node.node_id
+            if node_id in long_range:
+                others = [
+                    other
+                    for other_id, other in long_range.items()
+                    if other_id != node_id and other_id not in seeded
+                ]
+            else:
+                others = [*long_range.values()]
+                others += [
+                    other
+                    for other in self.channel.nodes_within(
+                        node.position, probe_m, node_id
+                    )
+                    if other.node_id not in long_range
+                    and other.node_id not in seeded
+                ]
+            position = node.position
+            x = position.x
+            y = position.y
+            range_m = node.radio.range_m
+            kind = node.kind
+            add = heard[node].append
+            for other in others:
+                other_position = other.position
+                distance = hypot(other_position.x - x, other_position.y - y)
+                if distance <= other.radio.range_m:
+                    add(
+                        NeighborEntry(other.node_id, other_position, other.kind)
+                    )
+                if distance <= range_m:
+                    heard[other].append(NeighborEntry(node_id, position, kind))
+            seeded.add(node_id)
+        for node, entries in heard.items():
+            node.neighbor_table.insert_all(entries)
 
     # ------------------------------------------------------------------
     # Initialization (paper §2 stage a)
@@ -373,9 +395,8 @@ class ScenarioRuntime:
         """
         # Neighbours that could hear the dead node drop it from their
         # tables (beacon expiry would have done this by now).
-        for node in self.channel.nodes_within(
-            position, sensor_radio().range_m
-        ):
+        range_m = sensor_radio().range_m
+        for node in self.channel.nodes_within(position, range_m):
             node.neighbor_table.remove(failed_id)
 
         guardian_id = self.guardian_of.get(failed_id)
@@ -394,10 +415,17 @@ class ScenarioRuntime:
                 )
 
         # Orphaned guardees re-select (paper: a guardee that stops
-        # hearing its guardian picks a new one).
-        for guardee_id, gid in list(self.guardian_of.items()):
-            if gid != failed_id:
-                continue
+        # hearing its guardian picks a new one).  They are taken in id
+        # order before any re-selection, from the dead node's radio
+        # neighbours: a guardian is picked from the guardee's sensor
+        # rows, so it is in range, inside the probe's 1 m margin.
+        guardian_of = self.guardian_of
+        orphaned = [
+            node.node_id
+            for node in self.channel.nodes_within(position, range_m + 1.0)
+            if guardian_of.get(node.node_id) == failed_id
+        ]
+        for guardee_id in orphaned:
             guardee = self.sensors.get(guardee_id)
             if guardee is not None and guardee.alive:
                 guardee.neighbor_table.remove(failed_id)
@@ -448,9 +476,7 @@ class ScenarioRuntime:
 
         # Administrative bootstrap mirroring the broadcast/beacon
         # exchange quoted above (messages emitted below for accounting).
-        self._seed_node_neighbors(
-            sensor, self._long_range_nodes(), bidirectional=True
-        )
+        self._seed_neighbors([sensor], self._long_range_nodes())
         self.coordination.seed_replacement(sensor)
         sensor.send_broadcast(
             Category.INITIALIZATION,

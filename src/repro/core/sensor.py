@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.core.knowledge import RobotKnowledge
+from repro.core.knowledge import KnowledgeTable
 from repro.core.messages import (
     Confidence,
     FailureNotice,
@@ -83,10 +83,13 @@ class SensorNode(NetworkNode):
         self.manager_id: typing.Optional[NodeId] = None
         self.manager_position: typing.Optional[Point] = None
 
-        #: Robot positions learned from floods: id -> (position, seq),
-        #: with the nearest and runner-up robot to this sensor kept
-        #: current for the closest-robot query (myrobot, relay predicate).
-        self.known_robots = RobotKnowledge(self.position)
+        #: Robot positions learned from floods: id -> (position, seq).
+        #: The strategy picks the table's type: the dynamic algorithm's
+        #: keeps the nearest and runner-up robot current for its
+        #: closest-robot query (myrobot, relay predicate).
+        self.known_robots: KnowledgeTable = (
+            runtime.coordination.knowledge_table(self.position)
+        )
         #: Fixed-algorithm subarea index of this sensor (None otherwise).
         self.subarea: typing.Optional[int] = None
 
@@ -205,13 +208,15 @@ class SensorNode(NetworkNode):
         guardian id, or None when no neighbour qualifies (the runtime's
         detection fallback still covers such orphans).
         """
+        allowed = self.runtime.coordination.guardian_allowed
         choice = nearest(
             self.position,
             [
                 (entry.node_id, entry.position)
-                for entry in self.neighbor_table.of_kind("sensor")
-                if entry.node_id not in exclude
-                and self.runtime.coordination.guardian_allowed(self, entry)
+                for entry in self.neighbor_table.entries()
+                if entry.kind == "sensor"
+                and entry.node_id not in exclude
+                and allowed(self, entry)
             ],
         )
         if choice is None:
@@ -616,7 +621,9 @@ class SensorNode(NetworkNode):
 
         Read off the knowledge table's kept nearest pair, which it keeps
         current per change by the ``(d2, id)`` rule: squared distances
-        from this sensor's position, ties to the smaller robot id.
+        from this sensor's position, ties to the smaller robot id.  Only
+        a strategy whose table is a
+        :class:`~repro.core.knowledge.RobotKnowledge` asks (dynamic).
         """
         return self.known_robots.closest(exclude)
 

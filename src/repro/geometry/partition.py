@@ -67,15 +67,12 @@ class SquarePartition(Partition):
         self._cell_height = bounds.height / self.rows
 
     def index_of(self, point: Point) -> int:
-        clamped = self.bounds.clamp(point)
-        col = min(
-            int((clamped.x - self.bounds.x_min) / self._cell_width),
-            self.cols - 1,
-        )
-        row = min(
-            int((clamped.y - self.bounds.y_min) / self._cell_height),
-            self.rows - 1,
-        )
+        # Rect.clamp's float ops, without building the clamped Point.
+        bounds = self.bounds
+        x = min(max(point.x, bounds.x_min), bounds.x_max)
+        y = min(max(point.y, bounds.y_min), bounds.y_max)
+        col = min(int((x - bounds.x_min) / self._cell_width), self.cols - 1)
+        row = min(int((y - bounds.y_min) / self._cell_height), self.rows - 1)
         return row * self.cols + col
 
     def center_of(self, index: int) -> Point:

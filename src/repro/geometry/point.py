@@ -97,15 +97,27 @@ def nearest(
 ) -> typing.Optional[typing.Tuple[_Id, Point]]:
     """The ``(id, position)`` candidate nearest to *point*, or None.
 
-    Distances compare squared (:meth:`Point.squared_distance_to`) and an
-    exact tie goes to the smaller id, so the choice does not depend on
-    the order of *candidates*.
+    Distances compare squared, by :meth:`Point.squared_distance_to`'s
+    float ops, and an exact tie goes to the smaller id, so the choice
+    does not depend on the order of *candidates*.
     """
-    return min(
-        candidates,
-        key=lambda pair: (point.squared_distance_to(pair[1]), pair[0]),
-        default=None,
-    )
+    px = point.x
+    py = point.y
+    best: typing.Optional[typing.Tuple[_Id, Point]] = None
+    best_d2 = 0.0
+    for pair in candidates:
+        position = pair[1]
+        dx = px - position.x
+        dy = py - position.y
+        d2 = dx * dx + dy * dy
+        if (
+            best is None
+            or d2 < best_d2
+            or (d2 == best_d2 and pair[0] < best[0])
+        ):
+            best = pair
+            best_d2 = d2
+    return best
 
 
 def by_distance(

@@ -101,7 +101,7 @@ DEFAULT_EPOCH_SPECS: typing.Mapping[
             "_second_d2",
             "_stale",
         ),
-        "invalidators": ("_revise",),
+        "invalidators": ("_revise", "_invalidate"),
     },
     # A node's id-sorted neighbour rows are dropped per insert/removal.
     "NeighborTable": {

@@ -5,7 +5,7 @@ guarantees (every failed sensor replaced exactly once, bit-identical
 replays) true through hot-path rewrites:
 
 * **R6** — cache integrity: mutations of the channel's static layer
-  drop the receiver sets they affect, nobody reaches into another
+  revise the receiver sets they affect, nobody reaches into another
   module's guarded private state, and nobody mutates a shared cached
   list (receivers, neighbour rows) in place.
 * **R7** — trace-guard discipline: every ``tracer.emit`` call sits

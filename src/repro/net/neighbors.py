@@ -65,6 +65,14 @@ class NeighborTable:
             entry.position = position
             entry.kind = kind
 
+    def insert_all(self, entries: typing.Iterable[NeighborEntry]) -> None:
+        """Insert *entries*, each replacing any entry with its id, and
+        drop the kept rows once."""
+        by_id = self._entries
+        for entry in entries:
+            by_id[entry.node_id] = entry
+        self._drop_rows()
+
     def remove(self, node_id: NodeId) -> bool:
         """Forget a neighbour; returns True if it was present."""
         if self._entries.pop(node_id, None) is None:

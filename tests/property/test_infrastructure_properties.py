@@ -201,16 +201,58 @@ class TestSpatialGridProperties:
 
 
 def heard_by(node, nodes):
-    """The ids of *nodes* whose radio reaches *node* (brute force)."""
+    """The ``(id, position, kind)`` rows of *nodes* whose radio reaches
+    *node*, id-sorted (brute force)."""
     x = node.position.x
     y = node.position.y
     return sorted(
-        other.node_id
+        (other.node_id, other.position, other.kind)
         for other in nodes
         if other is not node
         and hypot(other.position.x - x, other.position.y - y)
         <= other.radio.range_m
     )
+
+
+def rows_of(node):
+    return [
+        (entry.node_id, entry.position, entry.kind)
+        for entry in node.neighbor_table.entries()
+    ]
+
+
+def subarea_of(partition, position):
+    """The square partition's cell of *position*, through ``Rect.clamp``."""
+    bounds = partition.bounds
+    clamped = bounds.clamp(position)
+    col = min(
+        int((clamped.x - bounds.x_min) / (bounds.width / partition.cols)),
+        partition.cols - 1,
+    )
+    row = min(
+        int((clamped.y - bounds.y_min) / (bounds.height / partition.rows)),
+        partition.rows - 1,
+    )
+    return row * partition.cols + col
+
+
+def brute_force_guardian(runtime, sensor):
+    """The ``(d2, id)`` minimum over *sensor*'s eligible sensor rows:
+    every sensor row, or under the fixed algorithm only the rows in the
+    sensor's own subarea (paper §3.2)."""
+    fixed = runtime.config.algorithm == Algorithm.FIXED
+    keys = []
+    for entry in sensor.neighbor_table.entries():
+        if entry.kind != "sensor":
+            continue
+        if fixed and subarea_of(
+            runtime.coordination.partition, entry.position
+        ) != subarea_of(runtime.coordination.partition, sensor.position):
+            continue
+        dx = sensor.position.x - entry.position.x
+        dy = sensor.position.y - entry.position.y
+        keys.append((dx * dx + dy * dy, entry.node_id))
+    return min(keys)[1] if keys else None
 
 
 # A replacement site one sensor range (63 m) from a sensor exercises the
@@ -225,6 +267,11 @@ offsets = st.one_of(
 
 
 class TestNeighborSeedingProperties:
+    """The one-pass pairwise seed against the all-pairs rule: a node
+    holds a row for each node whose radio reaches it, with that node's
+    position and kind, and each sensor's guardian is the nearest
+    eligible sensor row."""
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -240,8 +287,23 @@ class TestNeighborSeedingProperties:
     def test_seeded_tables_match_the_all_pairs_rule(
         self, seed, placement, sensors_per_robot, anchor, offset, step
     ):
+        for algorithm in Algorithm.ALL:
+            self.check_seed(
+                algorithm,
+                seed,
+                placement,
+                sensors_per_robot,
+                anchor,
+                offset,
+                step,
+            )
+
+    @staticmethod
+    def check_seed(
+        algorithm, seed, placement, sensors_per_robot, anchor, offset, step
+    ):
         config = paper_scenario(
-            Algorithm.CENTRALIZED,
+            algorithm,
             4,
             seed=seed,
             placement=placement,
@@ -249,9 +311,17 @@ class TestNeighborSeedingProperties:
         )
         runtime = ScenarioRuntime(config)
         nodes = runtime.channel.nodes()
-        assert runtime.manager in nodes
+        assert (runtime.manager in nodes) == (
+            algorithm == Algorithm.CENTRALIZED
+        )
         for node in nodes:
-            assert node.neighbor_table.ids() == heard_by(node, nodes)
+            assert rows_of(node) == heard_by(node, nodes)
+
+        runtime.initialize()
+        for sensor in runtime.sensors_sorted():
+            expected = brute_force_guardian(runtime, sensor)
+            assert sensor.guardian_id == expected
+            assert runtime.guardian_of[sensor.node_id] == expected
 
         # A replacement seeded after one robot moved into the mobile
         # layer near its site and another robot died.
@@ -263,15 +333,11 @@ class TestNeighborSeedingProperties:
         moved.move_to(Point(site.x + step[0], site.y + step[1]))
         dead.mark_down(permanent=True)
         replacement = runtime._create_sensor("sensor-r00001", site)
-        runtime._seed_node_neighbors(
-            replacement, runtime._long_range_nodes(), bidirectional=True
-        )
+        runtime._seed_neighbors([replacement], runtime._long_range_nodes())
 
         live = runtime.channel.nodes()
         assert dead not in live
-        assert replacement.neighbor_table.ids() == heard_by(
-            replacement, live
-        )
+        assert rows_of(replacement) == heard_by(replacement, live)
         for node in live + [dead]:
             if node is not replacement:
                 heard = hypot(
@@ -280,6 +346,9 @@ class TestNeighborSeedingProperties:
                 assert (replacement.node_id in node.neighbor_table) == (
                     heard and node is not dead
                 )
+                if heard and node is not dead:
+                    entry = node.neighbor_table.get(replacement.node_id)
+                    assert (entry.position, entry.kind) == (site, "sensor")
 
 
 # A 7 m lattice puts some node pairs exactly on a radio range (63 m is

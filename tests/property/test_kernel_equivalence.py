@@ -62,14 +62,15 @@ def _knowledge(table, px, py):
 
 
 #: One table change: set a robot's position, pop it, or update from a
-#: mapping of several robots at once.
+#: mapping of several robots at once (given as a plain dict, or as
+#: another owner's table when the flag is set).
 _positions = st.tuples(tie_coords, tie_coords)
 _operations = st.one_of(
     st.tuples(st.just("set"), robot_ids, _positions),
     st.tuples(st.just("pop"), robot_ids, st.none()),
     st.tuples(
         st.just("update"),
-        st.none(),
+        st.booleans(),
         st.dictionaries(robot_ids, _positions, max_size=3),
     ),
 )
@@ -140,12 +141,15 @@ class TestRobotKnowledgeClosest:
                 knowledge.pop(robot_id)
                 table.pop(robot_id, None)
             else:
-                knowledge.update(
-                    {rid: (Point(*xy), 0) for rid, xy in argument.items()}
-                )
-                table.update(
-                    {rid: (*xy, 0) for rid, xy in argument.items()}
-                )
+                entries = {rid: (*xy, 0) for rid, xy in argument.items()}
+                from_table = robot_id  # an update's middle field: the flag
+                if from_table:
+                    knowledge.update(_knowledge(entries, py, px))
+                else:
+                    knowledge.update(
+                        {rid: (Point(*xy), 0) for rid, xy in argument.items()}
+                    )
+                table.update(entries)
             nearest = _scalar_closest(table, px, py, None)
             runner_up = (
                 None
@@ -157,6 +161,24 @@ class TestRobotKnowledgeClosest:
                 assert knowledge.closest(exclude) == _scalar_closest(
                     table, px, py, exclude
                 )
+
+    def test_copy_into_an_empty_table_leaves_the_source_alone(self):
+        source = RobotKnowledge(Point(0.0, 0.0))
+        source["r1"] = (Point(5.0, 0.0), 0)
+        source["r2"] = (Point(9.0, 0.0), 0)
+        copy = RobotKnowledge(Point(100.0, 0.0))
+        copy.update(source)
+        assert copy.closest() == ("r2", Point(9.0, 0.0))
+        copy["r0"] = (Point(1.0, 0.0), 1)
+        copy["r2"] = (Point(99.0, 0.0), 1)
+        copy.pop("r1")
+        assert copy.nearest_two() == (
+            ("r2", Point(99.0, 0.0)), ("r0", Point(1.0, 0.0))
+        )
+        # Popping r1 makes the source rescan its own rows.
+        source.pop("r1")
+        assert source.nearest_two() == (("r2", Point(9.0, 0.0)), None)
+        assert dict(source.items()) == {"r2": (Point(9.0, 0.0), 0)}
 
 
 class TestNearestRule:

@@ -7,6 +7,7 @@ from repro.net import (
     BeaconService,
     Category,
     Channel,
+    NeighborEntry,
     NeighborTable,
     NetworkNode,
     sensor_radio,
@@ -49,6 +50,24 @@ class TestNeighborTable:
         table = self.make()
         assert [e.node_id for e in table.entries()] == ["a", "b", "r"]
 
+    def test_bulk_insert_leaves_entries_id_sorted(self):
+        table = self.make()
+        held = table.entries()
+        table.insert_all(
+            [
+                NeighborEntry("c", Point(1, 2), "sensor"),
+                NeighborEntry("a", Point(3, 4), "robot"),
+                NeighborEntry("0", Point(5, 6), "manager"),
+            ]
+        )
+        assert [e.node_id for e in table.entries()] == [
+            "0", "a", "b", "c", "r"
+        ]
+        assert (table.get("a").position, table.get("a").kind) == (
+            Point(3, 4), "robot"
+        )
+        assert [e.node_id for e in held] == ["a", "b", "r"]
+
     def test_of_kind(self):
         table = self.make()
         assert [e.node_id for e in table.of_kind("robot")] == ["r"]
@@ -60,9 +79,9 @@ class TestNeighborTable:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_kept_rows_match_a_fresh_rebuild(self, seed):
-        # Random inserts, refreshes, removals and clears.  After every
-        # step the kept rows equal an id-sorted rebuild, and a list
-        # handed out before the step still holds what it held.
+        # Random inserts, bulk inserts, refreshes, removals and clears.
+        # After every step the kept rows equal an id-sorted rebuild, and
+        # a list handed out before the step still holds what it held.
         rng = random.Random(seed)
         table = NeighborTable()
         node_ids = [f"n{i}" for i in range(8)]
@@ -77,6 +96,15 @@ class TestNeighborTable:
                     node_id,
                     Point(rng.randint(0, 9), rng.randint(0, 9)),
                     rng.choice(["sensor", "robot"]),
+                )
+            elif roll < 0.7:
+                table.insert_all(
+                    NeighborEntry(
+                        other_id,
+                        Point(rng.randint(0, 9), rng.randint(0, 9)),
+                        rng.choice(["sensor", "robot"]),
+                    )
+                    for other_id in rng.sample(node_ids, 3)
                 )
             elif roll < 0.95:
                 table.remove(node_id)

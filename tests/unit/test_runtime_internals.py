@@ -95,6 +95,30 @@ class TestNeighborSeeding:
 
 
 class TestDeathBookkeeping:
+    @pytest.mark.parametrize("algorithm", Algorithm.ALL)
+    def test_guardian_links_stay_in_id_order(self, algorithm):
+        # Event detection re-selects a dead sensor's orphaned guardees
+        # in id order, taken from its radio neighbours.  That is the
+        # key order of guardian_of only while its keys stay in id order
+        # through replacements and robot faults, which this pins.
+        config = paper_scenario(
+            algorithm,
+            4,
+            seed=3,
+            sensors_per_robot=25,
+            placement="grid",
+            sim_time_s=3_000.0,
+            mean_lifetime_s=1_500.0,
+            robot_mtbf_s=800.0,
+        )
+        runtime = ScenarioRuntime(config)
+        report = runtime.run()
+        assert report.repaired > 0
+        assert report.robot_faults > 0
+        keys = list(runtime.guardian_of)
+        assert any(key.startswith("sensor-r") for key in keys)
+        assert keys == sorted(keys)
+
     def test_dead_sensor_removed_from_registry(self):
         runtime = build_runtime()
         victim = runtime.sensors_sorted()[5]
