@@ -22,7 +22,9 @@ Typical use::
 from __future__ import annotations
 
 import collections
+import contextlib
 import typing
+import weakref
 
 from math import hypot
 
@@ -61,7 +63,7 @@ from repro.net.frames import (
 )
 from repro.net.neighbors import NeighborEntry
 from repro.net.node import NetworkNode
-from repro.net.radio import robot_radio, sensor_radio
+from repro.net.radio import SENSOR_RANGE_M, robot_radio, sensor_radio
 from repro.routing.stats import RoutingStats
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -89,6 +91,11 @@ class ScenarioRuntime:
 
         #: Live sensors by id (dead sensors are removed).
         self.sensors: typing.Dict[NodeId, SensorNode] = {}
+        #: Dead sensors not yet freed, held weakly: :meth:`close` must
+        #: reach them, but the run must not keep them alive.
+        self._dead_sensors: weakref.WeakValueDictionary[
+            NodeId, NetworkNode
+        ] = weakref.WeakValueDictionary()
         #: Maintenance robots by id.
         self.robots: typing.Dict[NodeId, RobotNode] = {}
         #: The central manager (centralized algorithm only).
@@ -165,10 +172,12 @@ class ScenarioRuntime:
         # which reproduces the draw sequence this method used to make
         # bit-identically — the stream is dedicated to placement, so
         # not advancing it here perturbs no other subsystem.
-        sensor_positions = sensor_positions_for(
-            config, sensor_radio().range_m
-        )
+        sensor_positions = sensor_positions_for(config, SENSOR_RANGE_M)
 
+        # One frozen radio per node kind, shared by every node of it
+        # (replacement sensors included).
+        self._sensor_radio = sensor_radio(config.loss_rate)
+        long_radio = robot_radio(config.loss_rate)
         for index, position in enumerate(sensor_positions):
             self._create_sensor(f"sensor-{index:04d}", position)
 
@@ -179,7 +188,7 @@ class ScenarioRuntime:
             robot = RobotNode(
                 f"robot-{index:02d}",
                 position,
-                robot_radio(config.loss_rate),
+                long_radio,
                 self.sim,
                 self.channel,
                 self.streams,
@@ -196,7 +205,7 @@ class ScenarioRuntime:
             self.manager = CentralManagerNode(
                 "manager-00",
                 config.bounds.center,
-                robot_radio(config.loss_rate),
+                long_radio,
                 self.sim,
                 self.channel,
                 self.streams,
@@ -217,7 +226,7 @@ class ScenarioRuntime:
         sensor = SensorNode(
             node_id,
             position,
-            sensor_radio(self.config.loss_rate),
+            self._sensor_radio,
             self.sim,
             self.channel,
             self.streams,
@@ -261,7 +270,7 @@ class ScenarioRuntime:
         of *nodes* seeded before, so no pair is taken twice.  Each
         table then takes its new rows in one bulk insert.
         """
-        probe_m = sensor_radio().range_m + 1.0
+        probe_m = SENSOR_RANGE_M + 1.0
         heard: typing.DefaultDict[
             NetworkNode, typing.List[NeighborEntry]
         ] = collections.defaultdict(list)
@@ -370,6 +379,7 @@ class ScenarioRuntime:
     def _on_sensor_death(self, node: NetworkNode, time: float) -> None:
         self.metrics.record_death(node.node_id, node.position, time)
         self.sensors.pop(node.node_id, None)
+        self._dead_sensors[node.node_id] = node
         self._beacon_services.pop(node.node_id, None)
         if self.tracer.active:
             self.tracer.emit(
@@ -395,8 +405,7 @@ class ScenarioRuntime:
         """
         # Neighbours that could hear the dead node drop it from their
         # tables (beacon expiry would have done this by now).
-        range_m = sensor_radio().range_m
-        for node in self.channel.nodes_within(position, range_m):
+        for node in self.channel.nodes_within(position, SENSOR_RANGE_M):
             node.neighbor_table.remove(failed_id)
 
         guardian_id = self.guardian_of.get(failed_id)
@@ -422,7 +431,9 @@ class ScenarioRuntime:
         guardian_of = self.guardian_of
         orphaned = [
             node.node_id
-            for node in self.channel.nodes_within(position, range_m + 1.0)
+            for node in self.channel.nodes_within(
+                position, SENSOR_RANGE_M + 1.0
+            )
             if guardian_of.get(node.node_id) == failed_id
         ]
         for guardee_id in orphaned:
@@ -441,7 +452,7 @@ class ScenarioRuntime:
             [
                 (node.node_id, node.position)
                 for node in self.channel.nodes_within(
-                    position, sensor_radio().range_m, exclude=exclude
+                    position, SENSOR_RANGE_M, exclude=exclude
                 )
                 if isinstance(node, SensorNode)
             ],
@@ -561,7 +572,7 @@ class ScenarioRuntime:
         if survivor is None:
             return
         for node in self.channel.nodes_within(
-            survivor.position, sensor_radio().range_m
+            survivor.position, SENSOR_RANGE_M
         ):
             if isinstance(node, SensorNode):
                 node.note_alive(survivor.node_id, survivor.position)
@@ -781,13 +792,12 @@ class ScenarioRuntime:
         sensors = self.sensors_sorted()
         if not sensors:
             return set()
-        range_m = sensor_radio().range_m
         adjacency: typing.Dict[NodeId, typing.List[NodeId]] = {}
         for sensor in sensors:
             adjacency[sensor.node_id] = [
                 other.node_id
                 for other in self.channel.nodes_within(
-                    sensor.position, range_m, exclude=sensor.node_id
+                    sensor.position, SENSOR_RANGE_M, exclude=sensor.node_id
                 )
                 if isinstance(other, SensorNode)
             ]
@@ -853,7 +863,54 @@ class ScenarioRuntime:
             self.channel, self.routing_stats, self.config.describe()
         )
 
+    # ------------------------------------------------------------------
+    # Teardown
+    # ------------------------------------------------------------------
+    #: What :meth:`close` keeps: the caller's config and tracer, and the
+    #: simulator, whose clock and event count stay readable.
+    _KEPT_BY_CLOSE = ("config", "tracer", "sim")
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`close` has run."""
+        return "sensors" not in vars(self)
+
+    def close(self) -> None:
+        """Break the run's reference cycles; call it once the report
+        exists.
+
+        Nodes, services and the event queue refer to one another and to
+        the runtime, so a dropped runtime would otherwise wait for the
+        cyclic collector's next full pass.  Closing cancels the queued
+        events, closes every node (dead sensors not yet freed included)
+        and drops everything but the attributes in
+        :attr:`_KEPT_BY_CLOSE`.  Dropping the runtime then frees the run
+        by reference counting.  A report is a separate object and stays
+        intact.  Closing twice is harmless.
+        """
+        if self.closed:
+            return
+        self.sim.close()
+        for node in [
+            *self.sensors.values(),
+            *self._dead_sensors.values(),
+            *self.robots.values(),
+            self.manager,
+        ]:
+            if node is not None:
+                node.close()
+        # One attribute at a time, so a kept one is never missing: a
+        # lease keeper may read ``sim`` from another thread meanwhile.
+        for name in [*vars(self)]:
+            if name not in self._KEPT_BY_CLOSE:
+                delattr(self, name)
+
     def __repr__(self) -> str:
+        if self.closed:
+            return (
+                f"<ScenarioRuntime {self.config.algorithm} closed "
+                f"t={self.sim.now:.0f}>"
+            )
         return (
             f"<ScenarioRuntime {self.config.algorithm} "
             f"robots={len(self.robots)} sensors={len(self.sensors)} "
@@ -866,5 +923,10 @@ def run_scenario(
     tracer: typing.Optional[Tracer] = None,
     until: typing.Optional[float] = None,
 ) -> RunReport:
-    """Build, run and summarise one scenario — the main convenience API."""
-    return ScenarioRuntime(config, tracer=tracer).run(until=until)
+    """Build, run and summarise one scenario — the main convenience API.
+
+    The runtime is closed before this returns, so the run is freed as
+    soon as the report exists.
+    """
+    with contextlib.closing(ScenarioRuntime(config, tracer=tracer)) as runtime:
+        return runtime.run(until=until)

@@ -21,6 +21,7 @@ does not carry; they run in-process and accept ``store`` and
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import typing
 
@@ -501,23 +502,23 @@ _BEACON_PERIODS = (5.0, 10.0, 20.0)
 
 
 def _beacon_row(config: ScenarioConfig) -> Row:
-    runtime = ScenarioRuntime(config)
-    report = runtime.run()
-    latencies = [
-        record.detect_time - record.death_time
-        for record in runtime.metrics.records()
-        if record.detect_time is not None
-    ]
-    return {
-        "beacon_tx": float(
-            runtime.channel.stats.transmissions[Category.BEACON]
-        ),
-        "mean_detect_latency": (
-            sum(latencies) / len(latencies) if latencies else 0.0
-        ),
-        "detected": float(report.detected),
-        "failures": float(report.failures),
-    }
+    with contextlib.closing(ScenarioRuntime(config)) as runtime:
+        report = runtime.run()
+        latencies = [
+            record.detect_time - record.death_time
+            for record in runtime.metrics.records()
+            if record.detect_time is not None
+        ]
+        return {
+            "beacon_tx": float(
+                runtime.channel.stats.transmissions[Category.BEACON]
+            ),
+            "mean_detect_latency": (
+                sum(latencies) / len(latencies) if latencies else 0.0
+            ),
+            "detected": float(report.detected),
+            "failures": float(report.failures),
+        }
 
 
 def beacon_period_ablation(
@@ -583,10 +584,10 @@ def beacon_period_ablation(
 
 
 def _coverage_row(config: ScenarioConfig) -> Row:
-    runtime = ScenarioRuntime(config)
-    tracker = CoverageTracker(runtime, period=400.0, resolution=35)
-    runtime.run()
-    energy = energy_report(runtime.channel, runtime.metrics)
+    with contextlib.closing(ScenarioRuntime(config)) as runtime:
+        tracker = CoverageTracker(runtime, period=400.0, resolution=35)
+        runtime.run()
+        energy = energy_report(runtime.channel, runtime.metrics)
     return {
         "mean_coverage": tracker.mean_coverage(),
         "min_coverage": tracker.minimum_coverage(),

@@ -15,6 +15,12 @@ every completed run is written before the next one is awaited, an
 interrupted grid resumes for free: rerunning it only executes the
 missing cells.
 
+Each run's runtime is closed as soon as its report exists, which
+breaks the cycles between its nodes, services and event queue.  A
+sweep therefore frees every finished run by reference counting and
+holds one run in memory, not every run since the cyclic collector's
+last full pass.
+
 Misses run in-process unless ``max_workers`` asks for more than one
 worker.  Then they go through the service's supervised job queue
 (:class:`~repro.service.queue.JobQueue`): a spawn-context process pool
@@ -57,9 +63,11 @@ __all__ = [
 def run_config(config: ScenarioConfig) -> RunReport:
     """Run one scenario to completion and return its report.
 
-    Module-level so it can cross a process boundary.
+    Module-level so it can cross a process boundary.  The runtime is
+    closed once the report exists (see :meth:`ScenarioRuntime.close`).
     """
-    return ScenarioRuntime(config).run()
+    with contextlib.closing(ScenarioRuntime(config)) as runtime:
+        return runtime.run()
 
 
 def run_config_timed(
@@ -79,14 +87,18 @@ def run_config_timed(
     ``sim.processed_events`` as a liveness signal: its lease keeper
     only renews while the simulation is actually advancing, so an
     alive-but-wedged worker goes lease-stale and gets requeued.
+
+    The runtime is closed once the report exists (see
+    :meth:`ScenarioRuntime.close`); its ``sim.now`` and
+    ``sim.processed_events`` stay readable for such a watcher.
     """
     started = perf_clock()
     if on_runtime is None:
         report = run_config(config)
     else:
-        runtime = ScenarioRuntime(config)
-        on_runtime(runtime)
-        report = runtime.run()
+        with contextlib.closing(ScenarioRuntime(config)) as runtime:
+            on_runtime(runtime)
+            report = runtime.run()
     return report, perf_clock() - started
 
 

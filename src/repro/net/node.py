@@ -131,6 +131,16 @@ class NetworkNode:
                 position=self._position,
             )
 
+    def close(self) -> None:
+        """Drop everything this node refers to, once its run is over.
+
+        The MAC and router refer back to their node, and subclasses
+        hold the runtime and their own pending waits, so a node sits on
+        several cycles.  Dropping its attributes breaks all of them,
+        whatever a subclass added.  A closed node is unusable.
+        """
+        vars(self).clear()
+
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------

@@ -242,6 +242,35 @@ class Simulator:
     def _stop_callback(event: Event) -> None:
         raise StopSimulation
 
+    def close(self) -> None:
+        """Empty the queue and cancel every wait that hangs on it.
+
+        Each queued event refers to this simulator, and its callable or
+        callbacks reach back into the model that scheduled it, so a
+        finished run's queue ties the whole model into cycles.  Closing
+        cancels the queued events and, through their callbacks, the
+        processes and :class:`AnyOf` waits they would have resumed,
+        with the other constituents of those waits.  That breaks the
+        cycles.  :attr:`now` and :attr:`processed_events` stay readable;
+        running a closed simulator finds nothing to do.
+        """
+        pending = [entry[3] for entry in self._queue]
+        self._queue.clear()
+        while pending:
+            event = pending.pop()
+            callbacks = event.callbacks
+            if callbacks is None:
+                continue
+            event.callbacks = None
+            if type(event) is Callback:
+                event._fn = _no_op
+            elif type(event) is AnyOf:
+                pending.extend(event.events)
+            for callback in callbacks:
+                waiter = getattr(callback, "__self__", None)
+                if isinstance(waiter, Event):
+                    pending.append(waiter)
+
     def __repr__(self) -> str:
         return (
             f"<Simulator t={self._now:.3f} queued={len(self._queue)} "

@@ -226,3 +226,7 @@ class AnyOf(Event):
             )
         else:
             self.fail(typing.cast(BaseException, event._value))
+        # A constituent still pending keeps this method among its
+        # callbacks; dropping the constituents breaks that cycle, so an
+        # abandoned wait is freed by reference counting.
+        self.events = ()

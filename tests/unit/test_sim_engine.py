@@ -1,8 +1,23 @@
 """Unit tests for the discrete-event kernel (engine, events, processes)."""
 
+import gc
+
 import pytest
 
 from repro.sim import SimulationError, Simulator
+
+
+def cycles_left_by(action):
+    """Run *action* with the collector off; return how many unreachable
+    objects it left behind."""
+    gc.collect()
+    gc.disable()
+    try:
+        gc.collect()
+        action()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 class TestClockAndTimeouts:
@@ -181,6 +196,54 @@ class TestConditions:
         sim.process(boss(sim))
         sim.run()
         assert done == [{}]
+
+    def test_abandoned_any_of_leaves_no_cycle(self):
+        """A wait that fired first drops its constituents, so the one
+        still pending no longer forms a cycle with it."""
+
+        def abandon():
+            sim = Simulator()
+            never = sim.event()
+            wait = sim.any_of([never, sim.timeout(1.0)])
+            sim.run()
+            assert wait.processed
+
+        assert cycles_left_by(abandon) == 0
+
+
+class TestClose:
+    def test_close_cancels_the_queue_and_keeps_the_clock(self):
+        sim = Simulator()
+        fired = []
+        sim.call_in(1.0, lambda: fired.append(1.0))
+        sim.call_in(5.0, lambda: fired.append(5.0))
+        sim.run(until=2.0)
+        events = sim.processed_events
+        sim.close()
+        assert (sim.now, sim.processed_events) == (2.0, events)
+        sim.run()
+        assert fired == [1.0]
+        assert (sim.now, sim.processed_events) == (2.0, events)
+
+    def test_close_cancels_the_waits_hanging_on_the_queue(self):
+        """A process waiting on a pending event and a queued timer at
+        once is a cycle; closing breaks it."""
+        resumed = []
+
+        def idle(sim, wake):
+            yield sim.any_of([wake, sim.timeout(10.0)])
+            resumed.append(sim.now)
+
+        def run_and_close():
+            sim = Simulator()
+            wake = sim.event()
+            sim.process(idle(sim, wake))
+            sim.run(until=1.0)
+            sim.close()
+            assert wake.callbacks is None
+
+        assert cycles_left_by(run_and_close) == 0
+        assert resumed == []
 
 
 class TestProcesses:
