@@ -115,10 +115,57 @@ class CoordinationStrategy(abc.ABC):
     ) -> bool:
         """Should *sensor* rebroadcast *flood* (called once per seq)?"""
 
-    def on_flood_learned(
-        self, sensor: "SensorNode", flood: "FloodMessage"
+    def accept_flood(
+        self,
+        sensor: "SensorNode",
+        flood: "FloodMessage",
+        heard_from_origin: bool,
+    ) -> bool:
+        """Fold a fresh *flood* (called once per seq) into *sensor*'s
+        state; True when *sensor* relays it.
+
+        *heard_from_origin*: the sensor has just refreshed the origin's
+        neighbour row.  This default writes a robot's location into a
+        plain dict (a newer seq wins) and never re-points myrobot.
+        """
+        if flood.subject is None and flood.kind != "manager":
+            self.learn_location(sensor, flood, heard_from_origin)
+        else:
+            self.learn_notice(sensor, flood)
+        return self.should_relay_flood(sensor, flood)
+
+    @staticmethod
+    def learn_location(
+        sensor: "SensorNode", flood: "FloodMessage", heard_from_origin: bool
     ) -> None:
-        """Hook after *sensor* folded *flood* into its robot knowledge."""
+        """Write a robot's flooded location into a plain-dict table (a
+        newer seq wins) and, for a relayed copy, the origin's row."""
+        known = sensor.known_robots.get(flood.origin_id)
+        if known is None or flood.seq >= known[1]:
+            sensor.known_robots[flood.origin_id] = (flood.position, flood.seq)
+        if not heard_from_origin:
+            entry = sensor.neighbor_table.by_id.get(flood.origin_id)
+            if entry is not None:
+                entry.position = flood.position
+                entry.kind = flood.kind
+
+    @staticmethod
+    def learn_notice(sensor: "SensorNode", flood: "FloodMessage") -> bool:
+        """Every strategy's path for a flood that is no robot location.
+
+        A manager flood sets the manager contact and returns False.  An
+        obituary forgets the dead *subject*, and myrobot if it was that
+        robot, and returns True: myrobot needs re-pointing.
+        """
+        if flood.kind == "manager":
+            sensor.manager_id = flood.origin_id
+            sensor.manager_position = flood.position
+            return False
+        sensor.known_robots.pop(flood.subject, None)
+        if sensor.myrobot_id == flood.subject:
+            sensor.myrobot_id = None
+            sensor.myrobot_position = None
+        return True
 
     # ------------------------------------------------------------------
     # Robot faults (resilience extension; no-ops for the baseline)

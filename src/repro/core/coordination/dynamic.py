@@ -12,6 +12,7 @@ observes slightly higher messaging overhead than the fixed algorithm
 
 from __future__ import annotations
 
+import math
 import typing
 
 from repro.core.coordination.base import CoordinationStrategy
@@ -85,7 +86,9 @@ class DynamicStrategy(CoordinationStrategy):
         """Copy robot knowledge from the nearest neighbour, then adopt
         the closest known robot as myrobot."""
         super().seed_replacement(sensor)
-        self._refresh_myrobot(sensor)
+        closest = sensor.closest_known_robot()
+        if closest is not None:
+            sensor.myrobot_id, sensor.myrobot_position = closest
 
     def report_target(
         self, sensor: "SensorNode"
@@ -109,6 +112,30 @@ class DynamicStrategy(CoordinationStrategy):
             ),
         )
 
+    def accept_flood(
+        self,
+        sensor: "SensorNode",
+        flood: FloodMessage,
+        heard_from_origin: bool,
+    ) -> bool:
+        """Learn the flood, re-point myrobot to the closest known robot
+        (sensors dynamically adjust myrobot), and decide the relay."""
+        knowledge = sensor.known_robots
+        if flood.subject is None and flood.kind != "manager":
+            knowledge.learn(flood.origin_id, flood.position, flood.seq)
+            if not heard_from_origin:
+                # Relayed: refresh the origin's neighbour row in place.
+                entry = sensor.neighbor_table.by_id.get(flood.origin_id)
+                if entry is not None:
+                    entry.position = flood.position
+                    entry.kind = flood.kind
+        elif not self.learn_notice(sensor, flood):
+            return self.should_relay_flood(sensor, flood)
+        closest = knowledge.nearest_two()[0]
+        if closest is not None:
+            sensor.myrobot_id, sensor.myrobot_position = closest
+        return self.should_relay_flood(sensor, flood)
+
     def should_relay_flood(
         self, sensor: "SensorNode", flood: FloodMessage
     ) -> bool:
@@ -126,35 +153,24 @@ class DynamicStrategy(CoordinationStrategy):
             sensor.node_id
         ):
             return False
-        distance_to_origin = sensor.position.distance_to(flood.position)
         # For an obituary the announced position is the *subject*'s, so
         # the scope is the dead robot's cell (plus the margin band) and
-        # the subject is the robot to exclude from "closest other".
-        # Both this and on_flood_learned's myrobot refresh read the
-        # knowledge table's kept nearest pair.
-        excluded = (
-            flood.subject if flood.subject is not None else flood.origin_id
-        )
-        closest_other = sensor.closest_known_robot(exclude=excluded)
-        if closest_other is None:
+        # the subject is the robot to exclude from "closest other": the
+        # kept pair's runner-up when the subject is the nearest.
+        excluded = flood.subject
+        if excluded is None:
+            excluded = flood.origin_id
+        closest, runner_up = sensor.known_robots.nearest_two()
+        if closest is not None and closest[0] == excluded:
+            closest = runner_up
+        if closest is None:
             return True
-        distance_to_other = sensor.position.distance_to(closest_other[1])
-        return (
-            distance_to_origin
-            <= distance_to_other + RELAY_MARGIN_M
+        # Point.distance_to's float operations, inlined.
+        x, y = sensor.position.x, sensor.position.y
+        announced, other = flood.position, closest[1]
+        return math.hypot(x - announced.x, y - announced.y) <= (
+            math.hypot(x - other.x, y - other.y) + RELAY_MARGIN_M
         )
-
-    def on_flood_learned(
-        self, sensor: "SensorNode", flood: FloodMessage
-    ) -> None:
-        """Sensors dynamically adjust myrobot to the closest robot."""
-        self._refresh_myrobot(sensor)
-
-    @staticmethod
-    def _refresh_myrobot(sensor: "SensorNode") -> None:
-        closest = sensor.closest_known_robot()
-        if closest is not None:
-            sensor.myrobot_id, sensor.myrobot_position = closest
 
     # ------------------------------------------------------------------
     # Robot faults (resilience extension)

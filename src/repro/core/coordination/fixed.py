@@ -158,13 +158,21 @@ class FixedStrategy(CoordinationStrategy):
             return False
         return flood.subarea == sensor.subarea
 
-    def on_flood_learned(
-        self, sensor: "SensorNode", flood: FloodMessage
-    ) -> None:
+    def accept_flood(
+        self,
+        sensor: "SensorNode",
+        flood: FloodMessage,
+        heard_from_origin: bool,
+    ) -> bool:
+        """Learn the flood into the plain dict, follow the subarea robot,
+        and relay within the subarea."""
+        if flood.subject is None and flood.kind != "manager":
+            self.learn_location(sensor, flood, heard_from_origin)
+        elif not self.learn_notice(sensor, flood):
+            return self.should_relay_flood(sensor, flood)
         if flood.origin_id == sensor.myrobot_id:
             sensor.myrobot_position = flood.position
-            return
-        if (
+        elif (
             self._takeovers
             and flood.subarea == sensor.subarea
             and flood.kind == "robot"
@@ -173,6 +181,7 @@ class FixedStrategy(CoordinationStrategy):
             # takeover (or a reclaim): adopt it as the new manager.
             sensor.myrobot_id = flood.origin_id
             sensor.myrobot_position = flood.position
+        return self.should_relay_flood(sensor, flood)
 
     # ------------------------------------------------------------------
     # Robot faults (resilience extension)
@@ -192,7 +201,7 @@ class FixedStrategy(CoordinationStrategy):
         in for a directed hand-over notification that a full
         implementation would route through the subarea gateway (the
         on-air flood is still emitted for accounting, and the
-        ``on_flood_learned`` repoint rule covers sensors it reaches).
+        ``accept_flood`` repoint rule covers sensors it reaches).
         """
         service = self.runtime.resilience
         dead_subareas = sorted(

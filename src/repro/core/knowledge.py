@@ -4,12 +4,13 @@ Every sensor tracks the robots it has learned about from floods as
 ``robot_id -> (position, seq)``.  The coordination strategy builds
 that table (``CoordinationStrategy.knowledge_table``): the fixed and
 centralized algorithms only look entries up, so theirs is a plain
-dict.  The dynamic algorithm's dominant query on it is
-:meth:`RobotKnowledge.closest` — on every fresh location-update flood
-it asks for the closest robot (myrobot) and then for the closest robot
-other than the flood's origin (the relay predicate).  Both answers are
-read off one kept pair: the nearest known robot and the runner-up, with
-their squared distances.
+dict.  The dynamic algorithm writes every fresh location-update flood
+through :meth:`RobotKnowledge.learn` and then reads
+:meth:`RobotKnowledge.nearest_two`: the nearest robot becomes myrobot,
+and the relay predicate takes the closest robot other than the flood's
+origin — the nearest, or the runner-up when the nearest is the origin.
+Both answers come off one kept pair: the nearest known robot and the
+runner-up, with their squared distances.
 
 Sensors never move, so the table takes its owner's position at
 construction and keeps that pair current as the table changes, the way
@@ -125,6 +126,22 @@ class RobotKnowledge:
             self._rows.append(row)
         else:
             self._rows[slot] = row
+
+    def learn(self, robot_id: NodeId, position: Point, seq: int) -> None:
+        """Write a flooded ``(position, seq)`` unless *robot_id*'s entry
+        holds a newer seq: ``get``, the ``seq >= known[1]`` test and
+        ``[]=`` in one call."""
+        known = self._entries.get(robot_id)
+        if known is not None and seq < known[1]:
+            return
+        row = (robot_id, position.x, position.y, (robot_id, position))
+        self._entries[robot_id] = (position, seq)
+        if known is None:
+            self._slots[robot_id] = len(self._rows)
+            self._rows.append(row)
+        else:
+            self._rows[self._slots[robot_id]] = row
+        self._revise(robot_id, row)
 
     def __getitem__(self, robot_id: NodeId) -> Entry:
         return self._entries[robot_id]

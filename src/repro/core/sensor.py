@@ -85,15 +85,15 @@ class SensorNode(NetworkNode):
 
         #: Robot positions learned from floods: id -> (position, seq).
         #: The strategy picks the table's type: the dynamic algorithm's
-        #: keeps the nearest and runner-up robot current for its
-        #: closest-robot query (myrobot, relay predicate).
+        #: keeps the nearest and runner-up robot current for myrobot
+        #: and the relay predicate.
         self.known_robots: KnowledgeTable = (
             runtime.coordination.knowledge_table(self.position)
         )
         #: Fixed-algorithm subarea index of this sensor (None otherwise).
         self.subarea: typing.Optional[int] = None
 
-        #: Highest flood sequence number relayed, per origin.
+        #: Highest flood sequence number accepted, per origin.
         self._flood_seen: typing.Dict[NodeId, int] = {}
         #: Last time a beacon (or announcement) was heard, per neighbour.
         self._last_beacon: typing.Dict[NodeId, float] = {}
@@ -143,16 +143,34 @@ class SensorNode(NetworkNode):
         kind = type(payload)
         if kind is FloodMessage:
             origin_id = payload.origin_id
-            if packet.source == origin_id and payload.subject is None:
+            heard_from_origin = packet.source == origin_id
+            if heard_from_origin and payload.subject is None:
                 # Heard the robot itself: it is a one-hop neighbour right
                 # now.  (Subject-bearing floods announce someone *else's*
                 # state, so the position must not be attributed to the
-                # origin.)
-                self.neighbor_table.upsert(
-                    origin_id, payload.position, payload.kind
-                )
+                # origin.)  A known row is refreshed in place, as in
+                # on_announcement; only a new one goes through upsert.
+                entry = self.neighbor_table.by_id.get(origin_id)
+                if entry is None:
+                    self.neighbor_table.upsert(
+                        origin_id, payload.position, payload.kind
+                    )
+                else:
+                    entry.position = payload.position
+                    entry.kind = payload.kind
             if payload.seq > self._flood_seen.get(origin_id, -1):
-                self._accept_flood(packet, payload)
+                self._flood_seen[origin_id] = payload.seq
+                if self.runtime.coordination.accept_flood(
+                    self, payload, heard_from_origin
+                ):
+                    self.mac.broadcast_packet(
+                        Packet(
+                            source=self.node_id,
+                            destination=packet.destination,
+                            category=packet.category,
+                            payload=payload,
+                        )
+                    )
         elif kind is SuspicionQuery:
             self._handle_suspicion_query(payload)
 
@@ -558,59 +576,6 @@ class SensorNode(NetworkNode):
                     self.neighbor_table.remove(entry.node_id)
 
     # ------------------------------------------------------------------
-    # Location-update floods
-    # ------------------------------------------------------------------
-    def _accept_flood(self, packet: Packet, flood: FloodMessage) -> None:
-        """Learn from a flood newer than any seen from its origin, and
-        relay it if the strategy says so (called once per seq)."""
-        self._flood_seen[flood.origin_id] = flood.seq
-        # Heard straight from its origin, the flood's row was just
-        # written by on_broadcast_received.
-        self._learn_from_flood(
-            flood, row_fresh=packet.source == flood.origin_id
-        )
-        if self.runtime.coordination.should_relay_flood(self, flood):
-            relay = Packet(
-                source=self.node_id,
-                destination=packet.destination,
-                category=packet.category,
-                payload=flood,
-            )
-            self.mac.broadcast_packet(relay)
-
-    def _learn_from_flood(
-        self, flood: FloodMessage, row_fresh: bool = False
-    ) -> None:
-        """Fold a flooded announcement into local robot knowledge.
-
-        *row_fresh* says the origin's neighbour row already holds this
-        flood's position and kind, so it is not written again.
-        """
-        if flood.kind == "manager":
-            self.manager_id = flood.origin_id
-            self.manager_position = flood.position
-            return
-        if flood.subject is not None:
-            # An obituary: a monitor announcing *subject*'s death at its
-            # last known position.  Forget the dead robot and let the
-            # strategy re-point myrobot (dynamic Voronoi re-partition).
-            self.known_robots.pop(flood.subject, None)
-            if self.myrobot_id == flood.subject:
-                self.myrobot_id = None
-                self.myrobot_position = None
-            self.runtime.coordination.on_flood_learned(self, flood)
-            return
-        known = self.known_robots.get(flood.origin_id)
-        if known is None or flood.seq >= known[1]:
-            self.known_robots[flood.origin_id] = (flood.position, flood.seq)
-        # Keep the routing layer's idea of robot positions fresh too.
-        if not row_fresh and flood.origin_id in self.neighbor_table:
-            self.neighbor_table.upsert(
-                flood.origin_id, flood.position, flood.kind
-            )
-        self.runtime.coordination.on_flood_learned(self, flood)
-
-    # ------------------------------------------------------------------
     # Robot knowledge queries (used by strategies)
     # ------------------------------------------------------------------
     def closest_known_robot(
@@ -623,7 +588,8 @@ class SensorNode(NetworkNode):
         current per change by the ``(d2, id)`` rule: squared distances
         from this sensor's position, ties to the smaller robot id.  Only
         a strategy whose table is a
-        :class:`~repro.core.knowledge.RobotKnowledge` asks (dynamic).
+        :class:`~repro.core.knowledge.RobotKnowledge` asks (dynamic); a
+        fresh flood reads the pair through ``nearest_two`` instead.
         """
         return self.known_robots.closest(exclude)
 

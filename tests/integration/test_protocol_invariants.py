@@ -6,37 +6,81 @@ bookkeeping is consistent, and the failure lifecycle is monotone.
 """
 
 import collections
+import types
 
 import pytest
 
 from repro import Algorithm, ScenarioRuntime, paper_scenario
 from repro.core.messages import FloodMessage
+from repro.faults import FaultEvent, FaultKind
 from repro.net import Category
 
 SMALL = dict(sensors_per_robot=25, placement="grid", sim_time_s=4_000.0)
 
 
-@pytest.fixture(scope="module", params=(Algorithm.FIXED, Algorithm.DYNAMIC))
+#: Flood runs: the two distributed algorithms, plus dynamic with
+#: relays limited to the connected dominating set, and dynamic with a
+#: robot crash, whose obituary floods pop the dead robot.
+FLOOD_RUNS = {
+    "fixed": (Algorithm.FIXED, {}),
+    "dynamic": (Algorithm.DYNAMIC, {}),
+    "dynamic-efficient": (Algorithm.DYNAMIC, {"efficient_broadcast": True}),
+    "dynamic-crash": (
+        Algorithm.DYNAMIC,
+        {
+            "fault_script": (
+                FaultEvent(
+                    time=1_000.0, target="robot-00", kind=FaultKind.CRASH
+                ),
+            )
+        },
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=list(FLOOD_RUNS))
 def flood_run(request):
-    config = paper_scenario(request.param, 4, seed=26, **SMALL)
+    algorithm, extra = FLOOD_RUNS[request.param]
+    config = paper_scenario(algorithm, 4, seed=26, **SMALL, **extra)
     runtime = ScenarioRuntime(config)
     relays = collections.Counter()
+    #: (sensor, origin) -> the seqs it accepted, in order.
+    accepted = collections.defaultdict(list)
+    accepted_keys = set()
+    #: Sensor relays of a flood that sensor had not accepted.
+    laws = types.SimpleNamespace(
+        name=request.param, accepted=accepted, unaccepted=[], obituaries=0
+    )
+    strategy = runtime.coordination
+    inner_accept = strategy.accept_flood
+
+    def accept_flood(sensor, flood, heard_from_origin):
+        accepted[(sensor.node_id, flood.origin_id)].append(flood.seq)
+        accepted_keys.add((sensor.node_id, flood.origin_id, flood.seq))
+        if flood.subject is not None:
+            laws.obituaries += 1
+        return inner_accept(sensor, flood, heard_from_origin)
+
+    strategy.accept_flood = accept_flood
 
     def count_relays(frame, sender):
         packet = frame.packet
         if packet is None or not isinstance(packet.payload, FloodMessage):
             return
         flood = packet.payload
-        relays[(sender.node_id, flood.origin_id, flood.seq)] += 1
+        key = (sender.node_id, flood.origin_id, flood.seq)
+        relays[key] += 1
+        if sender.kind == "sensor" and key not in accepted_keys:
+            laws.unaccepted.append(key)
 
     runtime.channel.transmit_hooks.append(count_relays)
     report = runtime.run()
-    return runtime, report, relays
+    return runtime, report, relays, laws
 
 
 class TestFloodInvariants:
     def test_each_node_relays_each_flood_at_most_once(self, flood_run):
-        _runtime, _report, relays = flood_run
+        _runtime, _report, relays, _accepts = flood_run
         # Paper §3.2: "it relays the message to its neighbors only once
         # ... by remembering the sequence number".  The flood origin
         # itself transmits each seq exactly once too.
@@ -46,7 +90,7 @@ class TestFloodInvariants:
         assert duplicates == {}
 
     def test_flood_sequence_numbers_strictly_increase(self, flood_run):
-        _runtime, _report, relays = flood_run
+        _runtime, _report, relays, _accepts = flood_run
         by_origin = collections.defaultdict(set)
         for (sender, origin, seq), _count in relays.items():
             if sender == origin:
@@ -55,6 +99,27 @@ class TestFloodInvariants:
             ordered = sorted(seqs)
             # The origin never reuses a sequence number.
             assert len(ordered) == len(set(ordered))
+
+    def test_each_sensor_accepts_rising_seqs_once(self, flood_run):
+        _runtime, _report, _relays, laws = flood_run
+        assert laws.accepted
+        # A sensor accepts each (origin, seq) at most once, and the seqs
+        # it accepts from one origin only rise.
+        falling = {
+            key: seqs
+            for key, seqs in laws.accepted.items()
+            if any(a >= b for a, b in zip(seqs, seqs[1:]))
+        }
+        assert falling == {}
+
+    def test_every_sensor_relay_follows_its_acceptance(self, flood_run):
+        _runtime, _report, relays, laws = flood_run
+        assert any(key[0].startswith("sensor-") for key in relays)
+        assert laws.unaccepted == []
+
+    def test_obituaries_flood_only_after_a_robot_crash(self, flood_run):
+        _runtime, _report, _relays, laws = flood_run
+        assert (laws.obituaries > 0) == (laws.name == "dynamic-crash")
 
 
 class TestLifecycleInvariants:

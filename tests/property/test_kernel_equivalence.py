@@ -181,6 +181,63 @@ class TestRobotKnowledgeClosest:
         assert dict(source.items()) == {"r2": (Point(9.0, 0.0), 0)}
 
 
+#: One step against a table: learn a flooded ``(position, seq)`` (few
+#: seqs, so stale and equal ones are common) or pop a robot.
+_learn_steps = st.one_of(
+    st.tuples(st.just("learn"), robot_ids, _positions, st.integers(0, 3)),
+    st.tuples(st.just("pop"), robot_ids, st.none(), st.none()),
+)
+
+
+class TestRobotKnowledgeLearn:
+    @given(
+        st.dictionaries(
+            robot_ids,
+            st.tuples(tie_coords, tie_coords, st.integers(0, 3)),
+            max_size=8,
+        ),
+        st.lists(_learn_steps, max_size=24),
+        tie_coords,
+        tie_coords,
+    )
+    def test_learn_matches_get_seq_test_then_set(
+        self, table, steps, px, py
+    ):
+        # learn() is get, the ``seq >= known[1]`` test and ``[]=`` in
+        # one call: a twin table that takes the three steps must hold
+        # the same entries, rows and kept pair after every step, and
+        # the pair must still be the scalar scan's.
+        learned = _knowledge(table, px, py)
+        twin = _knowledge(table, px, py)
+        for kind, robot_id, xy, seq in steps:
+            if kind == "learn":
+                learned.learn(robot_id, Point(*xy), seq)
+                known = twin.get(robot_id)
+                if known is None or seq >= known[1]:
+                    twin[robot_id] = (Point(*xy), seq)
+            else:
+                learned.pop(robot_id)
+                twin.pop(robot_id)
+            assert dict(learned.items()) == dict(twin.items())
+            assert sorted(learned._rows) == sorted(twin._rows)
+            assert {
+                rid: learned._rows[slot][0]
+                for rid, slot in learned._slots.items()
+            } == {rid: rid for rid in learned}
+            scalar = {
+                rid: (position.x, position.y, known_seq)
+                for rid, (position, known_seq) in twin.items()
+            }
+            nearest = _scalar_closest(scalar, px, py, None)
+            runner_up = (
+                None
+                if nearest is None
+                else _scalar_closest(scalar, px, py, nearest[0])
+            )
+            assert learned.nearest_two() == twin.nearest_two()
+            assert learned.nearest_two() == (nearest, runner_up)
+
+
 class TestNearestRule:
     @given(
         st.dictionaries(

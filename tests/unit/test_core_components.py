@@ -167,23 +167,28 @@ class TestSensorBehaviour:
         robot = runtime.robots_sorted()[0]
         strategy = runtime.coordination
         calls = []
-        queries = []
+        reads = []
         scans = []
         inner_relay = strategy.should_relay_flood
-        inner_closest = RobotKnowledge.closest
+        inner_nearest_two = RobotKnowledge.nearest_two
 
         def relay(node, flood):
             calls.append(flood.seq)
             return inner_relay(node, flood)
 
-        def closest(knowledge, exclude=None):
-            # A query that finds the kept pair stale rescans the table.
-            queries.append(exclude)
+        def nearest_two(knowledge):
+            # Each read notes how many relay decisions came before it; a
+            # read that finds the kept pair stale rescans the table.
+            reads.append(len(calls))
             if knowledge._stale:
-                scans.append(exclude)
-            return inner_closest(knowledge, exclude)
+                scans.append(len(calls))
+            return inner_nearest_two(knowledge)
+
+        def closest(knowledge, exclude=None):
+            raise AssertionError("a fresh flood reads nearest_two only")
 
         monkeypatch.setattr(strategy, "should_relay_flood", relay)
+        monkeypatch.setattr(RobotKnowledge, "nearest_two", nearest_two)
         monkeypatch.setattr(RobotKnowledge, "closest", closest)
         near, far = Point(1, 1), Point(400, 400)
         floods = ((100, near), (100, near), (101, near), (100, near),
@@ -192,13 +197,14 @@ class TestSensorBehaviour:
             packet = self._flood_packet(robot, seq=seq, position=position)
             sensor.on_broadcast_received(packet, robot.node_id, robot.position)
         assert calls == [100, 101, 102]
-        # Each fresh flood asks twice: the myrobot refresh, then the
-        # relay predicate excluding the origin.
-        assert queries == [None, robot.node_id] * 3
+        # Each fresh flood reads the kept pair once for myrobot, then
+        # once in the relay predicate; duplicates read nothing.
+        assert reads == [0, 1, 1, 2, 2, 3]
         # Moving closer revises the kept pair in place.  Moving behind
-        # the runner-up costs one rescan, made by the myrobot refresh
-        # and reused by the relay predicate.
-        assert scans == [None]
+        # the runner-up costs one rescan, made by the myrobot read and
+        # reused by the relay predicate.
+        assert scans == [2]
+        assert sensor.myrobot_id == sensor.known_robots.nearest_two()[0][0]
 
     def test_sensor_location_hint_serves_known_robots(self):
         runtime = tiny_runtime(algorithm=Algorithm.DYNAMIC)

@@ -158,7 +158,7 @@ class TestFixedPolicy:
             seq=50,
             subarea=sensor.subarea,
         )
-        sensor._learn_from_flood(flood)
+        runtime.coordination.accept_flood(sensor, flood, False)
         assert sensor.myrobot_position == new_position
 
     def test_staggered_partition_option(self):
@@ -199,7 +199,7 @@ class TestDynamicPolicy:
             kind="robot",
             seq=77,
         )
-        sensor._learn_from_flood(flood)
+        runtime.coordination.accept_flood(sensor, flood, False)
         assert sensor.myrobot_id == other_robot
 
     def test_relay_scope_is_voronoi_band(self):
