@@ -116,8 +116,16 @@ class FixedStrategy(CoordinationStrategy):
     def guardian_allowed(
         self, sensor: "SensorNode", entry: NeighborEntry
     ) -> bool:
-        """Guardian pairs stay within one subarea (paper §3.2)."""
-        return self.partition.index_of(entry.position) == sensor.subarea
+        """Guardian pairs stay within one subarea (paper §3.2).
+
+        A live candidate's subarea is the one :meth:`_assign_sensor`
+        stored on it before any guardian is chosen; only a row of a
+        sensor that is gone is located again.
+        """
+        candidate = self.runtime.sensors.get(entry.node_id)
+        if candidate is None:
+            return self.partition.index_of(entry.position) == sensor.subarea
+        return candidate.subarea == sensor.subarea
 
     def publish_robot_location(self, robot: "RobotNode", seq: int) -> None:
         """Flood the new position to every owned subarea.

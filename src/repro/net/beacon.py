@@ -54,6 +54,7 @@ class BeaconService:
         self.node = node
         self.period = period
         self.beacons_sent = 0
+        self._last: typing.Optional[NodeAnnouncement] = None
         self._rng = node.streams.stream(f"beacon.{node.node_id}")
         node.sim.process(self._beacon_loop(), name=f"beacon:{node.node_id}")
 
@@ -66,28 +67,29 @@ class BeaconService:
         """
         if not self.node.alive:
             return
-        self.node.send_broadcast(
-            Category.BEACON,
-            NodeAnnouncement(
-                node_id=self.node.node_id,
-                position=self.node.position,
-                kind=self.node.kind,
-            ),
-        )
+        self.node.send_broadcast(Category.BEACON, self._announcement())
         self.beacons_sent += 1
+
+    def _announcement(self) -> NodeAnnouncement:
+        """The node's announcement, rebuilt only when it has moved.
+
+        Points are frozen, so while ``node.position`` is the same object
+        the kept announcement is still exact.
+        """
+        node = self.node
+        announcement = self._last
+        if announcement is None or announcement.position is not node.position:
+            announcement = NodeAnnouncement(
+                node_id=node.node_id, position=node.position, kind=node.kind
+            )
+            self._last = announcement
+        return announcement
 
     def _beacon_loop(self) -> typing.Generator:
         sim: Simulator = self.node.sim
         yield sim.timeout(self._rng.uniform(0.0, self.period))
         while self.node.alive:
-            self.node.send_broadcast(
-                Category.BEACON,
-                NodeAnnouncement(
-                    node_id=self.node.node_id,
-                    position=self.node.position,
-                    kind=self.node.kind,
-                ),
-            )
+            self.node.send_broadcast(Category.BEACON, self._announcement())
             self.beacons_sent += 1
             yield sim.timeout(self.period)
 

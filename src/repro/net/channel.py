@@ -426,8 +426,10 @@ class Channel:
                 frame_category=category,
             )
 
+        # Air time plus propagation; the MAC frees its radio after the
+        # same air time.
         delay = (
-            sender.radio.transmission_delay(frame.size_bits)
+            frame.size_bits / sender.radio.bitrate_bps
             + self.propagation_delay
         )
         loss_rate = sender.radio.loss_rate

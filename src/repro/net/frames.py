@@ -15,6 +15,14 @@ Two layers, mirroring the paper's GloMoSim stack:
 Message *categories* tag every packet so the metrics collector can
 attribute transmissions to the paper's four overhead classes
 (initialization, failure detection, failure report, location update).
+
+Every transmission builds a frame, and most build a packet too, so both
+classes write their ``__init__`` out by hand: each bumps its module id
+counter inline, and a frame settles :attr:`Frame.is_broadcast` and
+:attr:`Frame.category` once, where the channel and the MAC read them.
+The dataclass decorator still supplies the fields, ``__eq__`` and the
+slots; ``tests/unit/test_net_frames.py`` checks that each hand-written
+signature matches the fields.
 """
 
 from __future__ import annotations
@@ -96,12 +104,7 @@ class NodeAnnouncement:
 
 
 _packet_counter = 0
-
-
-def _next_packet_id() -> int:
-    global _packet_counter
-    _packet_counter += 1
-    return _packet_counter
+_frame_counter = 0
 
 
 def reset_id_counters() -> None:
@@ -119,7 +122,7 @@ def reset_id_counters() -> None:
     _frame_counter = 0
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass(slots=True, init=False)
 class Packet:
     """A network-layer packet.
 
@@ -141,9 +144,10 @@ class Packet:
         router at each forwarding step.
     max_hops:
         TTL guard against routing loops.
-    routing_state:
-        Scratch space owned by the geographic router (face-routing
-        traversal state lives here).
+
+    Each packet also gets the next ``packet_id`` and its own empty
+    ``routing_state`` dict, the scratch space owned by the geographic
+    router (face-routing traversal state lives here).
     """
 
     source: NodeId
@@ -157,10 +161,34 @@ class Packet:
     #: diameter) hops per face; actual routing loops are detected by the
     #: perimeter edge-revisit check, so this is set comfortably high.
     max_hops: int = 256
-    packet_id: int = dataclasses.field(default_factory=_next_packet_id)
+    packet_id: int = dataclasses.field(init=False)
     routing_state: typing.Dict[str, typing.Any] = dataclasses.field(
-        default_factory=dict
+        init=False
     )
+
+    def __init__(
+        self,
+        source: NodeId,
+        destination: NodeId,
+        category: str,
+        payload: typing.Any = None,
+        dest_location: typing.Optional[Point] = None,
+        size_bits: int = DEFAULT_PACKET_SIZE_BITS,
+        hops: int = 0,
+        max_hops: int = 256,
+    ) -> None:
+        global _packet_counter
+        _packet_counter += 1
+        self.source = source
+        self.destination = destination
+        self.category = category
+        self.payload = payload
+        self.dest_location = dest_location
+        self.size_bits = size_bits
+        self.hops = hops
+        self.max_hops = max_hops
+        self.packet_id = _packet_counter
+        self.routing_state = {}
 
     @property
     def is_broadcast(self) -> bool:
@@ -174,22 +202,18 @@ class Packet:
         )
 
 
-_frame_counter = 0
-
-
-def _next_frame_id() -> int:
-    global _frame_counter
-    _frame_counter += 1
-    return _frame_counter
-
-
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass(slots=True, init=False)
 class Frame:
     """One wireless transmission: a packet on a single link hop.
 
     ``link_destination`` is the next-hop node for unicast frames or
     :data:`BROADCAST` for local broadcasts.  ``is_ack`` marks link-layer
     acknowledgements (only generated when the channel is lossy).
+
+    Each frame gets the next ``frame_id``, and two attributes fixed at
+    construction: ``is_broadcast``, true when addressed to every node in
+    radio range, and ``category``, the accounting category (``ack`` for
+    acks, else the packet's, else ``data``).
     """
 
     sender: NodeId
@@ -198,21 +222,35 @@ class Frame:
     size_bits: int = DEFAULT_PACKET_SIZE_BITS
     is_ack: bool = False
     ack_for: typing.Optional[int] = None
-    frame_id: int = dataclasses.field(default_factory=_next_frame_id)
+    frame_id: int = dataclasses.field(init=False)
+    is_broadcast: bool = dataclasses.field(init=False)
+    category: str = dataclasses.field(init=False)
 
-    @property
-    def is_broadcast(self) -> bool:
-        """True when addressed to every node in radio range."""
-        return self.link_destination == BROADCAST
-
-    @property
-    def category(self) -> str:
-        """Accounting category (acks have their own category)."""
-        if self.is_ack:
-            return Category.ACK
-        if self.packet is not None:
-            return self.packet.category
-        return Category.DATA
+    def __init__(
+        self,
+        sender: NodeId,
+        link_destination: NodeId,
+        packet: typing.Optional[Packet],
+        size_bits: int = DEFAULT_PACKET_SIZE_BITS,
+        is_ack: bool = False,
+        ack_for: typing.Optional[int] = None,
+    ) -> None:
+        global _frame_counter
+        _frame_counter += 1
+        self.sender = sender
+        self.link_destination = link_destination
+        self.packet = packet
+        self.size_bits = size_bits
+        self.is_ack = is_ack
+        self.ack_for = ack_for
+        self.frame_id = _frame_counter
+        self.is_broadcast = link_destination == BROADCAST
+        if is_ack:
+            self.category = Category.ACK
+        elif packet is not None:
+            self.category = packet.category
+        else:
+            self.category = Category.DATA
 
     def __repr__(self) -> str:
         kind = "ack" if self.is_ack else "data"

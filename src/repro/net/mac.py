@@ -133,19 +133,16 @@ class Mac:
             return
         frame = self._queue.popleft()
         self.channel.transmit(self.node, frame)
-        if self._arq_applies(frame):
-            self._arm_ack_timer(frame, self.config.max_retries)
-        self._next_free = self.sim.now + self.node.radio.transmission_delay(
-            frame.size_bits
-        )
-        self._maybe_schedule()
-
-    def _arq_applies(self, frame: Frame) -> bool:
-        return (
-            self.node.radio.loss_rate > 0.0
+        radio = self.node.radio
+        if (
+            radio.loss_rate > 0.0
             and not frame.is_broadcast
             and not frame.is_ack
-        )
+        ):
+            self._arm_ack_timer(frame, self.config.max_retries)
+        # The air time: the same expression as Channel.transmit's delay.
+        self._next_free = self.sim.now + frame.size_bits / radio.bitrate_bps
+        self._maybe_schedule()
 
     # ------------------------------------------------------------------
     # ARQ

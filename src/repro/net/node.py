@@ -73,7 +73,8 @@ class NetworkNode:
         mac_config: typing.Optional[MacConfig] = None,
     ) -> None:
         self.node_id = node_id
-        self._position = position
+        #: Current location in the field; only :meth:`move_to` writes it.
+        self.position = position
         self.radio = radio
         self.sim = sim
         self.channel = channel
@@ -94,14 +95,12 @@ class NetworkNode:
     # ------------------------------------------------------------------
     # Position
     # ------------------------------------------------------------------
-    @property
-    def position(self) -> Point:
-        """Current location in the field."""
-        return self._position
-
     def move_to(self, position: Point) -> None:
-        """Relocate the node and update the channel's spatial index."""
-        self._position = position
+        """Relocate the node and update the channel's spatial index.
+
+        This is the only writer of :attr:`position`.
+        """
+        self.position = position
         if self.alive:
             self.channel.node_moved(self)
             if self.tracer.active:
@@ -128,7 +127,7 @@ class NetworkNode:
                 time=self.sim.now,
                 node=self.node_id,
                 kind=self.kind,
-                position=self._position,
+                position=self.position,
             )
 
     def close(self) -> None:
@@ -264,5 +263,5 @@ class NetworkNode:
         state = "up" if self.alive else "down"
         return (
             f"<{type(self).__name__} {self.node_id} {state} "
-            f"at {self._position!r}>"
+            f"at {self.position!r}>"
         )

@@ -60,10 +60,6 @@ class RadioConfig:
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss rate outside [0, 1): {self.loss_rate}")
 
-    def transmission_delay(self, size_bits: int) -> float:
-        """Seconds the radio is busy transmitting *size_bits*."""
-        return size_bits / self.bitrate_bps
-
 
 def sensor_radio(loss_rate: float = 0.0) -> RadioConfig:
     """The paper's sensor radio: 63 m range at 11 Mbps."""

@@ -60,10 +60,6 @@ class StopSimulation(Exception):
     """Raised internally to halt :meth:`Simulator.run` at ``until``."""
 
 
-def _no_op() -> None:
-    """The callable of a bare timeout: waiting is all it does."""
-
-
 class Simulator:
     """A deterministic discrete-event simulator whose clock starts at 0."""
 
@@ -94,8 +90,25 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float) -> Callback:
-        """Create an event that fires ``delay`` seconds from now."""
-        return self.call_in(delay, _no_op)
+        """Create an event that fires ``delay`` seconds from now.
+
+        A :class:`Callback` with no callable, built inline as in
+        :meth:`call_in`: processes yield one per wait, so it skips the
+        extra call frame, and the run loop calls nothing for it.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay!r}")
+        event = Callback.__new__(Callback)
+        event.sim = self
+        event.callbacks = []
+        event._value = None
+        event._ok = True
+        event._fn = None
+        time = self._now + delay
+        seq = self._seq + 1
+        self._seq = seq
+        _heappush(self._queue, (time, PRIORITY_NORMAL, seq, event))
+        return event
 
     def process(
         self,
@@ -128,9 +141,9 @@ class Simulator:
     ) -> Callback:
         """Schedule *callback* (no arguments) to run after *delay* seconds.
 
-        This is the kernel's fast path: callbacks, timeouts and process
-        starts make up most of the event volume (MAC wakeups, channel
-        deliveries, protocol timers), so each goes onto the heap as a
+        This is the kernel's fast path: callbacks and timeouts make up
+        most of the event volume (MAC wakeups, channel deliveries,
+        protocol timers, process waits), so each goes onto the heap as a
         lightweight :class:`Callback` event that the run loop processes
         inline.  The returned event is cancellable via :meth:`cancel` and
         yieldable from processes.
@@ -218,7 +231,9 @@ class Simulator:
                     event.callbacks = None
                     self._now = entry[0]
                     processed += 1
-                    event._fn()
+                    fn = event._fn
+                    if fn is not None:
+                        fn()
                     if callbacks:
                         for callback in callbacks:
                             callback(event)
@@ -263,7 +278,7 @@ class Simulator:
                 continue
             event.callbacks = None
             if type(event) is Callback:
-                event._fn = _no_op
+                event._fn = None
             elif type(event) is AnyOf:
                 pending.extend(event.events)
             for callback in callbacks:

@@ -180,7 +180,8 @@ class Callback(Event):
     simulator builds it without ``__init__`` and its run loop calls the
     callable directly, then any callbacks attached with
     :meth:`~Event.add_callback`, so the common path walks no callback
-    list.  A timeout is a Callback whose callable does nothing.  The base
+    list.  A timeout is a Callback whose callable is None: the run loop
+    only runs its callbacks (usually one waiting process).  The base
     :meth:`~Event.succeed` and :meth:`~Event.fail` reject it as already
     triggered.
     """

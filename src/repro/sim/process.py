@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim.events import Event, PENDING, SimulationError
+from repro.sim.events import Callback, Event, PENDING, SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -64,7 +64,14 @@ class Process(Event):
     # Generator stepping
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of *event*."""
+        """Advance the generator with the outcome of *event*.
+
+        A yielded timer of this process's own simulator (the common
+        wait) gets this method appended to its callbacks, exactly as
+        :meth:`~repro.sim.events.Event.add_callback` would, without the
+        generic checks below.
+        """
+        sim = self.sim
         try:
             while True:
                 if event._ok:
@@ -73,6 +80,15 @@ class Process(Event):
                     result = self.generator.throw(
                         typing.cast(BaseException, event._value)
                     )
+
+                if type(result) is Callback and result.sim is sim:
+                    callbacks = result.callbacks
+                    if callbacks is None:
+                        # Already processed: continue in this step.
+                        event = result
+                        continue
+                    callbacks.append(self._resume)
+                    return
 
                 if not isinstance(result, Event):
                     error = SimulationError(
@@ -83,7 +99,7 @@ class Process(Event):
                     self.fail(error)
                     return
 
-                if result.sim is not self.sim:
+                if result.sim is not sim:
                     error = SimulationError(
                         f"process {self.name!r} yielded an event from a "
                         "different simulator"

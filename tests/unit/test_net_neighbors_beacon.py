@@ -10,6 +10,7 @@ from repro.net import (
     NeighborEntry,
     NeighborTable,
     NetworkNode,
+    NodeAnnouncement,
     sensor_radio,
 )
 from repro.routing import RoutingStats
@@ -167,6 +168,37 @@ class TestBeaconService:
         sent = service.beacons_sent
         sim.run(until=60.0)
         assert service.beacons_sent == sent
+
+    def test_static_node_reuses_one_announcement(self):
+        sim, channel, a, b = self.build_pair()
+        sent = []
+        channel.transmit_hooks.append(
+            lambda frame, sender: sent.append(frame.packet.payload)
+        )
+        BeaconService(a, period=10.0)
+        sim.run(until=35.0)
+        assert len(sent) >= 3
+        assert all(announcement is sent[0] for announcement in sent)
+        assert sent[0] == NodeAnnouncement(
+            node_id="a", position=Point(0, 0), kind="node"
+        )
+
+    def test_beacon_now_carries_the_current_position(self):
+        sim, channel, a, b = self.build_pair()
+        sent = []
+        channel.transmit_hooks.append(
+            lambda frame, sender: sent.append(frame.packet.payload)
+        )
+        service = BeaconService(a, period=10.0)
+        service.beacon_now()
+        a.move_to(Point(5, 5))
+        service.beacon_now()
+        sim.run(until=1.0)
+        # Both went out before any periodic beacon: the MAC sends FIFO.
+        assert sent[:2] == [
+            NodeAnnouncement(node_id="a", position=Point(0, 0), kind="node"),
+            NodeAnnouncement(node_id="a", position=Point(5, 5), kind="node"),
+        ]
 
     def test_invalid_period_rejected(self):
         sim, channel, a, b = self.build_pair()

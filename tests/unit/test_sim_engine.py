@@ -312,6 +312,106 @@ class TestProcesses:
             sim.process(lambda: None)
 
 
+class TestTimerWaits:
+    """A process that yields a timer of its own simulator attaches to it
+    directly; these pin that the shortcut behaves like the generic
+    wait."""
+
+    def test_yielding_a_processed_timer_continues_in_the_same_step(self):
+        sim = Simulator()
+        early = sim.timeout(1.0)
+        log = []
+
+        def late(sim):
+            yield sim.timeout(2.0)
+            before = sim.processed_events
+            value = yield early
+            log.append((sim.now, value, sim.processed_events - before))
+
+        sim.process(late(sim))
+        sim.run()
+        assert log == [(2.0, None, 0)]
+
+    def test_yielding_another_simulators_timer_fails(self):
+        sim = Simulator()
+        other = Simulator()
+
+        def stray(sim):
+            yield other.timeout(1.0)
+
+        process = sim.process(stray(sim))
+        with pytest.raises(SimulationError, match="different simulator"):
+            sim.run()
+        assert not process.ok
+
+    @pytest.mark.parametrize("direct_first", [True, False])
+    def test_timer_shared_with_any_of_keeps_attach_order(self, direct_first):
+        sim = Simulator()
+        timer = sim.timeout(1.0)
+        waits = []
+        log = []
+
+        def direct(sim):
+            value = yield timer
+            log.append(("direct", sim.now, value))
+
+        def through_any_of(sim):
+            wait = sim.any_of([timer, sim.event()])
+            waits.append(wait)
+            fired = yield wait
+            log.append(("any_of", sim.now, list(fired.values())))
+
+        starts = [direct, through_any_of]
+        if not direct_first:
+            starts.reverse()
+        processes = {start: sim.process(start(sim)) for start in starts}
+        sim.run(until=0.5)
+        owners = [callback.__self__ for callback in timer.callbacks]
+        expected = [
+            waits[0] if start is through_any_of else processes[start]
+            for start in starts
+        ]
+        assert owners == expected
+        sim.run()
+        # The any_of resumes its process through its own event, queued
+        # when the timer's callbacks ran, so it always comes second.
+        assert log == [("direct", 1.0, None), ("any_of", 1.0, [None])]
+
+    def test_close_cancels_a_process_parked_on_a_timeout(self):
+        resumed = []
+
+        def parked(sim):
+            yield sim.timeout(10.0)
+            resumed.append(sim.now)
+
+        def run_and_close():
+            sim = Simulator()
+            process = sim.process(parked(sim))
+            sim.run(until=1.0)
+            sim.close()
+            assert process.callbacks is None
+            sim.run()
+
+        assert cycles_left_by(run_and_close) == 0
+        assert resumed == []
+
+    def test_processed_events_counts_each_timeout_once(self):
+        sim = Simulator()
+
+        def ticker(sim):
+            for _ in range(3):
+                yield sim.timeout(1.0)
+
+        sim.process(ticker(sim))
+        sim.timeout(5.0)
+        sim.cancel(sim.timeout(6.0))
+        sim.run()
+        # The process start, three waits, the process's end and the
+        # bare timeout; the cancelled one is skipped.
+        assert sim.processed_events == 6
+        assert sim.now == 5.0
+
+
 class TestDeterminism:
     def test_identical_runs_produce_identical_traces(self):
         def run_once():
