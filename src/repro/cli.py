@@ -89,6 +89,9 @@ _ABLATIONS = {
     "return": return_to_post_ablation,
     "coverage": coverage_energy_ablation,
 }
+#: Studies that read the runtime itself, so they run in-process with
+#: no store and no worker pool.
+_IN_PROCESS_ABLATIONS = ("beacon", "coverage")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,13 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json", "sarif"),
         default="text",
         help="report format (default: text)",
-    )
-    lint.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for the per-file pass (default: 1)",
     )
     lint.add_argument(
         "--no-project",
@@ -822,11 +818,19 @@ def _command_ablate(args: argparse.Namespace) -> int:
         "sim_time_s": args.sim_time,
         "loss_rate": args.loss,
     }
-    result = _ABLATIONS[args.study](
-        store=_resolve_store(args),
-        max_workers=args.jobs,
-        **{name: value for name, value in flags.items() if value is not None},
-    )
+    kwargs = {
+        name: value for name, value in flags.items() if value is not None
+    }
+    if args.study not in _IN_PROCESS_ABLATIONS:
+        kwargs.update(store=_resolve_store(args), max_workers=args.jobs)
+    elif args.store is not None or args.jobs is not None:
+        print(
+            f"ablate {args.study}: --store and --jobs are not accepted; "
+            "the study runs in-process",
+            file=sys.stderr,
+        )
+        return 2
+    result = _ABLATIONS[args.study](**kwargs)
     print(result.table())
     return 0 if result.all_claims_hold else 1
 
@@ -1098,7 +1102,7 @@ def _command_export(args: argparse.Namespace) -> int:
 def _command_lint(args: argparse.Namespace) -> int:
     from repro.lint.cli import main as lint_main
 
-    argv = [*args.paths, "--format", args.format, "--jobs", str(args.jobs)]
+    argv = [*args.paths, "--format", args.format]
     if args.no_project:
         argv.append("--no-project")
     if args.list_rules:

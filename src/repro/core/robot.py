@@ -75,8 +75,6 @@ class RobotNode(NetworkNode):
         config = runtime.config
         self.speed = config.robot_speed_mps
         self.update_threshold = config.update_threshold_m
-        #: Seconds spent swapping in the new node (0 in the paper's model).
-        self.service_time = 0.0
         #: Fixed-algorithm subarea this robot manages (None otherwise).
         self.subarea: typing.Optional[int] = None
         #: Spares carried; None = unlimited (the paper's implicit model).
@@ -84,7 +82,6 @@ class RobotNode(NetworkNode):
         self.spares = config.robot_capacity
         #: Where to reload spares (field centre); used only with capacity.
         self.depot: typing.Optional[Point] = None
-        self.reload_time = 0.0
         #: Central manager contact (centralized algorithm; set by the
         #: strategy during initialization — paper §3.1: "the manager
         #: broadcasts its location to ... all the maintenance robots").
@@ -540,14 +537,11 @@ class RobotNode(NetworkNode):
             leg_distance = yield from self._travel_to(task.position)
             if self.down or self._current_task is not task:
                 continue  # Broke down (or lost the job) on the way.
-            if self.service_time > 0:
-                yield self.sim.timeout(self.service_time)
-                if self.down or self._current_task is not task:
-                    continue
             if self._skip_repaired(task):
                 continue
             if self._verify_on_site(task, leg_distance):
                 continue
+            # The swap takes no time, as in the paper's model.
             self.runtime.complete_replacement(self, task, leg_distance)
             self._current_task = None
             self._report_completion(task)
@@ -557,11 +551,7 @@ class RobotNode(NetworkNode):
                     yield from self._drive_to(self.depot)
                     if self.down:
                         continue
-                    if self.reload_time > 0:
-                        yield self.sim.timeout(self.reload_time)
-                        if self.down:
-                            continue
-                    self.spares = self.capacity
+                    self.spares = self.capacity  # Reloading is instant.
 
     def _skip_repaired(self, task: RepairTask) -> bool:
         """Drop a job a peer already finished (re-dispatch races only)."""

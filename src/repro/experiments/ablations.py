@@ -15,8 +15,7 @@ through :func:`~repro.experiments.runner.run_grid`, so an optional
 disk, and ``max_workers`` fans fresh variants out over a process pool.
 The beacon-period and coverage/energy studies read the runtime's
 failure records, channel and coverage samples, which a stored report
-does not carry; they run in-process and accept ``store`` and
-``max_workers`` only so that every study has the same signature.
+does not carry; they run in-process.
 """
 
 from __future__ import annotations
@@ -524,8 +523,6 @@ def _beacon_row(config: ScenarioConfig) -> Row:
 def beacon_period_ablation(
     robot_count: int = 4,
     seeds: typing.Sequence[int] = (1,),
-    store: typing.Optional["RunStore"] = None,
-    max_workers: typing.Optional[int] = None,
     **overrides: typing.Any,
 ) -> AblationResult:
     """Beacon period vs detection latency and beacon traffic, with the
@@ -600,8 +597,6 @@ def _coverage_row(config: ScenarioConfig) -> Row:
 def coverage_energy_ablation(
     robot_count: int = 4,
     seeds: typing.Sequence[int] = (10,),
-    store: typing.Optional["RunStore"] = None,
-    max_workers: typing.Optional[int] = None,
     **overrides: typing.Any,
 ) -> AblationResult:
     """Sensing coverage kept vs energy spent, per algorithm: what the

@@ -38,7 +38,7 @@ import sys
 import tempfile
 import typing
 
-from repro.core.runtime import ScenarioRuntime
+from repro.core.runtime import ScenarioRuntime, run_scenario
 from repro.deploy.scenario import ScenarioConfig, paper_scenario
 from repro.metrics.aggregate import mean_of
 from repro.metrics.collector import RunReport
@@ -63,11 +63,10 @@ __all__ = [
 def run_config(config: ScenarioConfig) -> RunReport:
     """Run one scenario to completion and return its report.
 
-    Module-level so it can cross a process boundary.  The runtime is
-    closed once the report exists (see :meth:`ScenarioRuntime.close`).
+    :func:`~repro.core.runtime.run_scenario` with no tracer and the
+    config's own horizon, under the name the package exports.
     """
-    with contextlib.closing(ScenarioRuntime(config)) as runtime:
-        return runtime.run()
+    return run_scenario(config)
 
 
 def run_config_timed(
@@ -93,12 +92,10 @@ def run_config_timed(
     ``sim.processed_events`` stay readable for such a watcher.
     """
     started = perf_clock()
-    if on_runtime is None:
-        report = run_config(config)
-    else:
-        with contextlib.closing(ScenarioRuntime(config)) as runtime:
+    with contextlib.closing(ScenarioRuntime(config)) as runtime:
+        if on_runtime is not None:
             on_runtime(runtime)
-            report = runtime.run()
+        report = runtime.run()
     return report, perf_clock() - started
 
 

@@ -124,7 +124,11 @@ class AdaptiveVerification:
         self.config = runtime.config
         #: Current channel classification; starts at the config values.
         self.level = LEVEL_NORMAL
-        self._snapshot = runtime.channel.stats.snapshot()
+        #: ``frames_delivered`` and ``frames_lost`` at the last window's
+        #: end; each window judges the frames since.
+        stats = runtime.channel.stats
+        self._delivered = stats.frames_delivered
+        self._lost = stats.frames_lost
 
     def start(self) -> None:
         """Launch the periodic loss observer."""
@@ -143,12 +147,14 @@ class AdaptiveVerification:
 
     def _update(self) -> None:
         stats = self.runtime.channel.stats
-        delta = stats.diff_since(self._snapshot)
-        self._snapshot = stats.snapshot()
-        attempts = delta["frames_delivered"] + delta["frames_lost"]
+        delivered = stats.frames_delivered - self._delivered
+        lost = stats.frames_lost - self._lost
+        self._delivered = stats.frames_delivered
+        self._lost = stats.frames_lost
+        attempts = delivered + lost
         if attempts < _MIN_WINDOW_FRAMES:
             return  # Too little traffic this window to judge the air.
-        loss = delta["frames_lost"] / attempts
+        loss = lost / attempts
         if loss < TIGHT_BELOW:
             level = LEVEL_TIGHT
         elif loss > WIDE_ABOVE:

@@ -67,16 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker threads for the per-file pass (default: 1; the "
-            "report is identical at any worker count)"
-        ),
-    )
-    parser.add_argument(
         "--no-project",
         action="store_true",
         help=(
@@ -136,14 +126,9 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
         )
         return 2
 
-    if args.jobs < 1:
-        print("repro-lint: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
     violations, files_checked = lint_paths(
         args.paths,
         config=config,
-        jobs=args.jobs,
         project_scope=not args.no_project,
     )
     print(REPORTERS[args.format](violations, files_checked))

@@ -3,8 +3,7 @@
 Two tiers run over the linted tree:
 
 1. the **file pass** — R1–R5, R7, R10 — walks each file's AST in
-   isolation (parallelisable with ``jobs=N``; results are sorted at the
-   end, so the report is identical at any worker count);
+   isolation;
 2. the **project pass** — R6, R8, R9 — runs once over a
    :class:`~repro.lint.project.ProjectContext` assembled from every
    successfully-parsed file, and may reason across module boundaries.
@@ -25,7 +24,6 @@ ones: the comment lives in the file the violation points at.
 from __future__ import annotations
 
 import ast
-import concurrent.futures
 import io
 import os
 import re
@@ -254,42 +252,21 @@ def _load_and_lint(
 def lint_paths(
     paths: typing.Iterable[str],
     config: LintConfig = DEFAULT_CONFIG,
-    jobs: int = 1,
     project_scope: bool = True,
 ) -> typing.Tuple[typing.List[Violation], int]:
     """Lint every Python file under *paths*.
 
-    ``jobs > 1`` fans the file pass out over a thread pool (the work is
-    AST-bound, but parsing releases chunks of time and the pool also
-    overlaps file IO); the final report is sorted, so it is identical
-    at any worker count.  ``project_scope=False`` skips the
-    cross-module pass (R6/R8/R9) — useful when linting a fragment that
-    deliberately lacks its neighbours.
+    ``project_scope=False`` skips the cross-module pass (R6/R8/R9) —
+    useful when linting a fragment that deliberately lacks its
+    neighbours.
 
-    Returns ``(violations, files_checked)``.
+    Returns ``(violations, files_checked)``, the violations sorted.
     """
     file_list = list(iter_python_files(paths))
-    results: typing.List[
-        typing.Tuple[typing.Optional[ModuleInfo], typing.List[Violation]]
-    ]
-    if jobs > 1 and len(file_list) > 1:
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=jobs
-        ) as pool:
-            results = list(
-                pool.map(
-                    lambda file_path: _load_and_lint(file_path, config),
-                    file_list,
-                )
-            )
-    else:
-        results = [
-            _load_and_lint(file_path, config) for file_path in file_list
-        ]
-
     findings: typing.List[Violation] = []
     modules: typing.List[ModuleInfo] = []
-    for module, file_findings in results:
+    for file_path in file_list:
+        module, file_findings = _load_and_lint(file_path, config)
         findings.extend(file_findings)
         if module is not None:
             modules.append(module)

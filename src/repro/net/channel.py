@@ -30,6 +30,7 @@ import typing
 
 from repro.geometry.point import Point
 from repro.net.frames import Frame, NodeAnnouncement, NodeId, Packet
+from repro.net.radio import NOMINAL_BITRATE_BPS
 from repro.net.spatial import SpatialGrid
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -39,10 +40,15 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.network import NetworkFaultField
     from repro.net.node import NetworkNode
 
-__all__ = ["Channel", "ChannelStats", "DropCause"]
+__all__ = ["Channel", "ChannelStats", "DropCause", "PROPAGATION_DELAY_S"]
 
 #: Mobile-layer row: ``(id, x, y, node)``.
 _MobileRow = typing.Tuple[NodeId, float, float, "NetworkNode"]
+
+#: Fixed propagation latency added to every delivery.  Radio
+#: propagation over 250 m or less is under a microsecond; this matches
+#: that scale and mainly enforces happens-before ordering.
+PROPAGATION_DELAY_S = 1e-6
 
 _row_id = operator.itemgetter(0)
 _node_id = operator.attrgetter("node_id")
@@ -98,53 +104,6 @@ class ChannelStats:
         else:  # pragma: no cover - programming error
             raise ValueError(f"unknown drop cause: {cause!r}")
 
-    def snapshot(self) -> typing.Dict[str, typing.Any]:
-        """A plain-dict copy, convenient for reports and assertions."""
-        return {
-            "transmissions": dict(self.transmissions),
-            "frames_sent": self.frames_sent,
-            "frames_delivered": self.frames_delivered,
-            "frames_lost": self.frames_lost,
-            "dropped_loss": self.dropped_loss,
-            "dropped_jam": self.dropped_jam,
-            "dropped_partition": self.dropped_partition,
-            "frames_unreachable": self.frames_unreachable,
-            "retransmissions": dict(self.retransmissions),
-        }
-
-    def diff_since(
-        self, earlier: typing.Dict[str, typing.Any]
-    ) -> typing.Dict[str, typing.Any]:
-        """Counters accumulated since an earlier :meth:`snapshot`."""
-        current = self.snapshot()
-        return {
-            "transmissions": {
-                category: count - earlier["transmissions"].get(category, 0)
-                for category, count in current["transmissions"].items()
-            },
-            "frames_sent": current["frames_sent"] - earlier["frames_sent"],
-            "frames_delivered": (
-                current["frames_delivered"] - earlier["frames_delivered"]
-            ),
-            "frames_lost": current["frames_lost"] - earlier["frames_lost"],
-            "dropped_loss": (
-                current["dropped_loss"] - earlier["dropped_loss"]
-            ),
-            "dropped_jam": current["dropped_jam"] - earlier["dropped_jam"],
-            "dropped_partition": (
-                current["dropped_partition"] - earlier["dropped_partition"]
-            ),
-            "frames_unreachable": (
-                current["frames_unreachable"]
-                - earlier["frames_unreachable"]
-            ),
-            "retransmissions": {
-                category: count
-                - earlier["retransmissions"].get(category, 0)
-                for category, count in current["retransmissions"].items()
-            },
-        }
-
 
 class Channel:
     """The wireless medium shared by all sensors and robots.
@@ -158,10 +117,6 @@ class Channel:
         stream when a loss model is active.
     tracer:
         Optional tracer; emits ``"tx"`` and ``"rx"`` records.
-    propagation_delay:
-        Fixed propagation latency added to every delivery.  Radio
-        propagation over ≤250 m is under a microsecond; the default
-        matches that scale and mainly enforces happens-before ordering.
     """
 
     #: Delay before an unreachable unicast is reported back to its
@@ -174,11 +129,9 @@ class Channel:
         sim: Simulator,
         streams: typing.Optional[RandomStreams] = None,
         tracer: typing.Optional[Tracer] = None,
-        propagation_delay: float = 1e-6,
     ) -> None:
         self.sim = sim
         self.tracer = tracer or Tracer()
-        self.propagation_delay = propagation_delay
         self.stats = ChannelStats()
         self._loss_rng = (streams or RandomStreams(0)).stream("channel.loss")
         #: Optional spatial fault field (jamming/partition regions);
@@ -216,10 +169,6 @@ class Channel:
         #: largest key bounds the query for the senders a static-layer
         #: change can affect.
         self._cached_ranges: typing.Counter[float] = collections.Counter()
-        #: Hooks called as ``hook(frame, sender_node)`` on every transmit.
-        self.transmit_hooks: typing.List[
-            typing.Callable[[Frame, "NetworkNode"], None]
-        ] = []
 
     # ------------------------------------------------------------------
     # Node registry
@@ -415,8 +364,6 @@ class Channel:
         category = frame.category
         stats.frames_sent += 1
         stats.transmissions[category] += 1
-        for hook in self.transmit_hooks:
-            hook(frame, sender)
         if self.tracer.active:
             self.tracer.emit(
                 "tx",
@@ -428,10 +375,7 @@ class Channel:
 
         # Air time plus propagation; the MAC frees its radio after the
         # same air time.
-        delay = (
-            frame.size_bits / sender.radio.bitrate_bps
-            + self.propagation_delay
-        )
+        delay = frame.size_bits / NOMINAL_BITRATE_BPS + PROPAGATION_DELAY_S
         loss_rate = sender.radio.loss_rate
 
         if frame.is_broadcast:

@@ -10,7 +10,7 @@ Responsibilities:
   runs are reproducible.
 * **ARQ (lossy mode only)** — when the radio has a non-zero loss rate,
   unicast data frames are acknowledged; the sender retransmits up to
-  ``max_retries`` times and reports an unreachable next hop to the node
+  ``MAX_RETRIES`` times and reports an unreachable next hop to the node
   on final failure.  With the paper's lossless default no acks are
   generated, so transmission counts match GloMoSim's.
 """
@@ -18,10 +18,10 @@ Responsibilities:
 from __future__ import annotations
 
 import collections
-import dataclasses
 import typing
 
 from repro.net.frames import ACK_SIZE_BITS, BROADCAST, Frame, NodeId, Packet
+from repro.net.radio import NOMINAL_BITRATE_BPS
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 
@@ -29,31 +29,24 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.channel import Channel
     from repro.net.node import NetworkNode
 
-__all__ = ["MacConfig", "Mac"]
+__all__ = [
+    "BROADCAST_JITTER_S",
+    "UNICAST_JITTER_S",
+    "ACK_TIMEOUT_S",
+    "MAX_RETRIES",
+    "Mac",
+]
 
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class MacConfig:
-    """Tunables for the MAC layer.
-
-    Parameters
-    ----------
-    broadcast_jitter:
-        Maximum uniform delay before relaying a broadcast frame.
-    unicast_jitter:
-        Maximum uniform delay before a unicast transmission (models
-        contention backoff; small compared to any protocol timer).
-    ack_timeout:
-        Seconds to wait for a link-layer ack before retransmitting
-        (lossy mode only).
-    max_retries:
-        Retransmission budget per unicast frame (lossy mode only).
-    """
-
-    broadcast_jitter: float = 0.02
-    unicast_jitter: float = 0.002
-    ack_timeout: float = 0.05
-    max_retries: int = 5
+#: Maximum uniform delay before relaying a broadcast frame.
+BROADCAST_JITTER_S = 0.02
+#: Maximum uniform delay before a unicast transmission (models
+#: contention backoff; small compared to any protocol timer).
+UNICAST_JITTER_S = 0.002
+#: Seconds to wait for a link-layer ack before retransmitting (lossy
+#: mode only).
+ACK_TIMEOUT_S = 0.05
+#: Retransmission budget per unicast frame (lossy mode only).
+MAX_RETRIES = 5
 
 
 class Mac:
@@ -63,14 +56,11 @@ class Mac:
         "node",
         "channel",
         "sim",
-        "config",
         "_jitter_rng",
         "_queue",
         "_next_free",
         "_scheduled",
         "_pending_acks",
-        "_broadcast_jitter",
-        "_unicast_jitter",
     )
 
     def __init__(
@@ -79,12 +69,10 @@ class Mac:
         channel: "Channel",
         sim: Simulator,
         jitter_rng,
-        config: typing.Optional[MacConfig] = None,
     ) -> None:
         self.node = node
         self.channel = channel
         self.sim = sim
-        self.config = config or MacConfig()
         self._jitter_rng = jitter_rng
         self._queue: typing.Deque[Frame] = collections.deque()
         #: Simulation time at which the radio finishes its current frame.
@@ -95,9 +83,6 @@ class Mac:
         self._pending_acks: typing.Dict[
             int, typing.Tuple[Frame, int, Event]
         ] = {}
-        # Hoisted config reads for the per-frame scheduling path.
-        self._broadcast_jitter = self.config.broadcast_jitter
-        self._unicast_jitter = self.config.unicast_jitter
 
     # ------------------------------------------------------------------
     # Transmit path
@@ -114,9 +99,9 @@ class Mac:
         self._scheduled = True
         frame = self._queue[0]
         jitter_max = (
-            self._broadcast_jitter
+            BROADCAST_JITTER_S
             if frame.link_destination == BROADCAST
-            else self._unicast_jitter
+            else UNICAST_JITTER_S
         )
         wait_for_radio = self._next_free - self.sim.now
         if wait_for_radio < 0.0:
@@ -133,15 +118,16 @@ class Mac:
             return
         frame = self._queue.popleft()
         self.channel.transmit(self.node, frame)
-        radio = self.node.radio
         if (
-            radio.loss_rate > 0.0
+            self.node.radio.loss_rate > 0.0
             and not frame.is_broadcast
             and not frame.is_ack
         ):
-            self._arm_ack_timer(frame, self.config.max_retries)
+            self._arm_ack_timer(frame, MAX_RETRIES)
         # The air time: the same expression as Channel.transmit's delay.
-        self._next_free = self.sim.now + frame.size_bits / radio.bitrate_bps
+        self._next_free = (
+            self.sim.now + frame.size_bits / NOMINAL_BITRATE_BPS
+        )
         self._maybe_schedule()
 
     # ------------------------------------------------------------------
@@ -149,7 +135,7 @@ class Mac:
     # ------------------------------------------------------------------
     def _arm_ack_timer(self, frame: Frame, retries_left: int) -> None:
         timer = self.sim.call_in(
-            self.config.ack_timeout,
+            ACK_TIMEOUT_S,
             lambda: self._on_ack_timeout(frame.frame_id),
         )
         self._pending_acks[frame.frame_id] = (frame, retries_left, timer)

@@ -23,7 +23,7 @@ from repro.net.frames import (
     NodeId,
     Packet,
 )
-from repro.net.mac import Mac, MacConfig
+from repro.net.mac import Mac
 from repro.net.neighbors import NeighborTable
 from repro.net.radio import RadioConfig
 from repro.routing.router import GeographicRouter
@@ -46,15 +46,13 @@ class NetworkNode:
         Initial location; static for sensors, mutable for robots via
         :meth:`move_to`.
     radio:
-        Radio parameters (range, bitrate, loss).
+        Radio parameters (range, loss).
     sim, channel, streams:
         Scenario-wide simulator, medium and random streams.
     routing_stats:
         Shared routing statistics collector.
     tracer:
         Optional structured tracer.
-    mac_config:
-        MAC tunables; defaults are suitable for the paper's scenarios.
     """
 
     #: Node kind advertised in beacons; subclasses override.
@@ -70,7 +68,6 @@ class NetworkNode:
         streams: RandomStreams,
         routing_stats: typing.Optional[RoutingStats] = None,
         tracer: typing.Optional[Tracer] = None,
-        mac_config: typing.Optional[MacConfig] = None,
     ) -> None:
         self.node_id = node_id
         #: Current location in the field; only :meth:`move_to` writes it.
@@ -82,13 +79,7 @@ class NetworkNode:
         self.tracer = tracer or channel.tracer
         self.alive = True
         self.neighbor_table = NeighborTable()
-        self.mac = Mac(
-            self,
-            channel,
-            sim,
-            streams.stream(f"mac.{node_id}"),
-            mac_config,
-        )
+        self.mac = Mac(self, channel, sim, streams.stream(f"mac.{node_id}"))
         self.router = GeographicRouter(self, routing_stats or RoutingStats())
         channel.register(self)
 

@@ -28,7 +28,8 @@ __all__ = [
 SENSOR_RANGE_M = 63.0
 #: Manager / maintenance robot transmission range from the paper (§4.1).
 ROBOT_RANGE_M = 250.0
-#: Nominal 802.11b bit-rate from the paper (§4.1).
+#: Nominal 802.11b bit-rate from the paper (§4.1), every radio's link
+#: rate; a frame's air time is its size over this.
 NOMINAL_BITRATE_BPS = 11_000_000.0
 
 
@@ -40,8 +41,6 @@ class RadioConfig:
     ----------
     range_m:
         Unit-disk transmission range in metres.
-    bitrate_bps:
-        Link bit-rate; determines per-frame transmission delay.
     loss_rate:
         Independent Bernoulli probability that any given receiver misses
         a frame.  0 (default) models the paper's observed 100 % delivery;
@@ -49,14 +48,11 @@ class RadioConfig:
     """
 
     range_m: float
-    bitrate_bps: float = NOMINAL_BITRATE_BPS
     loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if self.range_m <= 0:
             raise ValueError(f"non-positive radio range: {self.range_m}")
-        if self.bitrate_bps <= 0:
-            raise ValueError(f"non-positive bitrate: {self.bitrate_bps}")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss rate outside [0, 1): {self.loss_rate}")
 

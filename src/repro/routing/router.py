@@ -50,11 +50,6 @@ PERIMETER = "perimeter"
 _TWO_PI = 2.0 * math.pi
 _ANGLE_EPS = 1e-9
 
-Planarizer = typing.Callable[
-    [Point, typing.Sequence[NeighborEntry]], typing.List[NeighborEntry]
-]
-
-
 class GeographicRouter:
     """Per-node geographic router (GPSR-style greedy + perimeter).
 
@@ -64,25 +59,13 @@ class GeographicRouter:
         The owning network node (supplies position and neighbour table).
     stats:
         Scenario-wide :class:`RoutingStats` shared across all routers.
-    planarizer:
-        Local planarization filter; defaults to the Gabriel graph as in
-        GPSR.
-    use_face_routing:
-        When False, a greedy dead end drops the packet instead of
-        entering perimeter mode (used by ablations and tests).
+
+    Face routing runs on the Gabriel planar subgraph, as in GPSR.
     """
 
-    def __init__(
-        self,
-        node: "NetworkNode",
-        stats: RoutingStats,
-        planarizer: Planarizer = gabriel_neighbors,
-        use_face_routing: bool = True,
-    ) -> None:
+    def __init__(self, node: "NetworkNode", stats: RoutingStats) -> None:
         self.node = node
         self.stats = stats
-        self.planarizer = planarizer
-        self.use_face_routing = use_face_routing
         #: Safety margin for the destination shortcut: hand a packet
         #: directly to a destination in the neighbour table only when its
         #: recorded position is at least this far inside radio range.  A
@@ -219,10 +202,7 @@ class GeographicRouter:
             self._transmit(packet, best.node_id)
             return
 
-        # Local minimum: recover via face routing, or give up.
-        if not self.use_face_routing:
-            self._drop(packet, DropReason.DEAD_END)
-            return
+        # Local minimum: recover via face routing.
         state["mode"] = PERIMETER
         state["entry_point"] = self.node.position
         state["entry_distance"] = my_distance
@@ -248,7 +228,7 @@ class GeographicRouter:
             for entry in self.node.neighbor_table.entries()
             if self._reachable(entry)
         ]
-        planar = self.planarizer(origin, reachable)
+        planar = gabriel_neighbors(origin, reachable)
         if not planar:
             self._drop(packet, DropReason.NO_NEIGHBORS)
             return

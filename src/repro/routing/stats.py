@@ -20,7 +20,6 @@ class DropReason:
 
     TTL_EXCEEDED = "ttl_exceeded"
     NO_NEIGHBORS = "no_neighbors"
-    DEAD_END = "dead_end"
     PERIMETER_LOOP = "perimeter_loop"
     LINK_FAILURE = "link_failure"
 

@@ -27,11 +27,10 @@ import pathlib
 
 import pytest
 
-from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, DetectionMode, paper_scenario
 from repro.experiments.degraded import default_degraded_campaign
 from repro.experiments.verification import default_network_campaign
-from repro.sim.trace import RecordingSink, Tracer, trace_digest
+from tests.tracing import TracedRun
 
 BASELINE_PATH = (
     pathlib.Path(__file__).resolve().parents[1]
@@ -76,16 +75,6 @@ def partition_scenario(algorithm):
     )
 
 
-def run_and_digest(config):
-    """Run *config* traced; return its digest, record count and runtime."""
-    tracer = Tracer()
-    recorder = RecordingSink()
-    tracer.subscribe("*", recorder)
-    runtime = ScenarioRuntime(config, tracer=tracer)
-    runtime.run()
-    return trace_digest(recorder.records), len(recorder.records), runtime
-
-
 def _load_baselines() -> dict:
     with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -122,18 +111,18 @@ def _check_baseline(key: str, sha256: str, records: int) -> None:
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_degraded_trace_digest_matches_baseline(algorithm):
-    sha256, records, _ = run_and_digest(degraded_scenario(algorithm))
-    _check_baseline(f"{algorithm}/degraded", sha256, records)
+    run = TracedRun(degraded_scenario(algorithm)).run()
+    _check_baseline(f"{algorithm}/degraded", run.digest, len(run.records))
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_partition_trace_digest_matches_baseline(algorithm):
-    sha256, records, runtime = run_and_digest(partition_scenario(algorithm))
-    stats = runtime.channel.stats
+    run = TracedRun(partition_scenario(algorithm)).run()
+    stats = run.runtime.channel.stats
     # The pin only guards the fault path if both causes actually fire.
     assert stats.dropped_partition > 0
     assert stats.dropped_jam > 0
-    _check_baseline(f"{algorithm}/partition", sha256, records)
+    _check_baseline(f"{algorithm}/partition", run.digest, len(run.records))
 
 
 def test_baseline_file_covers_all_degraded_scenarios():

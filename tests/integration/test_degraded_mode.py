@@ -25,7 +25,7 @@ from repro.geometry.detour import (
 )
 from repro.geometry.point import Point
 from repro.lint import lint_file
-from repro.sim.trace import RecordingSink, Tracer, trace_digest
+from tests.tracing import TracedRun
 
 ADAPTIVE_MODULE = (
     pathlib.Path(__file__).resolve().parents[2]
@@ -203,14 +203,6 @@ class TestAdaptiveLatencyOnCleanChannel:
         assert latency(True) < latency(False)
 
 
-def run_digest(config):
-    tracer = Tracer()
-    recorder = RecordingSink()
-    tracer.subscribe("*", recorder)
-    ScenarioRuntime(config, tracer=tracer).run()
-    return trace_digest(recorder.records), len(recorder.records)
-
-
 class TestDegradedDeterminism:
     """Satellite: replay + seed sensitivity + dedicated-stream proof."""
 
@@ -238,13 +230,14 @@ class TestDegradedDeterminism:
         )
 
     def test_replay_is_bit_identical(self):
-        first = run_digest(self.weather_config())
-        second = run_digest(self.weather_config())
-        assert first == second
+        first = TracedRun(self.weather_config()).run()
+        second = TracedRun(self.weather_config()).run()
+        assert len(first.records) == len(second.records)
+        assert first.digest == second.digest
 
     def test_different_seeds_diverge(self):
-        a, _ = run_digest(self.weather_config(seed=11))
-        b, _ = run_digest(self.weather_config(seed=12))
+        a = TracedRun(self.weather_config(seed=11)).run().digest
+        b = TracedRun(self.weather_config(seed=12)).run().digest
         assert a != b
 
     def test_adaptive_module_passes_simlint_r1(self):

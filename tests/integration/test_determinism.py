@@ -12,39 +12,32 @@ timing, or payload flips the hash.
 
 import pytest
 
-from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, paper_scenario
-from repro.sim.trace import RecordingSink, Tracer, trace_digest
+from tests.tracing import TracedRun
 
 FAST = dict(sim_time_s=4_000.0, sensors_per_robot=25, placement="grid")
 
 
-def run_and_digest(algorithm, seed):
-    """Run one small scenario; return (trace digest, record count, report)."""
-    config = paper_scenario(algorithm, 4, seed=seed, **FAST)
-    tracer = Tracer()
-    recorder = RecordingSink()
-    tracer.subscribe("*", recorder)
-    runtime = ScenarioRuntime(config, tracer=tracer)
-    report = runtime.run()
-    return trace_digest(recorder.records), len(recorder.records), report
+def traced(algorithm, seed):
+    """One small scenario, run with every trace record recorded."""
+    return TracedRun(paper_scenario(algorithm, 4, seed=seed, **FAST)).run()
 
 
 @pytest.mark.parametrize(
     "algorithm", [Algorithm.CENTRALIZED, Algorithm.FIXED, Algorithm.DYNAMIC]
 )
 def test_same_seed_replays_identically(algorithm):
-    first_digest, first_count, first_report = run_and_digest(algorithm, 11)
-    second_digest, second_count, second_report = run_and_digest(algorithm, 11)
-    assert first_count > 0, "smoke run produced no trace records"
-    assert first_count == second_count
-    assert first_digest == second_digest
-    assert first_report.failures == second_report.failures
-    assert first_report.repaired == second_report.repaired
+    first = traced(algorithm, 11)
+    second = traced(algorithm, 11)
+    assert first.records, "smoke run produced no trace records"
+    assert len(first.records) == len(second.records)
+    assert first.digest == second.digest
+    assert first.report.failures == second.report.failures
+    assert first.report.repaired == second.report.repaired
 
 
 def test_different_seeds_diverge():
     """The digest is sensitive enough to actually see the randomness."""
-    digest_a, _, _ = run_and_digest(Algorithm.DYNAMIC, 11)
-    digest_b, _, _ = run_and_digest(Algorithm.DYNAMIC, 12)
+    digest_a = traced(Algorithm.DYNAMIC, 11).digest
+    digest_b = traced(Algorithm.DYNAMIC, 12).digest
     assert digest_a != digest_b

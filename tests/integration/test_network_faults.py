@@ -17,7 +17,7 @@ import pytest
 from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, DetectionMode, paper_scenario
 from repro.faults import FaultEvent, FaultKind
-from repro.sim.trace import RecordingSink, Tracer, trace_digest
+from tests.tracing import TracedRun
 
 ALGORITHMS = [Algorithm.CENTRALIZED, Algorithm.FIXED, Algorithm.DYNAMIC]
 
@@ -63,15 +63,6 @@ def run_report(algorithm, seed=7, script=PARTITION_SCRIPT, **overrides):
         algorithm, 4, seed=seed, fault_script=script, **BASE, **overrides
     )
     return ScenarioRuntime(config).run()
-
-
-def traced_run(config):
-    tracer = Tracer()
-    recorder = RecordingSink()
-    tracer.subscribe("*", recorder)
-    runtime = ScenarioRuntime(config, tracer=tracer)
-    report = runtime.run()
-    return report, recorder
 
 
 class TestFalseDispatchBaseline:
@@ -154,8 +145,8 @@ class TestVerificationProtocol:
             verify_failures=True,
             **BASE,
         )
-        _report, recorder = traced_run(config)
-        categories = {record.category for record in recorder.records}
+        run = TracedRun(config).run()
+        categories = {record.category for record in run.records}
         assert "net_fault" in categories
         assert "net_fault_cleared" in categories
         assert "suspicion" in categories
@@ -175,14 +166,11 @@ class TestDeterminism:
             verify_failures=True,
             **BASE,
         )
-        _r1, rec1 = traced_run(config)
-        _r2, rec2 = traced_run(config)
-        n1 = len(rec1.records)
+        first = TracedRun(config).run()
+        second = TracedRun(config).run()
+        n1 = len(first.records)
         assert n1 > 0
-        assert (trace_digest(rec1.records), n1) == (
-            trace_digest(rec2.records),
-            len(rec2.records),
-        )
+        assert (first.digest, n1) == (second.digest, len(second.records))
 
     def test_stochastic_jams_deterministic_and_seed_sensitive(self):
         def digest(seed):
@@ -195,8 +183,7 @@ class TestDeterminism:
                 jam_duration_mtbf_s=400.0,
                 **BASE,
             )
-            _report, recorder = traced_run(config)
-            return trace_digest(recorder.records)
+            return TracedRun(config).run().digest
 
         first = digest(5)
         assert digest(5) == first
@@ -212,10 +199,9 @@ class TestDeterminism:
             jam_duration_mtbf_s=400.0,
             **BASE,
         )
-        _report, recorder = traced_run(config)
         jams = [
             record
-            for record in recorder.records
+            for record in TracedRun(config).run().records
             if record.category == "net_fault"
         ]
         assert len(jams) >= 2

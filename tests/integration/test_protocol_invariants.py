@@ -63,17 +63,19 @@ def flood_run(request):
 
     strategy.accept_flood = accept_flood
 
-    def count_relays(frame, sender):
-        packet = frame.packet
+    def count_relays(record):
+        packet = record["frame"].packet
         if packet is None or not isinstance(packet.payload, FloodMessage):
             return
         flood = packet.payload
-        key = (sender.node_id, flood.origin_id, flood.seq)
+        sender_id = record["sender"]
+        key = (sender_id, flood.origin_id, flood.seq)
         relays[key] += 1
+        sender = runtime.channel.node(sender_id)
         if sender.kind == "sensor" and key not in accepted_keys:
             laws.unaccepted.append(key)
 
-    runtime.channel.transmit_hooks.append(count_relays)
+    runtime.tracer.subscribe("tx", count_relays)
     report = runtime.run()
     return runtime, report, relays, laws
 

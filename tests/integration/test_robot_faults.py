@@ -17,7 +17,7 @@ from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, paper_scenario
 from repro.faults import FaultKind
 from repro.net import Category
-from repro.sim.trace import RecordingSink, Tracer, trace_digest
+from tests.tracing import TracedRun
 
 ALGORITHMS = [Algorithm.CENTRALIZED, Algorithm.FIXED, Algorithm.DYNAMIC]
 
@@ -45,14 +45,6 @@ FAULT_CATEGORIES = (
     "escalation",
     "orphaned",
 )
-
-
-def traced_runtime(config):
-    """Build a runtime with a recording tracer; return (runtime, sink)."""
-    tracer = Tracer()
-    recorder = RecordingSink()
-    tracer.subscribe("*", recorder)
-    return ScenarioRuntime(config, tracer=tracer), recorder
 
 
 def advance_until_dispatched(runtime, failed_id, limit=3_000.0, step=50.0):
@@ -129,7 +121,8 @@ class TestManagerFailover:
             ],
             **QUIET,
         )
-        runtime, recorder = traced_runtime(config)
+        traced = TracedRun(config)
+        runtime = traced.runtime
         runtime.initialize()
         # Kill a sensor while the manager is down: only an acting
         # manager (a promoted robot) can dispatch the repair.
@@ -138,7 +131,7 @@ class TestManagerFailover:
         failed_id = victim.node_id
         runtime.failure_process.kill_now(victim)
         runtime.sim.run(until=config.sim_time_s)
-        categories = {record.category for record in recorder.records}
+        categories = {record.category for record in traced.records}
         assert "manager_fault" in categories
         assert "manager_failover" in categories
         assert "manager_recovered" in categories
@@ -192,30 +185,24 @@ class TestChaosDeterminism:
         ),
     )
 
-    def run_and_digest(self, algorithm, seed):
-        runtime, recorder = traced_runtime(
-            paper_scenario(algorithm, 4, seed=seed, **self.CHAOS)
-        )
-        runtime.run()
-        return trace_digest(recorder.records), len(recorder.records)
+    def traced(self, algorithm, seed):
+        config = paper_scenario(algorithm, 4, seed=seed, **self.CHAOS)
+        return TracedRun(config).run()
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_scripted_chaos_replays_identically(self, algorithm):
-        first_digest, first_count = self.run_and_digest(algorithm, 7)
-        second_digest, second_count = self.run_and_digest(algorithm, 7)
-        assert first_count > 0
-        assert first_count == second_count
-        assert first_digest == second_digest
+        first = self.traced(algorithm, 7)
+        second = self.traced(algorithm, 7)
+        assert len(first.records) > 0
+        assert len(first.records) == len(second.records)
+        assert first.digest == second.digest
 
     def test_chaos_actually_happened(self):
-        runtime, recorder = traced_runtime(
-            paper_scenario(Algorithm.CENTRALIZED, 4, seed=7, **self.CHAOS)
-        )
-        report = runtime.run()
-        categories = {record.category for record in recorder.records}
+        run = self.traced(Algorithm.CENTRALIZED, 7)
+        categories = {record.category for record in run.records}
         assert "robot_fault" in categories
         assert "manager_fault" in categories
-        assert report.robot_faults >= 3  # scripted + stochastic
+        assert run.report.robot_faults >= 3  # scripted + stochastic
 
 
 class TestFaultsOffInertness:
@@ -232,11 +219,11 @@ class TestFaultsOffInertness:
             sim_time_s=4_000.0,
         )
         assert not config.faults_enabled
-        runtime, recorder = traced_runtime(config)
-        report = runtime.run()
+        run = TracedRun(config).run()
+        runtime, report = run.runtime, run.report
         stats = runtime.channel.stats
         assert stats.transmissions.get(Category.HEARTBEAT, 0) == 0
-        categories = {record.category for record in recorder.records}
+        categories = {record.category for record in run.records}
         assert categories.isdisjoint(FAULT_CATEGORIES)
         assert report.robot_faults == 0
         assert report.robot_recoveries == 0

@@ -41,18 +41,18 @@ GRID = dict(
 @pytest.fixture
 def counted_runs(monkeypatch):
     """Count (and optionally interrupt) calls to the real simulation."""
-    real = runner.run_config
+    real = runner.run_config_timed
     calls = []
 
-    def counting(config):
+    def counting(config, on_runtime=None):
         calls.append(config)
         if counting.raise_after is not None:
             if len(calls) > counting.raise_after:
                 raise KeyboardInterrupt
-        return real(config)
+        return real(config, on_runtime)
 
     counting.raise_after = None
-    monkeypatch.setattr(runner, "run_config", counting)
+    monkeypatch.setattr(runner, "run_config_timed", counting)
     return calls
 
 
@@ -140,14 +140,14 @@ class TestResumableSweep:
         counted_runs.clear()
 
         # Kill the sweep after two completed runs...
-        runner.run_config.raise_after = 2
+        runner.run_config_timed.raise_after = 2
         with pytest.raises(KeyboardInterrupt):
             sweep(store=store, **GRID)
         assert len(counted_runs) == 3  # two finished + the interrupted one
         assert len(store.digests()) == 2  # finished runs were persisted
 
         # ...then rerun: only the two missing cells execute.
-        runner.run_config.raise_after = None
+        runner.run_config_timed.raise_after = None
         counted_runs.clear()
         result = sweep(store=store, **GRID)
         assert len(counted_runs) == 2

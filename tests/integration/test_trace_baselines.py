@@ -26,9 +26,8 @@ import pathlib
 
 import pytest
 
-from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, paper_scenario
-from repro.sim.trace import RecordingSink, Tracer, trace_digest
+from tests.tracing import TracedRun
 
 BASELINE_PATH = (
     pathlib.Path(__file__).resolve().parents[1]
@@ -59,19 +58,14 @@ def scenario_key(algorithm: str, faults: bool) -> str:
     return f"{algorithm}/{'faults' if faults else 'nofaults'}"
 
 
-def run_and_digest(algorithm: str, faults: bool):
-    """Run one seed scenario; return (sha256 digest, record count)."""
+def baseline_config(algorithm: str, faults: bool):
+    """The seed scenario pinned under ``scenario_key(algorithm, faults)``."""
     kwargs = dict(
         sensors_per_robot=25, placement="grid", sim_time_s=4_000.0
     )
     if faults:
         kwargs.update(robot_mtbf_s=6_000.0, fault_script=FAULT_SCRIPT)
-    config = paper_scenario(algorithm, 4, seed=7, **kwargs)
-    tracer = Tracer()
-    recorder = RecordingSink()
-    tracer.subscribe("*", recorder)
-    ScenarioRuntime(config, tracer=tracer).run()
-    return trace_digest(recorder.records), len(recorder.records)
+    return paper_scenario(algorithm, 4, seed=7, **kwargs)
 
 
 def _load_baselines() -> dict:
@@ -94,7 +88,8 @@ def _store_baseline(key: str, sha256: str, records: int) -> None:
 )
 def test_trace_digest_matches_baseline(algorithm, faults):
     key = scenario_key(algorithm, faults)
-    sha256, records = run_and_digest(algorithm, faults)
+    run = TracedRun(baseline_config(algorithm, faults)).run()
+    sha256, records = run.digest, len(run.records)
     if os.environ.get("REPRO_UPDATE_BASELINES"):
         _store_baseline(key, sha256, records)
         pytest.skip(f"baseline for {key} updated to {sha256[:16]}")

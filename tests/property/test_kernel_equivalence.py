@@ -294,9 +294,15 @@ class _ForwardingNode:
         self.outcome = ("dropped", reason)
 
 
+#: The reference scan's verdict when greedy forwarding makes no progress.
+_NO_PROGRESS = ("dead end",)
+
+
 def _candidate_list_outcome(router, packet):
     """The greedy step as it was: filter with ``_reachable``, exclude
-    the destination, then ``min`` by ``(d2, id)``."""
+    the destination, then ``min`` by ``(d2, id)``.  A choice that makes
+    no progress is a dead end, where the router enters perimeter
+    mode."""
     table = router.node.neighbor_table
     target = packet.dest_location
     direct = table.get(packet.destination)
@@ -317,7 +323,7 @@ def _candidate_list_outcome(router, packet):
         target
     ):
         return ("sent", best.node_id)
-    return ("dropped", DropReason.DEAD_END)
+    return _NO_PROGRESS
 
 
 #: Radio range 10 m and robot slack 3 m around a node at the origin:
@@ -345,15 +351,15 @@ class TestGreedyNextHop:
     def test_one_pass_matches_candidate_list(
         self, neighbours, destination, tx, ty, slack_m
     ):
-        # Greedy mode with face routing off: the one-pass choice (or the
-        # NO_NEIGHBORS drop) must equal the old rule's, ties included.
+        # The one-pass choice (or the NO_NEIGHBORS drop) must equal the
+        # old rule's, ties included; where the old rule finds a dead
+        # end, the router must enter perimeter mode instead.
         table = NeighborTable()
         for node_id, (x, y, kind) in neighbours.items():
             table.upsert(node_id, Point(x, y), kind)
         node = _ForwardingNode(table, _RANGE_M)
-        router = GeographicRouter(
-            node, RoutingStats(), use_face_routing=False
-        )
+        stats = RoutingStats()
+        router = GeographicRouter(node, stats)
         router.shortcut_slack_m = slack_m
         packet = Packet(
             source=node.node_id,
@@ -363,4 +369,9 @@ class TestGreedyNextHop:
         )
         expected = _candidate_list_outcome(router, packet)
         router.handle(packet, previous_position=None)
-        assert node.outcome == expected
+        if expected == _NO_PROGRESS:
+            assert stats.perimeter_entries == {Category.DATA: 1}
+            assert node.outcome is not None
+        else:
+            assert stats.perimeter_entries == {}
+            assert node.outcome == expected

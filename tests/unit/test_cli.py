@@ -196,3 +196,50 @@ class TestCommands:
             "robot_count": 4,
             "seeds": (3,),
         }
+
+    @pytest.mark.parametrize("study", ["beacon", "coverage"])
+    @pytest.mark.parametrize(
+        "flags", [["--store"], ["--jobs", "2"], ["--store", "--jobs", "1"]]
+    )
+    def test_in_process_ablation_rejects_store_and_jobs(
+        self, study, flags, capsys, monkeypatch
+    ):
+        # Both studies read the runtime itself, which a stored report
+        # does not carry, so they would ignore either flag in silence.
+        calls = []
+        monkeypatch.setitem(
+            cli._ABLATIONS, study, lambda **kwargs: calls.append(kwargs)
+        )
+        assert main(["ablate", study, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"ablate {study}: --store and --jobs are not accepted; "
+            "the study runs in-process"
+        ]
+        assert calls == []
+
+    def test_in_process_ablation_gets_no_store_or_workers(
+        self, capsys, monkeypatch
+    ):
+        calls = []
+
+        def stub_study(**kwargs):
+            calls.append(kwargs)
+            return AblationResult(
+                name="stub study",
+                variants={"only": {"value": 1.0}},
+                claims=(ClaimCheck("stub claim", True, "detail"),),
+            )
+
+        monkeypatch.setenv("REPRO_STORE", "unused")
+        monkeypatch.setitem(cli._ABLATIONS, "beacon", stub_study)
+        assert main(["ablate", "beacon", "--no-store", "--seed", "3"]) == 0
+        assert main(["ablate", "beacon"]) == 0
+        assert calls == [{"seeds": (3,)}, {}]
+
+    def test_lint_rejects_jobs(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["lint", "--jobs", "2", "src"])
+        assert exited.value.code == 2
+        assert "--jobs" in capsys.readouterr().err

@@ -1,5 +1,5 @@
 """Tests for the linter's project scope: R6/R8/R9 cross-module cases,
-the R10 unit algebra, module naming, parallel jobs, SARIF output, and
+the R10 unit algebra, module naming, SARIF output, and
 the mypy baseline gate (``repro.lint.typegate``).
 
 Multi-module cases write a miniature ``src/repro`` tree into
@@ -485,25 +485,8 @@ def test_r10_longest_suffix_wins():
 
 
 # ----------------------------------------------------------------------
-# Engine: jobs determinism, project-pass suppressions
+# Engine: project-pass suppressions
 # ----------------------------------------------------------------------
-def test_parallel_jobs_report_is_identical(tmp_path):
-    files = {}
-    for index in range(12):
-        files[f"src/repro/mod_{index:02d}.py"] = f"""
-            import random
-
-            def draw_{index}():
-                return random.random()
-        """
-    root = write_tree(tmp_path, files)
-    serial, checked_serial = lint_paths([root], jobs=1)
-    parallel, checked_parallel = lint_paths([root], jobs=4)
-    assert checked_serial == checked_parallel == 12
-    assert serial == parallel
-    assert serial, "expected R1 findings to compare"
-
-
 def test_project_findings_respect_suppressions():
     source = """
         def reorder(channel, sender):
@@ -562,13 +545,13 @@ def test_cli_sarif_format_and_jobs(tmp_path, capsys):
         tmp_path,
         {"src/repro/clean.py": "VALUE = 1\n"},
     )
-    assert main(["--format", "sarif", "--jobs", "2", root]) == 0
+    assert main(["--format", "sarif", root]) == 0
     document = json.loads(capsys.readouterr().out)
     assert document["runs"][0]["results"] == []
-
-
-def test_cli_rejects_bad_jobs(tmp_path, capsys):
-    assert main(["--jobs", "0", str(tmp_path)]) == 2
+    # The file pass runs in one thread; there is no --jobs option.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--jobs", "2", root])
+    assert exit_info.value.code == 2
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from repro.net import (
     Packet,
     RadioConfig,
 )
-from repro.net.mac import MacConfig
+from repro.net.mac import MAX_RETRIES
 from repro.routing import DropReason, RoutingStats
 from repro.sim import RandomStreams, Simulator
 
@@ -39,7 +39,6 @@ class TestArqExhaustion:
             channel,
             streams,
             routing_stats=stats,
-            mac_config=MacConfig(ack_timeout=0.05, max_retries=3),
         )
         receiver = Probe(
             "dst",
@@ -65,7 +64,8 @@ class TestArqExhaustion:
         assert len(sender.link_failures) == 1
         assert "dst" not in sender.neighbor_table
         assert (
-            channel.stats.retransmissions.get(Category.DATA, 0) == 3
+            channel.stats.retransmissions.get(Category.DATA, 0)
+            == MAX_RETRIES
         )
         assert (
             stats.drops.get((Category.DATA, DropReason.NO_NEIGHBORS), 0)

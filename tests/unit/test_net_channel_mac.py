@@ -123,10 +123,11 @@ class TestDelivery:
         assert channel.stats.transmissions[Category.LOCATION_UPDATE] == 1
 
     def test_transmit_hook_invoked(self):
+        # A "tx" subscriber hears each transmit once, with its sender.
         sim, channel, nodes = build([Point(0, 0), Point(10, 0)])
         seen = []
-        channel.transmit_hooks.append(
-            lambda frame, sender: seen.append(sender.node_id)
+        channel.tracer.subscribe(
+            "tx", lambda record: seen.append(record["sender"])
         )
         nodes[0].send_broadcast(Category.DATA, "x")
         sim.run(until=1.0)
@@ -494,24 +495,13 @@ class TestLossAndArq:
             >= channel.stats.retransmissions.get(Category.DATA, 0)
         )
 
-    def test_stats_snapshot_diff(self):
-        sim, channel, nodes = build([Point(0, 0), Point(10, 0)])
-        nodes[0].send_broadcast(Category.DATA, "x")
-        sim.run(until=1.0)
-        before = channel.stats.snapshot()
-        nodes[0].send_broadcast(Category.DATA, "y")
-        sim.run(until=2.0)
-        diff = channel.stats.diff_since(before)
-        assert diff["frames_sent"] == 1
-        assert diff["transmissions"][Category.DATA] == 1
-
 
 class TestMacSerialisation:
     def test_frames_sent_in_fifo_order(self):
         sim, channel, nodes = build([Point(0, 0), Point(10, 0)])
         order = []
-        channel.transmit_hooks.append(
-            lambda frame, sender: order.append(frame.packet.payload)
+        channel.tracer.subscribe(
+            "tx", lambda record: order.append(record["frame"].packet.payload)
         )
         for index in range(5):
             nodes[0].send_broadcast(Category.DATA, index)
@@ -529,8 +519,8 @@ class TestMacSerialisation:
             [Point(0, 0), Point(10, 0), Point(20, 0)]
         )
         times = []
-        channel.transmit_hooks.append(
-            lambda frame, sender: times.append(sim.now)
+        channel.tracer.subscribe(
+            "tx", lambda record: times.append(record.time)
         )
         for node in nodes:
             node.send_broadcast(Category.DATA, "x")
@@ -666,14 +656,3 @@ class TestDropCauses:
         sim.run(until=1.0)
         assert len(nodes[1].broadcasts) == 1
         assert channel.stats.frames_lost == 0
-
-    def test_snapshot_diff_covers_drop_causes(self):
-        from repro.net.channel import ChannelStats, DropCause
-
-        stats = ChannelStats()
-        before = stats.snapshot()
-        stats.count_drop(DropCause.JAM)
-        diff = stats.diff_since(before)
-        assert diff["dropped_jam"] == 1
-        assert diff["dropped_loss"] == 0
-        assert diff["dropped_partition"] == 0

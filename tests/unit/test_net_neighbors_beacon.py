@@ -172,8 +172,8 @@ class TestBeaconService:
     def test_static_node_reuses_one_announcement(self):
         sim, channel, a, b = self.build_pair()
         sent = []
-        channel.transmit_hooks.append(
-            lambda frame, sender: sent.append(frame.packet.payload)
+        channel.tracer.subscribe(
+            "tx", lambda record: sent.append(record["frame"].packet.payload)
         )
         BeaconService(a, period=10.0)
         sim.run(until=35.0)
@@ -186,8 +186,8 @@ class TestBeaconService:
     def test_beacon_now_carries_the_current_position(self):
         sim, channel, a, b = self.build_pair()
         sent = []
-        channel.transmit_hooks.append(
-            lambda frame, sender: sent.append(frame.packet.payload)
+        channel.tracer.subscribe(
+            "tx", lambda record: sent.append(record["frame"].packet.payload)
         )
         service = BeaconService(a, period=10.0)
         service.beacon_now()

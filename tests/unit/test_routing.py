@@ -141,19 +141,6 @@ class TestGreedyRouting:
         assert stats.drops[(Category.DATA, DropReason.NO_NEIGHBORS)] == 1
         assert nodes[0].dropped[0][1] == DropReason.NO_NEIGHBORS
 
-    def test_dead_end_without_face_routing(self):
-        # n01 is a local minimum towards n03 (void beyond).
-        points = [Point(0, 0), Point(50, 0), Point(50, 120), Point(140, 0)]
-        sim, stats, nodes = build_network(points, radio_range=63.0)
-        nodes[0].router.use_face_routing = False
-        nodes[1].router.use_face_routing = False
-        nodes[0].send_routed(
-            "n03", nodes[3].position, Category.DATA, "hi"
-        )
-        sim.run(until=1.0)
-        assert nodes[3].delivered == []
-        assert stats.dropped_count(Category.DATA) == 1
-
 
 class TestFaceRouting:
     def test_recovers_around_a_void(self):
@@ -259,7 +246,7 @@ class TestRoutingStats:
         stats = RoutingStats()
         stats.record_delivered("a", 2)
         stats.record_delivered("b", 4)
-        stats.record_drop("a", DropReason.DEAD_END)
+        stats.record_drop("a", DropReason.PERIMETER_LOOP)
         assert stats.delivered_count() == 2
         assert stats.delivered_count("a") == 1
         assert stats.dropped_count() == 1

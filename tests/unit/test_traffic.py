@@ -31,14 +31,14 @@ class TestService:
         runtime.initialize()
         seen = {}
 
-        def capture(frame, sender):
-            packet = frame.packet
+        def capture(record):
+            packet = record["frame"].packet
             if packet is None or not isinstance(
                 packet.payload, SensorReading
             ):
                 return
             reading = packet.payload
-            if sender.node_id != reading.origin_id:
+            if record["sender"] != reading.origin_id:
                 return  # forwarded by a relay, not the origin
             previous = seen.get(reading.origin_id, 0)
             # Strictly new reading, or a re-transmission of the current
@@ -46,7 +46,7 @@ class TestService:
             assert previous <= reading.seq <= previous + 1
             seen[reading.origin_id] = reading.seq
 
-        runtime.channel.transmit_hooks.append(capture)
+        runtime.tracer.subscribe("tx", capture)
         runtime.sim.run(until=450.0)
         assert seen  # traffic flowed
         assert max(seen.values()) >= 4  # ~4-5 periods elapsed
@@ -74,11 +74,11 @@ class TestService:
         runtime.failure_process.kill_now(victim)
         sent_by_victim = []
 
-        def capture(frame, sender):
-            if sender.node_id == victim_id:
-                sent_by_victim.append(frame)
+        def capture(record):
+            if record["sender"] == victim_id:
+                sent_by_victim.append(record["frame"])
 
-        runtime.channel.transmit_hooks.append(capture)
+        runtime.tracer.subscribe("tx", capture)
         runtime.sim.run(until=800.0)
         assert sent_by_victim == []
 
