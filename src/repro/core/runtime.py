@@ -24,7 +24,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import typing
-import weakref
 
 from math import hypot
 
@@ -91,11 +90,6 @@ class ScenarioRuntime:
 
         #: Live sensors by id (dead sensors are removed).
         self.sensors: typing.Dict[NodeId, SensorNode] = {}
-        #: Dead sensors not yet freed, held weakly: :meth:`close` must
-        #: reach them, but the run must not keep them alive.
-        self._dead_sensors: weakref.WeakValueDictionary[
-            NodeId, NetworkNode
-        ] = weakref.WeakValueDictionary()
         #: Maintenance robots by id.
         self.robots: typing.Dict[NodeId, RobotNode] = {}
         #: The central manager (centralized algorithm only).
@@ -379,7 +373,6 @@ class ScenarioRuntime:
     def _on_sensor_death(self, node: NetworkNode, time: float) -> None:
         self.metrics.record_death(node.node_id, node.position, time)
         self.sensors.pop(node.node_id, None)
-        self._dead_sensors[node.node_id] = node
         self._beacon_services.pop(node.node_id, None)
         if self.tracer.active:
             self.tracer.emit(
@@ -882,8 +875,8 @@ class ScenarioRuntime:
         Nodes, services and the event queue refer to one another and to
         the runtime, so a dropped runtime would otherwise wait for the
         cyclic collector's next full pass.  Closing cancels the queued
-        events, closes every node (dead sensors not yet freed included)
-        and drops everything but the attributes in
+        events, which frees the dead sensors they held, closes every
+        live node and drops everything but the attributes in
         :attr:`_KEPT_BY_CLOSE`.  Dropping the runtime then frees the run
         by reference counting.  A report is a separate object and stays
         intact.  Closing twice is harmless.
@@ -893,7 +886,6 @@ class ScenarioRuntime:
         self.sim.close()
         for node in [
             *self.sensors.values(),
-            *self._dead_sensors.values(),
             *self.robots.values(),
             self.manager,
         ]:

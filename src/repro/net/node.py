@@ -107,11 +107,17 @@ class NetworkNode:
     # Lifecycle
     # ------------------------------------------------------------------
     def die(self) -> None:
-        """Fail the node: it stops sending, receiving and processing."""
+        """Fail the node: it stops sending, receiving and processing.
+
+        Dropping the MAC and router, which refer back to the node, puts
+        it on no cycle, so it is freed once its last queued event has
+        run; each such event returns on ``alive`` before using either.
+        """
         if not self.alive:
             return
         self.alive = False
         self.channel.unregister(self.node_id)
+        del self.mac, self.router
         if self.tracer.active:
             self.tracer.emit(
                 "node_death",
@@ -251,6 +257,8 @@ class NetworkNode:
         """The local router dropped *packet* (already counted in stats)."""
 
     def __repr__(self) -> str:
+        if "alive" not in vars(self):
+            return f"<{type(self).__name__} closed>"
         state = "up" if self.alive else "down"
         return (
             f"<{type(self).__name__} {self.node_id} {state} "

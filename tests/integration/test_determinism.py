@@ -12,6 +12,7 @@ timing, or payload flips the hash.
 
 import pytest
 
+from repro.core.runtime import ScenarioRuntime
 from repro.deploy.scenario import Algorithm, paper_scenario
 from tests.tracing import TracedRun
 
@@ -41,3 +42,34 @@ def test_different_seeds_diverge():
     digest_a = traced(Algorithm.DYNAMIC, 11).digest
     digest_b = traced(Algorithm.DYNAMIC, 12).digest
     assert digest_a != digest_b
+
+
+def first_generation_deaths(algorithm):
+    """(id, death time, position) of every original sensor that died in
+    a 4-robot, seed-3 run; replacements (``sensor-r…``) are left out."""
+    runtime = ScenarioRuntime(
+        paper_scenario(algorithm, 4, seed=3, sim_time_s=4_000.0)
+    )
+    try:
+        runtime.run()
+        return [
+            (record.node_id, record.death_time, record.position)
+            for record in runtime.metrics.records()
+            if not record.node_id.startswith("sensor-r")
+        ]
+    finally:
+        runtime.close()
+
+
+def test_algorithms_share_their_first_generation_deaths():
+    """Common random numbers: configs that differ only in ``algorithm``
+    place the same sensors and kill them at the same times, so the
+    algorithms are compared on one failure stream."""
+    deaths = {
+        algorithm: first_generation_deaths(algorithm)
+        for algorithm in Algorithm.ALL
+    }
+    reference = deaths[Algorithm.CENTRALIZED]
+    assert len(reference) > 10
+    for algorithm in Algorithm.ALL:
+        assert deaths[algorithm] == reference, algorithm

@@ -1,9 +1,10 @@
-"""A finished run must leave no reference cycles behind.
+"""A run must leave no reference cycles behind, mid-run or finished.
 
-``run_config`` closes its runtime once the report exists, so a sweep
-frees each run by reference counting instead of keeping every run since
-the cyclic collector's last full pass.  Each test here runs with the
-collector off: any cycle a run leaves, mid-run garbage included, is
+A dead sensor is freed by reference counting once its last queued event
+has run, and ``run_config`` closes its runtime once the report exists,
+so a sweep frees each run the same way instead of keeping every run
+since the cyclic collector's last full pass.  Each test here runs with
+the collector off: any cycle a run leaves, mid-run garbage included, is
 still there when the test collects, and shows up as a non-zero count.
 """
 
@@ -98,6 +99,25 @@ def report_json(report):
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_run_config_leaves_no_cycles(name):
     found, kinds = cyclic_garbage_after(lambda: run_config(CONFIGS[name]))
+    assert found == 0, kinds.most_common(10)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_run_leaves_no_cycles_before_close(name):
+    """Mid-run garbage, dead sensors above all, is freed as it arises:
+    at the horizon, before ``close()``, nothing is left to collect."""
+    runtimes = []
+
+    def run():
+        runtime = ScenarioRuntime(CONFIGS[name])
+        runtimes.append(runtime)
+        assert runtime.run().failures > 0
+
+    try:
+        found, kinds = cyclic_garbage_after(run)
+    finally:
+        for runtime in runtimes:
+            runtime.close()
     assert found == 0, kinds.most_common(10)
 
 

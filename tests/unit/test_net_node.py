@@ -1,25 +1,35 @@
 """Unit tests for the NetworkNode base class surface."""
 
+import gc
 import importlib
 import pkgutil
+import weakref
 
 import pytest
 
 from repro import __version__
 from repro.geometry import Point
-from repro.net import Category, Channel, NetworkNode, sensor_radio
+from repro.net import (
+    Category,
+    Channel,
+    NetworkNode,
+    Packet,
+    RadioConfig,
+    sensor_radio,
+)
+from repro.net.mac import ACK_TIMEOUT_S
 from repro.routing import RoutingStats
 from repro.sim import RandomStreams, RecordingSink, Simulator, Tracer
 
 
-def build_node(node_id="n1", position=Point(0, 0), tracer=None):
+def build_node(node_id="n1", position=Point(0, 0), tracer=None, radio=None):
     sim = Simulator()
     streams = RandomStreams(1)
     channel = Channel(sim, streams, tracer=tracer)
     node = NetworkNode(
         node_id,
         position,
-        sensor_radio(),
+        radio or sensor_radio(),
         sim,
         channel,
         streams,
@@ -97,6 +107,61 @@ class TestSendSurface:
         assert "up" in repr(node)
         node.die()
         assert "down" in repr(node)
+
+    def test_repr_of_a_closed_node(self):
+        _sim, _channel, node = build_node()
+        node.close()
+        assert repr(node) == "<NetworkNode closed>"
+
+
+class TestDeathFreesTheNode:
+    """A dead node is on no cycle: with the collector off, reference
+    counting frees it once the last event queued for it has run."""
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_a_queued_frame_holds_it_until_the_mac_wakes(self):
+        sim, channel, node = build_node()
+        node.send_broadcast(Category.BEACON, "b")  # a jittered wake-up
+        node.die()
+        dead = weakref.ref(node)
+        del node
+        assert dead() is not None
+        assert sim.processed_events == 0
+        sim.run()  # the MAC's wake-up, the only event
+        assert sim.processed_events == 1
+        assert dead() is None
+        assert channel.stats.frames_sent == 0  # the frame was dropped
+
+    def test_a_pending_ack_timer_holds_it_until_it_fires(self):
+        lossy = RadioConfig(range_m=63.0, loss_rate=0.999)
+        sim, channel, node = build_node(radio=lossy)
+        NetworkNode("n2", Point(10, 0), lossy, sim, channel, node.streams)
+        node.mac.send_packet(
+            Packet(
+                source="n1",
+                destination="n2",
+                category=Category.DATA,
+                dest_location=Point(10, 0),
+            ),
+            "n2",
+        )
+        sim.run(until=0.01)  # sent once; its ack timer is armed
+        assert channel.stats.frames_sent == 1
+        node.die()
+        dead = weakref.ref(node)
+        del node
+        sim.run(until=ACK_TIMEOUT_S)
+        assert dead() is not None
+        sim.run(until=1.0)
+        assert dead() is None
+        assert channel.stats.frames_sent == 1  # no retransmission
+        assert not channel.stats.retransmissions
 
 
 class TestPackageSurface:
